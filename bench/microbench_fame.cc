@@ -17,6 +17,12 @@
  *    long idle gaps) with skipping on; the skip_pct counter reports the
  *    fraction of grid windows the incremental next-event fold jumped
  *    over without a barrier.
+ *  - BM_SparseManyPartitions: four tokens circulating on an 8-partition
+ *    ring inside a set of 64 or 1,024 partitions under runSequential,
+ *    so every quantum has the same few events and the same working set
+ *    whatever the partition count.  ns_per_quantum must stay flat in
+ *    P: the next-event calendar advances only the partitions with work
+ *    instead of sweeping all of them.
  *
  * Results append to BENCH_fame.json (bench/bench_json.hh) so engine
  * regressions show up in the trajectory next to the cluster numbers.
@@ -25,6 +31,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -103,14 +110,14 @@ BM_FameBarrierRoundTrip(benchmark::State &state)
  * Dense ring: every partition forwards a token to its neighbour each
  * hop with 1 us lookahead, so every quantum carries work in every
  * partition — the worst case for barrier frequency, the best case for
- * fusion amortization.
+ * fusion amortization.  @p ring_size limits the ring to the first
+ * partitions of the set (0: all of them); the rest stay idle.
  */
 struct DenseRing {
     explicit DenseRing(fame::PartitionSet &ps, int tokens_per_part,
-                       uint32_t ttl_hops = UINT32_MAX)
-        : ps(ps), ttl(ttl_hops)
+                       uint32_t ttl_hops = UINT32_MAX, size_t ring_size = 0)
+        : ps(ps), n(ring_size != 0 ? ring_size : ps.size()), ttl(ttl_hops)
     {
-        const size_t n = ps.size();
         channels.reserve(n);
         for (size_t i = 0; i < n; ++i) {
             channels.push_back(&ps.makeChannel(i, (i + 1) % n, 1_us));
@@ -133,7 +140,7 @@ struct DenseRing {
         if (hops_left == 0) {
             return; // token retires; the ring can drain to idle
         }
-        const size_t dst = (part + 1) % ps.size();
+        const size_t dst = (part + 1) % n;
         channels[part]->post(
             sim.now() + 1_us + SimTime::ns(token % 31),
             [this, dst, token, hops_left] {
@@ -142,6 +149,7 @@ struct DenseRing {
     }
 
     fame::PartitionSet &ps;
+    const size_t n;
     std::vector<fame::PartitionSet::Channel *> channels;
     const uint32_t ttl;
     uint64_t sum = 0;
@@ -209,6 +217,38 @@ BM_FameSkipRate(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 
+void
+BM_SparseManyPartitions(benchmark::State &state)
+{
+    const auto parts = static_cast<size_t>(state.range(0));
+    constexpr size_t kRing = 8;
+    constexpr size_t kTokens = 4;
+    uint64_t quanta = 0;
+    double run_ns = 0.0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        fame::PartitionSet ps(parts);
+        DenseRing ring(ps, 0, UINT32_MAX, kRing);
+        for (size_t t = 0; t < kTokens; ++t) {
+            const size_t at = t * kRing / kTokens;
+            ps.partition(at).schedule(SimTime(), [&ring, at, t] {
+                ring.hop(at, t, ring.ttl);
+            });
+        }
+        state.ResumeTiming();
+        const auto t0 = std::chrono::steady_clock::now();
+        ps.runSequential(SimTime::ms(2));
+        run_ns += std::chrono::duration<double, std::nano>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+        benchmark::DoNotOptimize(ring.sum);
+        quanta += ps.lastRunQuanta();
+    }
+    state.counters["ns_per_quantum"] = benchmark::Counter(
+        quanta != 0 ? run_ns / static_cast<double>(quanta) : 0.0);
+    state.SetItemsProcessed(static_cast<int64_t>(quanta));
+}
+
 BENCHMARK(BM_FameBarrierRoundTrip)
     ->Args({8, 1})
     ->Args({8, 2})
@@ -226,6 +266,12 @@ BENCHMARK(BM_FameFusedThroughput)
     ->ArgName("threads")
     ->UseRealTime()
     ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_SparseManyPartitions)
+    ->Arg(64)
+    ->Arg(1024)
+    ->ArgName("parts")
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_FameSkipRate)

@@ -190,7 +190,6 @@ McExperiment::run(bool parallel)
         constexpr SimTime kCap = SimTime::sec(600);
         const SimTime start = ps_->partition(0).now();
         SimTime until = start;
-        uint64_t last_events = ps_->totalExecutedEvents();
         while (!all_done()) {
             if (pulse_ && pulse_()) {
                 aborted_ = true;
@@ -213,12 +212,14 @@ McExperiment::run(bool parallel)
             } else {
                 step(until);
             }
-            const uint64_t events = ps_->totalExecutedEvents();
-            if (events == last_events && !all_done()) {
+            // A window without events is not a deadlock: clients may be
+            // waiting out a think time or a UDP retry longer than it.
+            // Only an empty model is, as on the single engine.
+            if (!all_done() &&
+                ps_->nextPendingTime() == SimTime::max()) {
                 panic("McExperiment: deadlock — clients not done, "
                       "no events");
             }
-            last_events = events;
         }
         result_.elapsed = ps_->partition(0).now() - start;
     }

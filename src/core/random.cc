@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <mutex>
 
 #include "core/log.hh"
 
@@ -175,31 +178,58 @@ Rng::weightedChoice(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
+namespace {
+
+std::shared_ptr<const std::vector<double>>
+zipfCdf(size_t n, double skew)
+{
+    // Keyed by the skew's bit pattern: two samplers share a table only
+    // when they would have computed the identical one.  Entries are
+    // weak, so a table lives exactly as long as some sampler uses it.
+    static std::mutex mu;
+    static std::map<std::pair<size_t, uint64_t>,
+                    std::weak_ptr<const std::vector<double>>>
+        cache;
+    uint64_t skew_bits = 0;
+    std::memcpy(&skew_bits, &skew, sizeof(skew_bits));
+    std::lock_guard<std::mutex> lk(mu);
+    std::weak_ptr<const std::vector<double>> &slot =
+        cache[{n, skew_bits}];
+    if (auto cdf = slot.lock()) {
+        return cdf;
+    }
+    auto cdf = std::make_shared<std::vector<double>>(n);
+    double acc = 0;
+    for (size_t i = 0; i < n; ++i) {
+        acc += 1.0 / std::pow(static_cast<double>(i + 1), skew);
+        (*cdf)[i] = acc;
+    }
+    for (auto &v : *cdf) {
+        v /= acc;
+    }
+    slot = cdf;
+    return cdf;
+}
+
+} // namespace
+
 ZipfSampler::ZipfSampler(size_t n, double skew)
 {
     if (n == 0) {
         fatal("ZipfSampler: empty domain");
     }
-    cdf_.resize(n);
-    double acc = 0;
-    for (size_t i = 0; i < n; ++i) {
-        acc += 1.0 / std::pow(static_cast<double>(i + 1), skew);
-        cdf_[i] = acc;
-    }
-    for (auto &v : cdf_) {
-        v /= acc;
-    }
+    cdf_ = zipfCdf(n, skew);
 }
 
 size_t
 ZipfSampler::sample(Rng &rng) const
 {
     double u = rng.uniform();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    if (it == cdf_.end()) {
-        return cdf_.size() - 1;
+    auto it = std::lower_bound(cdf_->begin(), cdf_->end(), u);
+    if (it == cdf_->end()) {
+        return cdf_->size() - 1;
     }
-    return static_cast<size_t>(it - cdf_.begin());
+    return static_cast<size_t>(it - cdf_->begin());
 }
 
 } // namespace diablo

@@ -14,6 +14,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -86,8 +87,11 @@ class Rng {
 /**
  * Zipf-distributed integer sampler over [0, n).
  *
- * Precomputes the CDF once, so sampling is O(log n); used for key
- * popularity in the memcached workload generator.
+ * Precomputes the CDF, so sampling is O(log n); used for key
+ * popularity in the memcached workload generator.  The CDF is
+ * immutable and shared process-wide: every sampler with the same
+ * (n, skew) holds the same table, so a 1,984-node array of clients
+ * pays for one 160 KB table instead of one per client.
  */
 class ZipfSampler {
   public:
@@ -96,10 +100,10 @@ class ZipfSampler {
     /** Draw a rank in [0, n); rank 0 is the most popular. */
     size_t sample(Rng &rng) const;
 
-    size_t size() const { return cdf_.size(); }
+    size_t size() const { return cdf_->size(); }
 
   private:
-    std::vector<double> cdf_;
+    std::shared_ptr<const std::vector<double>> cdf_;
 };
 
 } // namespace diablo

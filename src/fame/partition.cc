@@ -108,8 +108,8 @@ PartitionSet::ensureLanes(size_t workers)
         return;
     }
     // Lanes are rebuilt wholesale: dirty lists are empty between runs
-    // (every quantum drains them) and horizons revalidate lazily, so
-    // nothing in the old lanes is worth migrating.
+    // (every quantum drains them) and calendars are rebuilt at every
+    // run entry, so nothing in the old lanes is worth migrating.
     lanes_ = std::make_unique<WorkerLane[]>(workers);
     lane_count_ = workers;
 }
@@ -315,9 +315,6 @@ PartitionSet::assignPartitions(size_t workers)
     ensureLanes(workers);
     lane_active_ = workers;
     for (size_t w = 0; w < workers; ++w) {
-        // Events may have been scheduled from outside between runs;
-        // horizons revalidate on each worker's first window.
-        lanes_[w].horizon_valid = false;
         lanes_[w].published_min = SimTime::max();
     }
 
@@ -533,7 +530,6 @@ PartitionSet::drainDirtyChannels()
     for (uint32_t idx : drain_scratch_) {
         Channel &ch = *channels_[idx];
         Simulator &dst = *parts_[ch.dst_];
-        WorkerLane &dst_lane = lanes_[worker_of_[ch.dst_]];
         SimTime ch_min = SimTime::max();
         for (auto &msg : ch.pending_) {
             if (msg.when < dst.now()) {
@@ -546,12 +542,10 @@ PartitionSet::drainDirtyChannels()
             dst.scheduleAt(msg.when, std::move(msg.fn));
         }
         min_when = std::min(min_when, ch_min);
-        // A message landing in the destination's fused set lowers that
-        // worker's cached horizon; folding it here keeps the per-worker
-        // quantum skip exact without any rescan.
-        if (dst_lane.horizon_valid) {
-            dst_lane.horizon = std::min(dst_lane.horizon, ch_min);
-        }
+        // The destination may have been queued later (or idle).  The
+        // drain runs single-threaded, before any worker's next window.
+        lanes_[worker_of_[ch.dst_]].calendar.lower(
+            static_cast<uint32_t>(ch.dst_), ch_min);
         // clear() keeps capacity: steady-state traffic re-posts into
         // the same storage with no allocator round trips.
         ch.pending_.clear();
@@ -560,7 +554,7 @@ PartitionSet::drainDirtyChannels()
 }
 
 SimTime
-PartitionSet::earliestPendingTime()
+PartitionSet::nextPendingTime() const
 {
     SimTime earliest = SimTime::max();
     for (auto &p : parts_) {
@@ -596,7 +590,7 @@ PartitionSet::nextWindowStart(SimTime t, SimTime q, SimTime until)
     if (!skip_idle_) {
         return t;
     }
-    return windowForEarliest(earliestPendingTime(), t, q, until);
+    return windowForEarliest(nextPendingTime(), t, q, until);
 }
 
 void
@@ -639,28 +633,59 @@ PartitionSet::resetStats()
 }
 
 void
+PartitionSet::rebuildCalendars()
+{
+    // Run entry: events may have been scheduled into (or cancelled
+    // from) any partition since the last run, so every queued time is
+    // recomputed.  Partitions another process owns are never queued.
+    for (size_t w = 0; w < lane_active_; ++w) {
+        WorkerLane &lane = lanes_[w];
+        lane.calendar.clear(parts_.size());
+        for (size_t p : worker_parts_[w]) {
+            if (partitionOwned(p)) {
+                lane.calendar.push(static_cast<uint32_t>(p),
+                                   parts_[p]->nextEventTime());
+            }
+        }
+    }
+}
+
+SimTime
+PartitionSet::advanceLane(WorkerLane &lane, SimTime bound)
+{
+    // Partitions are independent within a quantum (cross-partition
+    // traffic waits in channels until the drain), so running only the
+    // due ones, earliest first, executes exactly what a sweep would.
+    // Each is re-queued in place at its new next event, which is at or
+    // past the bound, so it sinks below every partition still due.
+    while (lane.calendar.topTime() < bound) {
+        Simulator &p = *parts_[lane.calendar.topPartition()];
+        p.runBefore(bound);
+        lane.calendar.retimeTop(p.nextEventTime());
+    }
+    return lane.calendar.topTime();
+}
+
+void
 PartitionSet::runSequential(SimTime until)
 {
     const SimTime q = quantum();
-    // The reference engine is a 1-worker fusion for channel-dirty
-    // bookkeeping, but keeps the simple full-scan skip rule: it is the
-    // obviously-correct baseline the incremental parallel engine is
-    // checked against bit-for-bit.
+    // One lane holds every partition; the loop is workerBody's with the
+    // barrier completion step inlined.
     assignPartitions(1);
+    rebuildCalendars();
     beginRunStats();
-    SimTime t;
+    WorkerLane &lane = lanes_[0];
+    SimTime t = nextWindowStart(SimTime(), q, until);
     while (t < until) {
-        t = nextWindowStart(t, q, until);
-        if (t >= until) {
-            break;
-        }
         const SimTime bound = std::min(t + q, until);
-        for (auto &p : parts_) {
-            p->runBefore(bound);
-        }
-        drainDirtyChannels();
+        const SimTime lane_min = advanceLane(lane, bound);
+        const SimTime msg_min = drainDirtyChannels();
         t = bound;
         ++quanta_;
+        if (skip_idle_) {
+            t = windowForEarliest(std::min(lane_min, msg_min), t, q, until);
+        }
     }
     endRunStats();
 }
@@ -670,12 +695,12 @@ PartitionSet::parallelQuantumEnd() noexcept
 {
     // Runs on the last worker arriving at the barrier, single-threaded
     // (the barrier sequences the completion step before releasing
-    // anyone).  Incremental form of runSequential's loop tail: the
-    // earliest pending time is the fold of (a) each worker's published
-    // post-quantum minimum over its fused partitions and (b) the
-    // minima of the messages drained just now — the only two places
-    // future work can live — so no partition or channel scan happens
-    // here.  Window sequence, and thus every result, stays identical.
+    // anyone).  Same loop tail as runSequential: the earliest pending
+    // time is the fold of (a) each worker's published post-quantum
+    // minimum over its fused partitions and (b) the minima of the
+    // messages drained just now — the only two places future work can
+    // live — so no partition or channel scan happens here.  Window
+    // sequence, and thus every result, stays identical.
     const SimTime msg_min = drainDirtyChannels();
     par_t_ = par_bound_;
     ++quanta_;
@@ -695,29 +720,13 @@ PartitionSet::parallelQuantumEnd() noexcept
 void
 PartitionSet::workerBody(size_t w)
 {
-    const std::vector<size_t> &mine = worker_parts_[w];
     WorkerLane &lane = lanes_[w];
     const bool solo = par_workers_ == 1;
     uint32_t sense = 0;
     while (!par_done_) {
-        const SimTime bound = par_bound_;
-        if (!lane.horizon_valid || lane.horizon < bound) {
-            // Work (or unknown state) below the bound: advance the
-            // fused set and recompute the cached horizon.
-            SimTime local_min = SimTime::max();
-            for (size_t p : mine) {
-                parts_[p]->runBefore(bound);
-                local_min =
-                    std::min(local_min, parts_[p]->nextEventTime());
-            }
-            lane.horizon = local_min;
-            lane.horizon_valid = true;
-        }
-        // else: per-worker quantum skip.  Nothing of this fused set
-        // fires before the bound — the serial drain folds incoming
-        // messages into the horizon, so the cache is exact — and the
-        // window costs one barrier round, zero partition scans.
-        lane.published_min = lane.horizon;
+        // A lane with nothing due before the bound advances nothing:
+        // the window costs one heap peek and one barrier round.
+        lane.published_min = advanceLane(lane, par_bound_);
         if (solo) {
             // Degenerate fusion: no siblings, so no barrier at all —
             // this is the near-runSequential configuration.
@@ -809,6 +818,7 @@ PartitionSet::runParallel(SimTime until)
 
     const size_t workers = std::min(parts_.size(), parallelism());
     assignPartitions(workers);
+    rebuildCalendars();
     par_workers_ = workers;
     last_oversubscribed_ = workers > topo_.cpuCount();
     par_q_ = q;
@@ -985,17 +995,17 @@ PartitionSet::enableCoupled(const CoupledOptions &opts)
     coupled_spin_ = opts.spin_budget;
     coupled_timeout_ns_ = opts.wait_timeout_ns;
 
-    owned_parts_.clear();
+    size_t owned = 0;
     for (size_t p = 0; p < parts_.size(); ++p) {
         if (owner_of_[p] == self_rank_) {
-            owned_parts_.push_back(p);
+            ++owned;
         } else if (peer_of_rank_[owner_of_[p]] == UINT32_MAX) {
             fatal("PartitionSet: enableCoupled: partition %zu is owned "
                   "by rank %u but no transport to that rank was given",
                   p, owner_of_[p]);
         }
     }
-    if (owned_parts_.empty()) {
+    if (owned == 0) {
         fatal("PartitionSet: enableCoupled: rank %u owns no partitions",
               self_rank_);
     }
@@ -1022,17 +1032,14 @@ PartitionSet::enableCoupled(const CoupledOptions &opts)
 }
 
 SimTime
-PartitionSet::coupledContrib()
+PartitionSet::coupledContrib(SimTime owned_min)
 {
     // Everything this process knows that could fire in a future
     // window: owned partitions' next events, local channel messages
     // not yet drained, and outbound records not yet flushed.  Peers
     // report the same for their shares; the fold of all contributions
-    // equals runSequential's full earliestPendingTime() scan exactly.
-    SimTime m = SimTime::max();
-    for (size_t p : owned_parts_) {
-        m = std::min(m, parts_[p]->nextEventTime());
-    }
+    // equals the full nextPendingTime() scan exactly.
+    SimTime m = owned_min;
     const WorkerLane &lane = lanes_[0];
     for (uint32_t i = 0; i < lane.dirty_count; ++i) {
         for (const auto &msg : channels_[lane.dirty[i]]->pending_) {
@@ -1304,6 +1311,8 @@ PartitionSet::coupledDrain()
                           dst.now().str().c_str());
                 }
                 dst.scheduleAt(msg.when, std::move(msg.fn));
+                lane.calendar.lower(static_cast<uint32_t>(ch.dst_),
+                                    msg.when);
             }
             ch.pending_.clear();
             continue;
@@ -1333,6 +1342,7 @@ PartitionSet::coupledDrain()
                   dst.now().str().c_str());
         }
         dst.scheduleAt(when, ch.decoder_(dst, when, payload, len));
+        lane.calendar.lower(static_cast<uint32_t>(ch.dst_), when);
     }
     for (auto &ps : peers_) {
         ps.batches.pop_front();
@@ -1467,9 +1477,12 @@ PartitionSet::runCoupled(SimTime until)
     const SimTime q = quantum();
     // Single in-process worker: the coupled engine's intra-process
     // concurrency is the peer processes, and the 1-worker fusion gives
-    // Channel::post its dirty-lane bookkeeping.
+    // Channel::post its dirty-lane bookkeeping.  Its calendar holds only
+    // the owned partitions; ghosts are never advanced.
     assignPartitions(1);
+    rebuildCalendars();
     beginRunStats();
+    WorkerLane &lane = lanes_[0];
     if (!hello_done_) {
         if (!exchangeHello()) {
             abandonCoupled();
@@ -1486,7 +1499,8 @@ PartitionSet::runCoupled(SimTime until)
     bool ok = true;
     SimTime t;
     SimTime global;
-    if (!coupledBarrier(SimTime::ps(-1), coupledContrib(), &global)) {
+    if (!coupledBarrier(SimTime::ps(-1),
+                        coupledContrib(lane.calendar.topTime()), &global)) {
         ok = false;
     }
     if (ok && skip_idle_) {
@@ -1494,10 +1508,8 @@ PartitionSet::runCoupled(SimTime until)
     }
     while (ok && t < until) {
         const SimTime bound = std::min(t + q, until);
-        for (size_t p : owned_parts_) {
-            parts_[p]->runBefore(bound);
-        }
-        if (!coupledBarrier(bound, coupledContrib(), &global)) {
+        const SimTime owned_min = advanceLane(lane, bound);
+        if (!coupledBarrier(bound, coupledContrib(owned_min), &global)) {
             ok = false;
             break;
         }

@@ -63,19 +63,23 @@
  *     setWorkerCpus() overrides the map; setWorkerPinning(false)
  *     disables it.
  *  4. **Per-worker lanes and arenas.**  All hot per-worker engine
- *     state — published minima, the cached event horizon, the dirty
+ *     state — published minima, the next-event calendar, the dirty
  *     channel list — lives in one cacheline-aligned WorkerLane whose
  *     scratch comes from a worker-local SlabArena, so no two workers'
  *     hot state ever shares a cacheline.  (Each partition's EventQueue
  *     slot pool is likewise arena-chunked, and a partition belongs to
  *     exactly one worker for the duration of a run.)
- *  5. **Per-worker quantum skipping.**  Each worker caches its fused
- *     set's next-event horizon; while the horizon clears the window
- *     bound — and the serial drain lowers it when a message lands in
- *     the worker's partitions — the worker skips its partition scans
- *     entirely and arrives at the barrier with the published minimum
- *     unchanged.  The global window sequence is untouched, so results
- *     stay bit-identical; sparse phases just pay one tree round.
+ *  5. **Next-event calendar.**  Each lane keeps a min-heap of (next
+ *     event time, partition) over its fused set (PartitionCalendar).
+ *     A window advances only the partitions queued before the bound
+ *     and re-queues each at its new next event, so a quantum
+ *     costs the partitions with work, not all P — a lane with nothing
+ *     due arrives at the barrier after one heap peek.  The serial drain
+ *     lowers each delivery's destination in its lane's calendar (the
+ *     barrier orders that write before the owning worker's next
+ *     window); run entry rebuilds every calendar, since events may be
+ *     scheduled between runs.  The global window sequence is untouched, so results stay
+ *     bit-identical.
  *  6. **Incremental serial section.**  Each worker publishes the
  *     earliest pending event time of its fused partitions as it
  *     arrives at the barrier, and a channel registers itself on its
@@ -88,8 +92,10 @@
  *     small-buffer-optimized EventFn, so steady-state cross-partition
  *     traffic touches no allocator.
  *
- * runSequential stays the deliberately simple full-scan reference the
- * incremental engine is checked against (bit-identity tests).
+ * runSequential is the 1-worker case of the same calendar loop; the
+ * full scan survives only at run entry (nextWindowStart, which also
+ * sees channel posts made outside a run) and as nextPendingTime(), the
+ * reference the engine tests compare against.
  *
  * **Cross-process coupling (runCoupled).**  A third engine spreads the
  * window loop over multiple *processes*, DIABLO's multi-FPGA scaling
@@ -123,6 +129,7 @@
 #include "core/arena.hh"
 #include "core/cpu_topology.hh"
 #include "core/simulator.hh"
+#include "fame/calendar.hh"
 #include "fame/transport.hh"
 #include "fame/tree_barrier.hh"
 
@@ -383,7 +390,10 @@ class PartitionSet {
      */
     void runParallel(SimTime until);
 
-    /** Reference implementation: same semantics, one host thread. */
+    /**
+     * Same semantics on the calling thread alone: the one-lane case of
+     * the calendar window loop, with no pool and no barrier.
+     */
     void runSequential(SimTime until);
 
     // --- cross-process coupling -------------------------------------
@@ -502,6 +512,17 @@ class PartitionSet {
     /** Cumulative executed events summed over all partitions. */
     uint64_t totalExecutedEvents() const;
 
+    /**
+     * Earliest pending local event or undelivered channel message over
+     * every partition; SimTime::max() when nothing is pending anywhere.
+     * A full scan, meant for between runs (a windowed drive loop
+     * telling "idle for now" from "deadlocked") and as the engine
+     * tests' reference.  Logically const, but it prunes cancelled
+     * entries from every partition's queue: call it only from the
+     * driving thread, never while a run is in progress.
+     */
+    SimTime nextPendingTime() const;
+
     // --- per-run statistics (the host-performance model's inputs) ---
     //
     // Both run engines snapshot counters on entry and publish deltas on
@@ -539,21 +560,14 @@ class PartitionSet {
      * to a whole number of lines, so two workers' hot state never
      * shares a line (the false sharing that, with the flat barrier,
      * collapsed the threads:2 round trip).  The serial completion step
-     * reads published_min / drains dirty and may lower horizon; both
-     * directions are ordered by the barrier's RMW chain.
+     * reads published_min / drains dirty and lowers calendar entries;
+     * both directions are ordered by the barrier's RMW chain.
      */
     struct alignas(64) WorkerLane {
         /** Post-quantum minimum over the fused set (skip-rule input). */
         SimTime published_min;
-        /**
-         * Cached earliest pending time of the fused set.  Valid means:
-         * no partition of this worker has run since it was computed,
-         * and every message drained into them since has been folded
-         * in — so while horizon >= window bound the worker can skip
-         * its partition scans entirely (per-worker quantum skipping).
-         */
-        SimTime horizon;
-        bool horizon_valid = false;
+        /** Next-event calendar over the fused set's owned partitions. */
+        PartitionCalendar calendar;
         /** Channel indices with posts this quantum (arena storage). */
         uint32_t *dirty = nullptr;
         uint32_t dirty_count = 0;
@@ -573,9 +587,6 @@ class PartitionSet {
     /** Drain dirty channels in creation order; min drained `when`. */
     SimTime drainDirtyChannels();
 
-    /** Earliest pending local event or undelivered channel message. */
-    SimTime earliestPendingTime();
-
     /**
      * Start of the next window that can contain work given the
      * earliest pending time: @p t itself when work exists in [t, t+q);
@@ -591,6 +602,18 @@ class PartitionSet {
     // --- per-run statistics bookkeeping ---
     void beginRunStats();
     void endRunStats();
+
+    // --- next-event calendars ---
+
+    /** Re-queue every owned partition in its lane (run entry). */
+    void rebuildCalendars();
+
+    /**
+     * Advance the partitions of @p lane queued before @p bound, re-queue
+     * each at its next event, and return the lane's earliest pending
+     * time (the calendar top).
+     */
+    SimTime advanceLane(WorkerLane &lane, SimTime bound);
 
     // --- fused parallel runner ---
 
@@ -645,8 +668,12 @@ class PartitionSet {
         std::deque<Batch> batches;
     };
 
-    /** Earliest future work this process knows about (contrib fold). */
-    SimTime coupledContrib();
+    /**
+     * Earliest future work this process knows about (contrib fold):
+     * @p owned_min, the owned partitions' earliest pending event, folded
+     * with undrained local messages and unflushed outbound records.
+     */
+    SimTime coupledContrib(SimTime owned_min);
 
     /** Drain one peer's ring until empty, staging records into batches. */
     void pollPeer(size_t pi);
@@ -741,7 +768,6 @@ class PartitionSet {
     bool coupled_abandoned_ = false;
     uint32_t self_rank_ = 0;
     std::vector<uint32_t> owner_of_;   ///< partition -> owning rank
-    std::vector<size_t> owned_parts_;  ///< partitions this process runs
     std::vector<PeerState> peers_;     ///< rank order, deterministic
     std::vector<uint32_t> peer_of_rank_; ///< rank -> index in peers_
     uint32_t coupled_spin_ = 512;

@@ -116,6 +116,36 @@ TEST(Memcached, VersionChangesAcceptCost)
     EXPECT_LT(new_busy, old_busy);
 }
 
+TEST(Memcached, ShardedRunOutlastsIdleDriveWindows)
+{
+    // 400 ms think times leave whole 100 ms drive windows without a
+    // single executed event while every client is still mid-run.  The
+    // sharded drive loop must keep going (work is pending, just not
+    // yet due) and finish with the single-Simulator latency
+    // distribution.
+    McExperimentParams p = tinyExperiment(true);
+    p.num_clients = 2;
+    p.client.requests = 4;
+    p.client.think_mean = 400_ms;
+
+    Simulator sim;
+    McExperiment single(sim, p);
+    single.run();
+    const McExperimentResult &ref = single.result();
+    ASSERT_EQ(ref.requests_completed, 2u * 4u);
+
+    for (bool parallel : {false, true}) {
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        McExperiment exp(ps, p);
+        exp.run(parallel);
+        const McExperimentResult &r = exp.result();
+        EXPECT_EQ(r.requests_completed, ref.requests_completed)
+            << (parallel ? "par" : "seq");
+        EXPECT_EQ(r.latency_us.fingerprint(), ref.latency_us.fingerprint())
+            << (parallel ? "par" : "seq");
+    }
+}
+
 TEST(Memcached, Deterministic)
 {
     auto run = [] {

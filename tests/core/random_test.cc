@@ -187,5 +187,47 @@ TEST(ZipfSampler, CoversDomain)
     }
 }
 
+TEST(ZipfSampler, GoldenDraws)
+{
+    // Pins the first 1,000 draws of the memcached key-popularity
+    // sampler, so sharing or rebuilding the CDF table can never shift
+    // a single key choice.
+    Rng r(20150314);
+    ZipfSampler z(20000, 0.99);
+    const size_t head[16] = {115, 217, 422, 605,  0,     683,  22, 11,
+                             11,  52,  2010, 1106, 1300, 15230, 5459, 5};
+    uint64_t fnv = 1469598103934665603ULL;
+    uint64_t sum = 0;
+    for (size_t i = 0; i < 1000; ++i) {
+        const size_t s = z.sample(r);
+        if (i < 16) {
+            EXPECT_EQ(s, head[i]) << "draw " << i;
+        }
+        sum += s;
+        fnv = (fnv ^ s) * 1099511628211ULL;
+    }
+    EXPECT_EQ(sum, 1696442u);
+    EXPECT_EQ(fnv, 0xd6db4951afd04a25ULL);
+}
+
+TEST(ZipfSampler, EqualParametersShareDraws)
+{
+    // Samplers built from the same (n, skew) — the shared-table case —
+    // and from a different skew must each behave as if built alone.
+    ZipfSampler a(20000, 0.99);
+    ZipfSampler b(20000, 0.99);
+    ZipfSampler c(20000, 0.5);
+    EXPECT_EQ(a.size(), 20000u);
+    EXPECT_EQ(c.size(), 20000u);
+    Rng ra(5), rb(5), rc(5);
+    bool differs = false;
+    for (int i = 0; i < 1000; ++i) {
+        const size_t sa = a.sample(ra);
+        EXPECT_EQ(sa, b.sample(rb));
+        differs = differs || sa != c.sample(rc);
+    }
+    EXPECT_TRUE(differs);
+}
+
 } // namespace
 } // namespace diablo

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
+#include <thread>
 
 #include "core/random.hh"
 #include "fame/partition.hh"
+#include "fame/transport.hh"
 
 namespace diablo {
 namespace fame {
@@ -548,8 +551,8 @@ TEST(PartitionSet, RandomizedTopologyStressSeqParIdentical)
 
 TEST(PartitionSet, WorkerLanesAreCacheLineIsolated)
 {
-    // Two workers' hot per-quantum state (published minima, horizon
-    // caches, dirty lists, arenas) must never share a cacheline.
+    // Two workers' hot per-quantum state (published minima, calendars,
+    // dirty lists, arenas) must never share a cacheline.
     EXPECT_EQ(PartitionSet::workerLaneAlignment(), 64u);
     EXPECT_EQ(PartitionSet::workerLaneStride() % 64u, 0u);
 }
@@ -634,12 +637,12 @@ TEST(PartitionSet, AutoPlacementCoLocatesChannelPartnersOnLlc)
     EXPECT_NE(domain(0), domain(2));
 }
 
-TEST(PartitionSet, SchedulingBetweenRunsInvalidatesHorizons)
+TEST(PartitionSet, SchedulingBetweenRunsRebuildsCalendars)
 {
-    // After a run drains to idle every worker has cached an "infinite"
-    // local horizon.  Events scheduled directly into partitions between
-    // runs must still execute in the next run — a stale cache would
-    // skip them on the workers whose partitions looked idle.
+    // After a run drains to idle every lane's calendar queues its
+    // partitions at "never".  Events scheduled directly into partitions
+    // between runs must still execute in the next run — only the
+    // run-entry rebuild re-queues the partitions that looked idle.
     auto run = [](bool parallel) {
         PartitionSet ps(3);
         ps.setParallelism(3);
@@ -665,6 +668,316 @@ TEST(PartitionSet, SchedulingBetweenRunsInvalidatesHorizons)
     const auto seq = run(false);
     EXPECT_GT(seq.second, 0u);
     EXPECT_EQ(seq, run(true));
+}
+
+/**
+ * Sparse workload for the next-event calendar: 256 partitions, each
+ * with a ring channel and a chord channel, and at most four tokens
+ * alive at once, so almost every partition is idle in any quantum.
+ * Deliveries use the record path, so the same model also runs as a
+ * coupled pair.  Every arrival schedules a decoy in its partition and
+ * cancels it at once: once the token moves on, that partition holds
+ * only a tombstone.
+ */
+struct SparseWorkload {
+    static constexpr size_t kParts = 256;
+
+    struct TokenRec {
+        uint64_t token;
+        int32_t ttl;
+        uint32_t pad = 0;
+    };
+
+    explicit SparseWorkload(PartitionSet &ps) : ps(ps)
+    {
+        visits.assign(kParts, 0);
+        sums.assign(kParts, 0);
+        decoys.assign(kParts, 0);
+        for (size_t i = 0; i < kParts; ++i) {
+            ring.push_back(&wire(i, (i + 1) % kParts, 1_us));
+            chord.push_back(&wire(i, (i + 37) % kParts,
+                                  2_us + SimTime::ns((i % 5) * 100)));
+        }
+    }
+
+    PartitionSet::Channel &
+    wire(size_t src, size_t dst, SimTime lat)
+    {
+        PartitionSet::Channel &ch = ps.makeChannel(src, dst, lat);
+        ps.setChannelDecoder(
+            ch, [this, dst](Simulator &, SimTime, const void *bytes,
+                            uint32_t) -> EventFn {
+                TokenRec rec;
+                std::memcpy(&rec, bytes, sizeof(rec));
+                return EventFn(
+                    [this, dst, rec] { arrive(dst, rec.token, rec.ttl); });
+            });
+        return ch;
+    }
+
+    void
+    arrive(size_t part, uint64_t token, int ttl)
+    {
+        Simulator &sim = ps.partition(part);
+        ++visits[part];
+        sums[part] = sums[part] * 1000003 +
+                     static_cast<uint64_t>(sim.now().toPs()) + token;
+        const EventId decoy =
+            sim.schedule(3_us, [this, part] { ++decoys[part]; });
+        sim.cancel(decoy);
+        if (ttl <= 0) {
+            return;
+        }
+        const uint64_t child =
+            token * 6364136223846793005ULL + 1442695040888963407ULL;
+        PartitionSet::Channel &ch =
+            ((child >> 33) & 1) ? *chord[part] : *ring[part];
+        const TokenRec rec{child, ttl - 1};
+        const SimTime when =
+            sim.now() + ch.minLatency() + SimTime::ns(child % 97);
+        ps.postRecord(ch, when, &rec, sizeof(rec));
+    }
+
+    /** Schedule a token straight into @p part, outside any run. */
+    void
+    inject(size_t part, SimTime at, uint64_t token, int ttl)
+    {
+        ps.partition(part).scheduleAt(at, [this, part, token, ttl] {
+            arrive(part, token, ttl);
+        });
+    }
+
+    PartitionSet &ps;
+    std::vector<PartitionSet::Channel *> ring;
+    std::vector<PartitionSet::Channel *> chord;
+    std::vector<uint64_t> visits;
+    std::vector<uint64_t> sums;
+    std::vector<uint64_t> decoys;
+};
+
+/** Run bounds of the sparse drive loop, and what happens between runs. */
+struct SparsePlan {
+    struct Inject {
+        size_t part;
+        SimTime at;
+        uint64_t token;
+        int ttl;
+    };
+
+    std::vector<SimTime> untils = {250_us, 600_us,  SimTime::ms(1),
+                                   1600_us, 2500_us, SimTime::ms(3)};
+    /** before[r]: tokens scheduled directly before run r. */
+    std::vector<std::vector<Inject>> before;
+    /** tomb[r]: partition given a cancelled-only event before run r. */
+    std::vector<size_t> tomb;
+
+    SparsePlan()
+    {
+        Rng rng(0x5CA1E);
+        before.resize(untils.size());
+        tomb.resize(untils.size());
+        // Two long-lived tokens; each later run adds at most two short
+        // ones that die well inside it, so <= 4 tokens are ever alive.
+        before[0] = {{0, SimTime(), 11, 900}, {128, SimTime(), 23, 900}};
+        for (size_t r = 0; r < untils.size(); ++r) {
+            tomb[r] = rng.uniformInt(0, SparseWorkload::kParts - 1);
+            if (r == 0) {
+                continue;
+            }
+            const uint64_t k = rng.uniformInt(1, 2);
+            for (uint64_t i = 0; i < k; ++i) {
+                before[r].push_back(Inject{
+                    rng.uniformInt(0, SparseWorkload::kParts - 1),
+                    untils[r - 1] +
+                        SimTime::us(static_cast<int64_t>(
+                            rng.uniformInt(0, 150))),
+                    1000 * r + i,
+                    static_cast<int>(rng.uniformInt(10, 40))});
+            }
+        }
+    }
+
+    /** Apply the between-runs actions preceding run @p r. */
+    void
+    prepare(size_t r, PartitionSet &ps, SparseWorkload &w) const
+    {
+        for (const Inject &in : before[r]) {
+            w.inject(in.part, in.at, in.token, in.ttl);
+        }
+        const SimTime from = r == 0 ? SimTime() : untils[r - 1];
+        Simulator &sim = ps.partition(tomb[r]);
+        sim.cancel(sim.scheduleAt(from + 20_us, [&w, p = tomb[r]] {
+            ++w.decoys[p];
+        }));
+    }
+};
+
+struct SparseOutcome {
+    std::vector<uint64_t> visits;
+    std::vector<uint64_t> sums;
+    std::vector<uint64_t> decoys;
+    std::vector<uint64_t> executed;
+    uint64_t total_executed = 0;
+    uint64_t quanta = 0;
+
+    bool
+    operator==(const SparseOutcome &o) const
+    {
+        return visits == o.visits && sums == o.sums &&
+               decoys == o.decoys && executed == o.executed &&
+               total_executed == o.total_executed && quanta == o.quanta;
+    }
+};
+
+enum class SparseEngine { Seq, Par, Stepped };
+
+SparseOutcome
+sparseOutcome(PartitionSet &ps, const SparseWorkload &w)
+{
+    SparseOutcome out;
+    out.visits = w.visits;
+    out.sums = w.sums;
+    out.decoys = w.decoys;
+    for (size_t i = 0; i < ps.size(); ++i) {
+        out.executed.push_back(ps.partition(i).executedEvents());
+    }
+    out.total_executed = ps.totalExecutedEvents();
+    out.quanta = ps.quantaExecuted();
+    return out;
+}
+
+/**
+ * One engine over the whole plan.  Stepped is the full-scan oracle:
+ * one runSequential per quantum grid point, so every window starts
+ * from a fresh calendar and the entry scan — it only makes sense with
+ * skipping on, where a call with nothing due executes no window.
+ */
+SparseOutcome
+runSparse(SparseEngine engine, size_t workers, bool skip)
+{
+    const SparsePlan plan;
+    PartitionSet ps(SparseWorkload::kParts);
+    ps.setParallelism(workers);
+    ps.setSkipIdleQuanta(skip);
+    SparseWorkload w(ps);
+    const SimTime q = ps.quantum();
+    SimTime stepped_to;
+    for (size_t r = 0; r < plan.untils.size(); ++r) {
+        plan.prepare(r, ps, w);
+        const SimTime until = plan.untils[r];
+        switch (engine) {
+        case SparseEngine::Seq:
+            ps.runSequential(until);
+            break;
+        case SparseEngine::Par:
+            ps.runParallel(until);
+            break;
+        case SparseEngine::Stepped:
+            while (stepped_to < until) {
+                stepped_to = std::min(stepped_to + q, until);
+                ps.runSequential(stepped_to);
+            }
+            break;
+        }
+    }
+    return sparseOutcome(ps, w);
+}
+
+/** The same plan on two model copies coupled over in-process rings. */
+SparseOutcome
+runSparseCoupled(bool skip)
+{
+    const SparsePlan plan;
+    const std::vector<uint32_t> owner = PartitionSet::lptAssign(
+        std::vector<double>(SparseWorkload::kParts, 1.0), 2);
+    auto pair = makeInProcTransportPair();
+    PartitionSet set_a(SparseWorkload::kParts);
+    PartitionSet set_b(SparseWorkload::kParts);
+    SparseWorkload wa(set_a);
+    SparseWorkload wb(set_b);
+    PartitionSet *sets[2] = {&set_a, &set_b};
+    SparseWorkload *loads[2] = {&wa, &wb};
+    Transport *trs[2] = {pair.first.get(), pair.second.get()};
+    for (uint32_t r = 0; r < 2; ++r) {
+        sets[r]->setSkipIdleQuanta(skip);
+        PartitionSet::CoupledOptions o;
+        o.self_rank = r;
+        o.owner_of = owner;
+        o.peers = {{1 - r, trs[r]}};
+        sets[r]->enableCoupled(o);
+    }
+    bool ok[2] = {true, true};
+    auto drive = [&](uint32_t r) {
+        for (size_t i = 0; i < plan.untils.size(); ++i) {
+            plan.prepare(i, *sets[r], *loads[r]);
+            ok[r] = sets[r]->runCoupled(plan.untils[i]) && ok[r];
+        }
+    };
+    std::thread peer(drive, 1u);
+    drive(0);
+    peer.join();
+    EXPECT_TRUE(ok[0] && ok[1]);
+    EXPECT_EQ(set_a.quantaExecuted(), set_b.quantaExecuted());
+
+    // Per-partition results come from the owner's copy, as the
+    // multiprocess launcher merges them.
+    SparseOutcome out;
+    for (size_t i = 0; i < SparseWorkload::kParts; ++i) {
+        const uint32_t r = owner[i];
+        out.visits.push_back(loads[r]->visits[i]);
+        out.sums.push_back(loads[r]->sums[i]);
+        out.decoys.push_back(loads[r]->decoys[i]);
+        out.executed.push_back(sets[r]->partition(i).executedEvents());
+        out.total_executed += out.executed.back();
+    }
+    out.quanta = set_a.quantaExecuted();
+    return out;
+}
+
+TEST(PartitionSet, SparseCalendarStressAllEnginesIdentical)
+{
+    // The calendar must advance exactly the partitions a full sweep
+    // would: across sequential, parallel at 1-3 workers, a coupled
+    // pair, and (skipping on) the per-quantum full-scan oracle, every
+    // per-partition result, event count and quantum count agrees.
+    for (bool skip : {true, false}) {
+        const SparseOutcome ref = runSparse(SparseEngine::Seq, 1, skip);
+        SCOPED_TRACE(skip ? "skip on" : "skip off");
+        EXPECT_GT(ref.total_executed, 1000u);
+        EXPECT_EQ(std::count(ref.decoys.begin(), ref.decoys.end(), 0u),
+                  static_cast<long>(SparseWorkload::kParts));
+        size_t visited = 0;
+        for (uint64_t v : ref.visits) {
+            visited += v != 0;
+        }
+        EXPECT_GT(visited, SparseWorkload::kParts / 2);
+        if (skip) {
+            // At most four tokens in flight, one hop per quantum each.
+            EXPECT_LE(ref.total_executed, 4 * ref.quanta);
+            EXPECT_TRUE(ref == runSparse(SparseEngine::Stepped, 1, skip))
+                << "full-scan oracle";
+        }
+        for (size_t workers : {1u, 2u, 3u}) {
+            EXPECT_TRUE(ref == runSparse(SparseEngine::Par, workers, skip))
+                << workers << " workers";
+        }
+        EXPECT_TRUE(ref == runSparseCoupled(skip)) << "coupled pair";
+    }
+}
+
+TEST(PartitionSet, NextPendingTimeSeesEventsAndChannelPosts)
+{
+    PartitionSet ps(3);
+    auto &ch = ps.makeChannel(0, 2, 1_us);
+    EXPECT_EQ(ps.nextPendingTime(), SimTime::max());
+    ps.partition(1).schedule(7_us, [] {});
+    EXPECT_EQ(ps.nextPendingTime(), 7_us);
+    // A message posted outside a run waits in its channel, not a queue.
+    ch.post(3_us, [] {});
+    EXPECT_EQ(ps.nextPendingTime(), 3_us);
+    ps.runSequential(10_us);
+    EXPECT_EQ(ps.nextPendingTime(), SimTime::max());
+    EXPECT_EQ(ps.totalExecutedEvents(), 2u);
 }
 
 TEST(PartitionSet, RunParallelReentryIsFatal)

@@ -198,7 +198,10 @@ TEST(RunInterrupt, GenerousWatchdogIsObserverFree)
 }
 
 /** Shared spec for the sweep tests: 4 grid points, two of them slow
- *  enough (~1 s) that a sub-second timeout reliably kills them. */
+ *  enough (~1 s) that a sub-second timeout reliably kills them.  The
+ *  fast points are kept tiny (~20 ms) so that, even with the parallel
+ *  engine's workers oversubscribed by other loaded test binaries, they
+ *  still finish well inside that timeout. */
 void
 writeMixSpec(const std::string &path)
 {
@@ -206,7 +209,7 @@ writeMixSpec(const std::string &path)
     out << "sweep.name = robustness\n"
         << "workload = incast\n"
         << "engine = seq,par\n"
-        << "incast.block_bytes = 4096,262144\n"
+        << "incast.block_bytes = 1024,262144\n"
         << "incast.servers = 32\n"
         << "incast.racks = 4\n"
         << "incast.iterations = 20\n"
@@ -235,7 +238,7 @@ TEST(SweepRobustness, TimeoutKillAndResumeEndToEnd)
     // Simulate an externally SIGKILLed job: truncate one completed
     // artifact into debris a resume must detect and re-run.
     const std::string victim =
-        dir + "/run000_engine_seq_incast.block_bytes_4096.json";
+        dir + "/run000_engine_seq_incast.block_bytes_1024.json";
     {
         const std::string doc = slurp(victim);
         std::FILE *f = std::fopen(victim.c_str(), "w");
