@@ -33,6 +33,47 @@ strHash(const std::string &s)
     return h;
 }
 
+/**
+ * Visit every ledger field of @p a in ledger order (shared by ledger()
+ * and addLedger(), so the two can never disagree on the layout).
+ */
+template <typename Artifact, typename Fn>
+void
+forEachLedgerField(Artifact &a, Fn fn)
+{
+    fn(a.executed_events);
+    fn(a.materialized_nodes);
+    fn(a.arena_bytes_used);
+    fn(a.arena_bytes_reserved);
+    for (auto &p : a.partition_rows) {
+        fn(p.events);
+        fn(p.pool_makes);
+        fn(p.pool_recycles);
+        fn(p.pool_heap_allocs);
+        fn(p.pool_returns);
+        fn(p.pool_high_water);
+    }
+    for (auto &g : a.groups) {
+        for (auto &kv : g.counters) {
+            fn(kv.second);
+        }
+    }
+}
+
+/** The ledger shape word: group names, counter names, row count. */
+uint64_t
+ledgerShape(const RunArtifact &a)
+{
+    uint64_t h = QuantileSketch::chainFingerprint(0, a.partition_rows.size());
+    for (const RunArtifact::CounterGroup &g : a.groups) {
+        h = QuantileSketch::chainFingerprint(h, strHash(g.name));
+        for (const auto &kv : g.counters) {
+            h = QuantileSketch::chainFingerprint(h, strHash(kv.first));
+        }
+    }
+    return h;
+}
+
 } // namespace
 
 LatencyDigest
@@ -120,6 +161,25 @@ RunArtifact::fingerprint() const
         fp = QuantileSketch::chainFingerprint(fp, p.pool_returns);
     }
     return fp;
+}
+
+std::vector<uint64_t>
+RunArtifact::ledger() const
+{
+    std::vector<uint64_t> l{ledgerShape(*this)};
+    forEachLedgerField(*this, [&l](uint64_t v) { l.push_back(v); });
+    return l;
+}
+
+bool
+RunArtifact::addLedger(const std::vector<uint64_t> &l)
+{
+    if (l.size() != ledger().size() || l[0] != ledgerShape(*this)) {
+        return false;
+    }
+    size_t i = 1;
+    forEachLedgerField(*this, [&l, &i](uint64_t &v) { v += l[i++]; });
+    return true;
 }
 
 std::string

@@ -152,6 +152,24 @@ struct RunArtifact {
      */
     uint64_t fingerprint() const;
 
+    /**
+     * The measured fields one engine process contributes to a
+     * multiprocess run, flattened: a shape word (hash of the group
+     * names, counter names and partition-row count), then executed
+     * events, materialized nodes, arena bytes used and reserved, every
+     * partition row, and every group counter in order.  Everything else
+     * — results, latencies, engine identity, quanta, config — is one
+     * value per run and is never part of a ledger.
+     */
+    std::vector<uint64_t> ledger() const;
+
+    /**
+     * Add another process's ledger() into this artifact field by field.
+     * Returns false, changing nothing, when @p l does not have this
+     * artifact's shape.
+     */
+    bool addLedger(const std::vector<uint64_t> &l);
+
     /** Full JSON document (pretty-printed). */
     std::string toJson() const;
 

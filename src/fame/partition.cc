@@ -209,14 +209,20 @@ PartitionSet::quantum() const
     return quantum_cache_;
 }
 
+std::lock_guard<std::mutex>
+PartitionSet::lockIdle(const char *what)
+{
+    pool_mu_.lock();
+    if (run_active_) {
+        fatal("PartitionSet: %s while a parallel run is live", what);
+    }
+    return std::lock_guard<std::mutex>(pool_mu_, std::adopt_lock);
+}
+
 void
 PartitionSet::setParallelism(size_t n)
 {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (run_active_) {
-        fatal("PartitionSet: setParallelism while a parallel run is "
-              "live");
-    }
+    const std::lock_guard<std::mutex> lk = lockIdle("setParallelism");
     if (n > parts_.size()) {
         // Extra workers could never own a partition; accepting the
         // request silently used to make parallelism() lie to tooling.
@@ -234,11 +240,7 @@ PartitionSet::setParallelism(size_t n)
 void
 PartitionSet::setWorkerPinning(bool enable)
 {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (run_active_) {
-        fatal("PartitionSet: setWorkerPinning while a parallel run is "
-              "live");
-    }
+    const std::lock_guard<std::mutex> lk = lockIdle("setWorkerPinning");
     pin_mode_ = enable ? PinMode::Auto : PinMode::Off;
     pin_cpus_.clear();
 }
@@ -246,11 +248,7 @@ PartitionSet::setWorkerPinning(bool enable)
 void
 PartitionSet::setWorkerCpus(std::vector<int> cpus)
 {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (run_active_) {
-        fatal("PartitionSet: setWorkerCpus while a parallel run is "
-              "live");
-    }
+    const std::lock_guard<std::mutex> lk = lockIdle("setWorkerCpus");
     for (int c : cpus) {
         if (topo_.llcGroupOf(c) < 0) {
             fatal("PartitionSet: setWorkerCpus: cpu %d is not an online "
@@ -265,11 +263,7 @@ PartitionSet::setWorkerCpus(std::vector<int> cpus)
 void
 PartitionSet::setCpuTopology(CpuTopology topo)
 {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (run_active_) {
-        fatal("PartitionSet: setCpuTopology while a parallel run is "
-              "live");
-    }
+    const std::lock_guard<std::mutex> lk = lockIdle("setCpuTopology");
     topo_ = std::move(topo);
 }
 
@@ -507,6 +501,26 @@ PartitionSet::placeWorkers(size_t workers, const std::vector<double> &load)
     }
 }
 
+inline void
+PartitionSet::deliver(const Channel &ch, SimTime when, EventFn &&fn)
+{
+    Simulator &dst = *parts_[ch.dst_];
+    if (when < dst.now()) {
+        // Receiver-side lookahead check: the sender's conservative
+        // contract was violated (or, across processes, its clock
+        // diverged).
+        panic("PartitionSet: channel %s: causality violation "
+              "(message at %s behind partition clock %s)",
+              ch.name_.c_str(), when.str().c_str(),
+              dst.now().str().c_str());
+    }
+    dst.scheduleAt(when, std::move(fn));
+    // The destination may have been queued later (or idle).  Every
+    // drain runs single-threaded, before any worker's next window.
+    lanes_[worker_of_[ch.dst_]].calendar.lower(
+        static_cast<uint32_t>(ch.dst_), when);
+}
+
 SimTime
 PartitionSet::drainDirtyChannels()
 {
@@ -529,23 +543,10 @@ PartitionSet::drainDirtyChannels()
     SimTime min_when = SimTime::max();
     for (uint32_t idx : drain_scratch_) {
         Channel &ch = *channels_[idx];
-        Simulator &dst = *parts_[ch.dst_];
-        SimTime ch_min = SimTime::max();
         for (auto &msg : ch.pending_) {
-            if (msg.when < dst.now()) {
-                panic("PartitionSet: channel %s: causality violation "
-                      "(message at %s behind partition clock %s)",
-                      ch.name_.c_str(), msg.when.str().c_str(),
-                      dst.now().str().c_str());
-            }
-            ch_min = std::min(ch_min, msg.when);
-            dst.scheduleAt(msg.when, std::move(msg.fn));
+            min_when = std::min(min_when, msg.when);
+            deliver(ch, msg.when, std::move(msg.fn));
         }
-        min_when = std::min(min_when, ch_min);
-        // The destination may have been queued later (or idle).  The
-        // drain runs single-threaded, before any worker's next window.
-        lanes_[worker_of_[ch.dst_]].calendar.lower(
-            static_cast<uint32_t>(ch.dst_), ch_min);
         // clear() keeps capacity: steady-state traffic re-posts into
         // the same storage with no allocator round trips.
         ch.pending_.clear();
@@ -582,15 +583,6 @@ PartitionSet::windowForEarliest(SimTime earliest, SimTime t, SimTime q,
     // exact same window sequence a patient unskipped run would.
     const SimTime snapped = earliest - (earliest % q);
     return std::max(t, snapped);
-}
-
-SimTime
-PartitionSet::nextWindowStart(SimTime t, SimTime q, SimTime until)
-{
-    if (!skip_idle_) {
-        return t;
-    }
-    return windowForEarliest(nextPendingTime(), t, q, until);
 }
 
 void
@@ -667,48 +659,35 @@ PartitionSet::advanceLane(WorkerLane &lane, SimTime bound)
 }
 
 void
-PartitionSet::runSequential(SimTime until)
+PartitionSet::windowEnd() noexcept
 {
-    const SimTime q = quantum();
-    // One lane holds every partition; the loop is workerBody's with the
-    // barrier completion step inlined.
-    assignPartitions(1);
-    rebuildCalendars();
-    beginRunStats();
-    WorkerLane &lane = lanes_[0];
-    SimTime t = nextWindowStart(SimTime(), q, until);
-    while (t < until) {
-        const SimTime bound = std::min(t + q, until);
-        const SimTime lane_min = advanceLane(lane, bound);
-        const SimTime msg_min = drainDirtyChannels();
-        t = bound;
-        ++quanta_;
-        if (skip_idle_) {
-            t = windowForEarliest(std::min(lane_min, msg_min), t, q, until);
+    // Runs single-threaded: inline on a lone worker, otherwise on the
+    // last worker arriving at the barrier (which sequences it before
+    // releasing anyone).  The exchange delivers every message posted in
+    // the window and yields the earliest pending time, from which the
+    // skip rule picks the next window.  Locally that is the fold of
+    // (a) each worker's published post-window minimum and (b) the
+    // minima of the messages drained just now — the only two places
+    // future work can live — so no partition or channel scan happens
+    // here.  A coupled group gets the same fold from its SYNC exchange.
+    SimTime earliest;
+    if (coupled_) {
+        if (!coupledBarrier(par_bound_,
+                            coupledContrib(lanes_[0].published_min),
+                            &earliest)) {
+            run_ok_ = false;
+            par_done_ = true;
+            return;
         }
-    }
-    endRunStats();
-}
-
-void
-PartitionSet::parallelQuantumEnd() noexcept
-{
-    // Runs on the last worker arriving at the barrier, single-threaded
-    // (the barrier sequences the completion step before releasing
-    // anyone).  Same loop tail as runSequential: the earliest pending
-    // time is the fold of (a) each worker's published post-quantum
-    // minimum over its fused partitions and (b) the minima of the
-    // messages drained just now — the only two places future work can
-    // live — so no partition or channel scan happens here.  Window
-    // sequence, and thus every result, stays identical.
-    const SimTime msg_min = drainDirtyChannels();
-    par_t_ = par_bound_;
-    ++quanta_;
-    if (skip_idle_) {
-        SimTime earliest = msg_min;
+    } else {
+        earliest = drainDirtyChannels();
         for (size_t w = 0; w < par_workers_; ++w) {
             earliest = std::min(earliest, lanes_[w].published_min);
         }
+    }
+    par_t_ = par_bound_;
+    ++quanta_;
+    if (skip_idle_) {
         par_t_ = windowForEarliest(earliest, par_t_, par_q_, par_until_);
     }
     par_bound_ = std::min(par_t_ + par_q_, par_until_);
@@ -729,13 +708,13 @@ PartitionSet::workerBody(size_t w)
         lane.published_min = advanceLane(lane, par_bound_);
         if (solo) {
             // Degenerate fusion: no siblings, so no barrier at all —
-            // this is the near-runSequential configuration.
-            parallelQuantumEnd();
+            // the runSequential and runCoupled configuration.
+            windowEnd();
         } else {
             sense ^= 1u;
             barrier_.arriveAndWait(
                 static_cast<uint32_t>(w), sense,
-                [this]() noexcept { parallelQuantumEnd(); });
+                [this]() noexcept { windowEnd(); });
         }
     }
 }
@@ -802,28 +781,45 @@ PartitionSet::workerLoop(size_t worker_id)
     }
 }
 
-void
-PartitionSet::runParallel(SimTime until)
+bool
+PartitionSet::runWindows(SimTime until, size_t workers, const char *entry)
 {
     const SimTime q = quantum();
     {
         std::lock_guard<std::mutex> lk(pool_mu_);
         if (run_active_) {
-            fatal("PartitionSet: runParallel re-entered while a parallel "
-                  "run's workers are live");
+            fatal("PartitionSet: %s re-entered while a run's workers are "
+                  "live",
+                  entry);
         }
         run_active_ = true;
     }
-    beginRunStats();
-
-    const size_t workers = std::min(parts_.size(), parallelism());
     assignPartitions(workers);
     rebuildCalendars();
+    beginRunStats();
     par_workers_ = workers;
     last_oversubscribed_ = workers > topo_.cpuCount();
     par_q_ = q;
     par_until_ = until;
-    par_t_ = nextWindowStart(SimTime(), q, until);
+    run_ok_ = true;
+
+    // Entry step: the earliest pending time anywhere in the model, so
+    // every call rediscovers the same window sequence from t = 0.
+    // Locally that is the one full scan left (it also sees channel
+    // posts made between runs); a coupled group folds each process's
+    // owned share in an entry SYNC exchange instead.
+    SimTime earliest;
+    if (coupled_) {
+        run_ok_ = coupledEntry(&earliest);
+    } else if (skip_idle_) {
+        earliest = nextPendingTime();
+    }
+    par_t_ = SimTime();
+    if (!run_ok_) {
+        par_t_ = until;
+    } else if (skip_idle_) {
+        par_t_ = windowForEarliest(earliest, par_t_, q, until);
+    }
     par_bound_ = std::min(par_t_ + q, until);
     par_done_ = par_t_ >= until;
 
@@ -871,6 +867,20 @@ PartitionSet::runParallel(SimTime until)
         run_active_ = false;
     }
     endRunStats();
+    return run_ok_;
+}
+
+void
+PartitionSet::runSequential(SimTime until)
+{
+    runWindows(until, 1, "runSequential");
+}
+
+void
+PartitionSet::runParallel(SimTime until)
+{
+    runWindows(until, std::min(parts_.size(), parallelism()),
+               "runParallel");
 }
 
 // --- cross-process coupled engine -----------------------------------
@@ -1220,6 +1230,32 @@ PartitionSet::flushOutgoing()
 }
 
 bool
+PartitionSet::awaitPeer(PeerState &ps, const std::function<bool()> &ready,
+                        const char *what)
+{
+    int64_t waited_ns = 0;
+    while (!ready()) {
+        if (ps.tr->peerAborted()) {
+            return false;
+        }
+        const bool got =
+            ps.tr->waitForData(coupled_spin_, coupled_timeout_ns_);
+        pollAllPeers();
+        if (!got && !ready()) {
+            waited_ns += coupled_timeout_ns_;
+            if (waited_ns >= coupledWaitBudgetNs()) {
+                log::warn("PartitionSet: coupled: rank %u silent awaiting "
+                          "%s (%lld ms); abandoning run",
+                          ps.rank, what,
+                          static_cast<long long>(waited_ns / 1000000));
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+bool
 PartitionSet::awaitBatch(size_t pi, uint64_t seq)
 {
     PeerState &ps = peers_[pi];
@@ -1233,26 +1269,8 @@ PartitionSet::awaitBatch(size_t pi, uint64_t seq)
         ++coupled_stats_.waits_elided;
     } else {
         ++coupled_stats_.waits_blocked;
-        int64_t waited_ns = 0;
-        while (!ready()) {
-            if (ps.tr->peerAborted()) {
-                return false;
-            }
-            const bool got =
-                ps.tr->waitForData(coupled_spin_, coupled_timeout_ns_);
-            pollAllPeers();
-            if (!got && !ready()) {
-                waited_ns += coupled_timeout_ns_;
-                if (waited_ns >= coupledWaitBudgetNs()) {
-                    log::warn("PartitionSet: coupled: rank %u silent at "
-                              "barrier %llu (%lld ms); abandoning run",
-                              ps.rank,
-                              static_cast<unsigned long long>(seq),
-                              static_cast<long long>(waited_ns /
-                                                     1000000));
-                    return false;
-                }
-            }
+        if (!awaitPeer(ps, ready, "a barrier")) {
+            return false;
         }
     }
     const PeerState::Batch &b = ps.batches.front();
@@ -1301,18 +1319,9 @@ PartitionSet::coupledDrain()
                      });
     for (const CoupledDrainEntry &e : coupled_drain_scratch_) {
         Channel &ch = *channels_[e.channel];
-        Simulator &dst = *parts_[ch.dst_];
         if (e.peer == UINT32_MAX) {
             for (auto &msg : ch.pending_) {
-                if (msg.when < dst.now()) {
-                    panic("PartitionSet: channel %s: causality violation "
-                          "(message at %s behind partition clock %s)",
-                          ch.name_.c_str(), msg.when.str().c_str(),
-                          dst.now().str().c_str());
-                }
-                dst.scheduleAt(msg.when, std::move(msg.fn));
-                lane.calendar.lower(static_cast<uint32_t>(ch.dst_),
-                                    msg.when);
+                deliver(ch, msg.when, std::move(msg.fn));
             }
             ch.pending_.clear();
             continue;
@@ -1332,17 +1341,8 @@ PartitionSet::coupledDrain()
         const uint8_t *payload =
             rec + 2 * sizeof(uint32_t) + sizeof(when_ps);
         const SimTime when = SimTime::ps(when_ps);
-        if (when < dst.now()) {
-            // Receiver-side lookahead check: the peer's conservative
-            // contract was violated (or its clock diverged) — same
-            // diagnostic as the in-process drain.
-            panic("PartitionSet: channel %s: causality violation "
-                  "(message at %s behind partition clock %s)",
-                  ch.name_.c_str(), when.str().c_str(),
-                  dst.now().str().c_str());
-        }
-        dst.scheduleAt(when, ch.decoder_(dst, when, payload, len));
-        lane.calendar.lower(static_cast<uint32_t>(ch.dst_), when);
+        deliver(ch, when,
+                ch.decoder_(*parts_[ch.dst_], when, payload, len));
     }
     for (auto &ps : peers_) {
         ps.batches.pop_front();
@@ -1407,23 +1407,8 @@ PartitionSet::exchangeHello()
     }
     for (size_t pi = 0; pi < peers_.size(); ++pi) {
         PeerState &ps = peers_[pi];
-        int64_t waited_ns = 0;
-        while (!ps.hello_seen) {
-            if (ps.tr->peerAborted()) {
-                return false;
-            }
-            const bool got =
-                ps.tr->waitForData(coupled_spin_, coupled_timeout_ns_);
-            pollAllPeers();
-            if (!got && !ps.hello_seen) {
-                waited_ns += coupled_timeout_ns_;
-                if (waited_ns >= coupledWaitBudgetNs()) {
-                    log::warn("PartitionSet: coupled: no HELLO from "
-                              "rank %u; abandoning run",
-                              ps.rank);
-                    return false;
-                }
-            }
+        if (!awaitPeer(ps, [&ps] { return ps.hello_seen; }, "HELLO")) {
+            return false;
         }
         const WireHello &h = ps.hello;
         // A mismatch is a launcher bug (the processes built different
@@ -1466,6 +1451,22 @@ PartitionSet::abandonCoupled()
 }
 
 bool
+PartitionSet::coupledEntry(SimTime *global)
+{
+    if (!hello_done_) {
+        if (!exchangeHello()) {
+            return false;
+        }
+        hello_done_ = true;
+    }
+    // The sentinel bound (-1) doubles as a lockstep check: peers must
+    // be at their entry too.
+    return coupledBarrier(SimTime::ps(-1),
+                          coupledContrib(lanes_[0].calendar.topTime()),
+                          global);
+}
+
+bool
 PartitionSet::runCoupled(SimTime until)
 {
     if (!coupled_) {
@@ -1474,56 +1475,14 @@ PartitionSet::runCoupled(SimTime until)
     if (coupled_abandoned_) {
         return false;
     }
-    const SimTime q = quantum();
     // Single in-process worker: the coupled engine's intra-process
-    // concurrency is the peer processes, and the 1-worker fusion gives
-    // Channel::post its dirty-lane bookkeeping.  Its calendar holds only
-    // the owned partitions; ghosts are never advanced.
-    assignPartitions(1);
-    rebuildCalendars();
-    beginRunStats();
-    WorkerLane &lane = lanes_[0];
-    if (!hello_done_) {
-        if (!exchangeHello()) {
-            abandonCoupled();
-            endRunStats();
-            return false;
-        }
-        hello_done_ = true;
-    }
-    // Entry exchange: every process contributes its owned share of the
-    // earliest-pending fold, replacing runSequential's entry full scan
-    // with identical semantics, so each drive-loop call rediscovers
-    // the same window sequence from t = 0.  The sentinel bound (-1)
-    // doubles as a lockstep check: peers must be at their entry too.
-    bool ok = true;
-    SimTime t;
-    SimTime global;
-    if (!coupledBarrier(SimTime::ps(-1),
-                        coupledContrib(lane.calendar.topTime()), &global)) {
-        ok = false;
-    }
-    if (ok && skip_idle_) {
-        t = windowForEarliest(global, t, q, until);
-    }
-    while (ok && t < until) {
-        const SimTime bound = std::min(t + q, until);
-        const SimTime owned_min = advanceLane(lane, bound);
-        if (!coupledBarrier(bound, coupledContrib(owned_min), &global)) {
-            ok = false;
-            break;
-        }
-        t = bound;
-        ++quanta_;
-        if (skip_idle_) {
-            t = windowForEarliest(global, t, q, until);
-        }
-    }
-    endRunStats();
-    if (!ok) {
+    // concurrency is the peer processes.  Its calendar holds only the
+    // owned partitions; ghosts are never advanced.
+    if (!runWindows(until, 1, "runCoupled")) {
         abandonCoupled();
+        return false;
     }
-    return ok;
+    return true;
 }
 
 std::vector<uint32_t>

@@ -92,10 +92,13 @@
  *     small-buffer-optimized EventFn, so steady-state cross-partition
  *     traffic touches no allocator.
  *
- * runSequential is the 1-worker case of the same calendar loop; the
- * full scan survives only at run entry (nextWindowStart, which also
- * sees channel posts made outside a run) and as nextPendingTime(), the
- * reference the engine tests compare against.
+ * All three engines are one window driver (runWindows): runSequential
+ * is its 1-worker case, runParallel its `min(P, parallelism())`-worker
+ * case, and runCoupled the 1-worker case with the coupled exchange
+ * below swapped in for the local drain.  The full scan survives only
+ * at run entry (nextPendingTime(), which also sees channel posts made
+ * outside a run), where it is also the reference the engine tests
+ * compare against.
  *
  * **Cross-process coupling (runCoupled).**  A third engine spreads the
  * window loop over multiple *processes*, DIABLO's multi-FPGA scaling
@@ -391,8 +394,8 @@ class PartitionSet {
     void runParallel(SimTime until);
 
     /**
-     * Same semantics on the calling thread alone: the one-lane case of
-     * the calendar window loop, with no pool and no barrier.
+     * Same semantics on the calling thread alone: the one-worker case
+     * of the same window driver, with no pool and no barrier.
      */
     void runSequential(SimTime until);
 
@@ -543,7 +546,7 @@ class PartitionSet {
     /** Events executed across all partitions during the most recent run. */
     uint64_t lastRunTotalExecutedEvents() const;
 
-    /** Workers the most recent runParallel fused the partitions onto. */
+    /** Workers the most recent run fused the partitions onto. */
     size_t lastRunWorkers() const { return par_workers_; }
 
     /**
@@ -584,6 +587,16 @@ class PartitionSet {
 
     SimTime computeQuantum() const;
 
+    /** Lock pool_mu_ for a setter; fatal while a run is live. */
+    std::lock_guard<std::mutex> lockIdle(const char *what);
+
+    /**
+     * Schedule one drained message into @p ch's destination (panicking
+     * if it lands behind that partition's clock) and lower the
+     * destination's calendar entry to @p when.
+     */
+    void deliver(const Channel &ch, SimTime when, EventFn &&fn);
+
     /** Drain dirty channels in creation order; min drained `when`. */
     SimTime drainDirtyChannels();
 
@@ -595,9 +608,6 @@ class PartitionSet {
      */
     static SimTime windowForEarliest(SimTime earliest, SimTime t,
                                      SimTime q, SimTime until);
-
-    /** Full-scan skip rule (run entry, and the sequential reference). */
-    SimTime nextWindowStart(SimTime t, SimTime q, SimTime until);
 
     // --- per-run statistics bookkeeping ---
     void beginRunStats();
@@ -615,10 +625,23 @@ class PartitionSet {
      */
     SimTime advanceLane(WorkerLane &lane, SimTime bound);
 
-    // --- fused parallel runner ---
+    // --- the window driver ---
 
-    /** Barrier completion step: drain, advance, possibly skip. */
-    void parallelQuantumEnd() noexcept;
+    /**
+     * The one window loop behind runSequential, runParallel and
+     * runCoupled: fuse the partitions onto @p workers lanes, find the
+     * first window with work (entry step), then run workerBody until
+     * @p until, ending every window with windowEnd.  @p entry names
+     * the public entry point in diagnostics.  Returns false only when
+     * a coupled exchange abandoned the run.
+     */
+    bool runWindows(SimTime until, size_t workers, const char *entry);
+
+    /**
+     * Window end, single-threaded: exchange (the local drain, or the
+     * coupled SYNC barrier), count the quantum, pick the next window.
+     */
+    void windowEnd() noexcept;
 
     /** Fuse partitions onto @p workers (deterministic LPT greedy). */
     void assignPartitions(size_t workers);
@@ -668,6 +691,9 @@ class PartitionSet {
         std::deque<Batch> batches;
     };
 
+    /** Coupled entry step: HELLO once, then the entry SYNC exchange. */
+    bool coupledEntry(SimTime *global);
+
     /**
      * Earliest future work this process knows about (contrib fold):
      * @p owned_min, the owned partitions' earliest pending event, folded
@@ -684,6 +710,13 @@ class PartitionSet {
 
     /** Serialize and send every out-dirty channel's buffered records. */
     bool flushOutgoing();
+
+    /**
+     * Wait until @p ready holds, draining inbound rings; false when
+     * @p ps aborted or stayed silent past the wait budget.
+     */
+    bool awaitPeer(PeerState &ps, const std::function<bool()> &ready,
+                   const char *what);
 
     /** Block until peer @p pi's batch for barrier @p seq is complete. */
     bool awaitBatch(size_t pi, uint64_t seq);
@@ -761,6 +794,7 @@ class PartitionSet {
     SimTime par_until_;
     SimTime par_q_;
     bool par_done_ = false;
+    bool run_ok_ = true; ///< false once a coupled exchange gave up
 
     // Coupled-mode state (inert for uncoupled sets).
     bool coupled_ = false;

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "analysis/artifact.hh"
 
@@ -159,6 +160,103 @@ TEST(RunArtifact, JsonCarriesEverySection)
     std::snprintf(want, sizeof(want), "\"0x%016llx\"",
                   static_cast<unsigned long long>(a.fingerprint()));
     EXPECT_NE(j.find(want), std::string::npos);
+}
+
+/** One engine process's measured fields, each distinct from @p base. */
+RunArtifact
+rankArtifact(uint64_t base)
+{
+    RunArtifact a = sampleArtifact();
+    a.executed_events = base;
+    a.materialized_nodes = base + 1;
+    a.arena_bytes_used = base + 2;
+    a.arena_bytes_reserved = base + 3;
+    a.partition_rows.resize(2);
+    a.partition_rows[0] = {base + 4, base + 5, base + 6,
+                           base + 7, base + 8, base + 9};
+    a.partition_rows[1].pool_returns = base + 10;
+    a.groups[0].counters = {{"switch_drops", base + 11},
+                            {"forwarded", base + 12}};
+    auto &mp = a.addGroup("mp", /*deterministic=*/false);
+    mp.counters = {{"sync_sent", base + 13}};
+    return a;
+}
+
+TEST(RunArtifactLedger, AddLedgerSumsTwoRanksExactly)
+{
+    RunArtifact a = rankArtifact(100);
+    const std::vector<uint64_t> la = a.ledger();
+    const std::vector<uint64_t> lb = rankArtifact(1000).ledger();
+    ASSERT_TRUE(a.addLedger(lb));
+
+    const std::vector<uint64_t> sum = a.ledger();
+    ASSERT_EQ(sum.size(), la.size());
+    EXPECT_EQ(sum[0], la[0]); // the shape word is not a field
+    for (size_t i = 1; i < sum.size(); ++i) {
+        EXPECT_EQ(sum[i], la[i] + lb[i]) << "ledger word " << i;
+    }
+    EXPECT_EQ(a.executed_events, 1100u);
+    EXPECT_EQ(a.arena_bytes_reserved, 1106u);
+    EXPECT_EQ(a.partition_rows[0].events, 1108u);
+    EXPECT_EQ(a.partition_rows[0].pool_high_water, 1118u);
+    EXPECT_EQ(a.partition_rows[1].pool_returns, 1120u);
+    EXPECT_EQ(a.partition_rows[1].events, 0u);
+    EXPECT_EQ(a.groups[0].counters[1].second, 1124u);
+    EXPECT_EQ(a.groups[1].counters[0].second, 1126u);
+}
+
+TEST(RunArtifactLedger, ShapeMismatchIsRejected)
+{
+    RunArtifact renamed = rankArtifact(1);
+    renamed.groups[0].counters[1].first = "forwarded_bytes";
+    RunArtifact fewer_groups = rankArtifact(1);
+    fewer_groups.groups.pop_back();
+    RunArtifact more_rows = rankArtifact(1);
+    more_rows.partition_rows.emplace_back();
+    RunArtifact more_counters = rankArtifact(1);
+    more_counters.groups[1].counters.emplace_back("sync_recv", 1);
+    std::vector<uint64_t> forged = rankArtifact(1).ledger();
+    forged[0] ^= 1;
+
+    RunArtifact a = rankArtifact(100);
+    const std::vector<uint64_t> before = a.ledger();
+    for (const std::vector<uint64_t> &l :
+         {renamed.ledger(), fewer_groups.ledger(), more_rows.ledger(),
+          more_counters.ledger(), forged, std::vector<uint64_t>()}) {
+        EXPECT_FALSE(a.addLedger(l));
+    }
+    EXPECT_EQ(a.ledger(), before); // a rejected ledger changes nothing
+}
+
+TEST(RunArtifactLedger, PerRunConstantsAreNeverSummed)
+{
+    // Results, latencies, engine identity, quanta and config are one
+    // value per run: merging another rank's ledger leaves them alone,
+    // so the merged fingerprint sees them exactly once.
+    RunArtifact a = rankArtifact(100);
+    a.quanta = 77;
+    a.partitions = 5;
+    a.config.set("incast.racks", 4);
+    RunArtifact b = rankArtifact(1000);
+    b.nodes = 1;
+    b.elapsed_us = 1.0;
+    b.goodput_mbps = 1.0;
+    b.requests_completed = 1;
+    b.quanta = 1;
+    b.latencies.clear();
+    ASSERT_TRUE(a.addLedger(b.ledger()));
+
+    const RunArtifact ref = sampleArtifact();
+    EXPECT_EQ(a.nodes, ref.nodes);
+    EXPECT_EQ(a.elapsed_us, ref.elapsed_us);
+    EXPECT_EQ(a.goodput_mbps, ref.goodput_mbps);
+    EXPECT_EQ(a.requests_completed, ref.requests_completed);
+    ASSERT_EQ(a.latencies.size(), 1u);
+    EXPECT_EQ(a.latencies[0].second.fingerprint,
+              ref.latencies[0].second.fingerprint);
+    EXPECT_EQ(a.quanta, 77u);
+    EXPECT_EQ(a.partitions, 5u);
+    EXPECT_EQ(a.config.getString("incast.racks", ""), "4");
 }
 
 TEST(RunArtifactValidate, AcceptsACompleteWrittenArtifact)

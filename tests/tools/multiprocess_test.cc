@@ -1,9 +1,9 @@
 /**
  * @file
  * End-to-end tests of the multiprocess engine launcher: a --processes 2
- * incast must produce a byte-identical fingerprint to the in-process
- * sequential run (with and without a fault plan), SIGTERM to the
- * leader must forward to the engine children and finalize an
+ * or 3 incast must produce a byte-identical fingerprint to the
+ * in-process sequential run (with and without a fault plan), SIGTERM to
+ * the leader must forward to the engine children and finalize an
  * interrupted partial artifact with the interrupted exit code, and the
  * mode's argument validation must reject the unsupported combinations
  * loudly instead of silently degrading.
@@ -85,16 +85,18 @@ const char kFaultPlan[] =
 
 void
 expectCrossProcessFingerprintMatch(const std::string &tag,
-                                   const std::string &extra)
+                                   const std::string &extra,
+                                   int processes = 2)
 {
+    const std::string procs = std::to_string(processes);
     const std::string seq_json = tmpPath(tag + "_seq.json");
-    const std::string mp_json = tmpPath(tag + "_mp.json");
+    const std::string mp_json = tmpPath(tag + "_mp" + procs + ".json");
     ASSERT_EQ(runCmd(std::string(DIABLO_RUN_BIN) + kMpIncast + extra +
                      " --engine seq --json " + seq_json +
                      " > /dev/null 2>&1"),
               0);
     ASSERT_EQ(runCmd(std::string(DIABLO_RUN_BIN) + kMpIncast + extra +
-                     " --processes 2 --json " + mp_json +
+                     " --processes " + procs + " --json " + mp_json +
                      " > /dev/null 2>&1"),
               0);
 
@@ -109,7 +111,7 @@ expectCrossProcessFingerprintMatch(const std::string &tag,
     EXPECT_NE(mp_doc.find("\"name\": \"mp\""), std::string::npos);
     EXPECT_NE(mp_doc.find("\"mp\":"), std::string::npos);
     EXPECT_NE(mp_doc.find("\"sync_sent\":"), std::string::npos);
-    EXPECT_NE(mp_doc.find("\"processes\": 2"), std::string::npos);
+    EXPECT_NE(mp_doc.find("\"processes\": " + procs), std::string::npos);
     EXPECT_TRUE(diablo::analysis::RunArtifact::validate(mp_json).ok);
     std::remove(seq_json.c_str());
     std::remove(mp_json.c_str());
@@ -128,6 +130,17 @@ TEST(MultiprocessRun, FingerprintMatchesSequential)
 TEST(MultiprocessRun, FingerprintMatchesSequentialUnderFaults)
 {
     expectCrossProcessFingerprintMatch("faulted", kFaultPlan);
+}
+
+// Three ranks: the leader merges more than one child ledger.
+TEST(MultiprocessRun, ThreeProcessesMatchSequential)
+{
+    expectCrossProcessFingerprintMatch("clean3", "", 3);
+}
+
+TEST(MultiprocessRun, ThreeProcessesMatchSequentialUnderFaults)
+{
+    expectCrossProcessFingerprintMatch("faulted3", kFaultPlan, 3);
 }
 
 /** Spawn diablo_run with output to @p log; returns the child pid. */

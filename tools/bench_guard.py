@@ -105,21 +105,80 @@ def items_per_second(bench):
     return float(ips)
 
 
-def check_packet(path, max_regression):
-    """Enforce the allocation-free datapath contract on a trajectory."""
+def newest_entry(path):
+    """Newest and previous entries of a BENCH_*.json trajectory.
+
+    The previous entry is {} for a one-entry trajectory.  Returns
+    (None, None), after saying why, when the file is not a non-empty
+    trajectory.
+    """
     with open(path) as f:
         data = json.load(f)
     if not isinstance(data, list) or not data:
         print(f"bench_guard: {path} is not a non-empty trajectory",
               file=sys.stderr)
+        return None, None
+    return data[-1], data[-2] if len(data) >= 2 else {}
+
+
+def find_bench(benches, prefix):
+    """First row whose name starts with `prefix`, or None."""
+    for bench in benches:
+        if bench.get("name", "").startswith(prefix):
+            return bench
+    return None
+
+
+def sharded_rows(path, racks):
+    """(args, row) of every BM_ClusterIncastSharded row at `racks`."""
+    with open(path) as f:
+        data = json.load(f)
+    for bench in data.get("benchmarks", []):
+        if bench.get("run_type") == "aggregate":
+            continue
+        name = bench.get("name", "")
+        if not name.startswith("BM_ClusterIncastSharded/"):
+            continue
+        args = run_args(name)
+        if args.get("racks") == racks:
+            yield args, bench
+
+
+def check_sync(path, racks, min_ratio):
+    """The solo-worker parallel engine keeps the sequential throughput."""
+    seq = par1 = None
+    for args, bench in sharded_rows(path, racks):
+        if args.get("par") == 0:
+            seq = items_per_second(bench)
+        elif args.get("par") == 1 and args.get("threads") == 1:
+            par1 = items_per_second(bench)
+
+    if seq is None or par1 is None:
+        print(f"bench_guard: missing BM_ClusterIncastSharded rows at "
+              f"racks={racks} (seq={seq}, par1={par1}) in "
+              f"{path}", file=sys.stderr)
         return 1
 
-    newest = data[-1].get("benchmarks", [])
+    ratio = par1 / seq
+    verdict = "OK" if ratio >= min_ratio else "REGRESSION"
+    print(f"bench_guard: racks={racks} seq={seq:.3e} "
+          f"par(threads=1)={par1:.3e} items/s "
+          f"ratio={ratio:.3f} (floor {min_ratio}) {verdict}")
+    return 0 if ratio >= min_ratio else 1
+
+
+def check_packet(path, max_regression):
+    """Enforce the allocation-free datapath contract on a trajectory."""
+    entry, prev_entry = newest_entry(path)
+    if entry is None:
+        return 1
+
+    newest = entry.get("benchmarks", [])
     if not newest:
         print(f"bench_guard: newest entry in {path} has no benchmarks",
               file=sys.stderr)
         return 1
-    previous = data[-2].get("benchmarks", []) if len(data) >= 2 else []
+    previous = prev_entry.get("benchmarks", [])
     prev_ips = {b.get("name"): b.get("items_per_second")
                 for b in previous}
 
@@ -151,24 +210,16 @@ def check_packet(path, max_regression):
 def check_scale(path, min_nodes_per_gb, min_events_per_sec,
                 min_sketch_speedup):
     """Enforce the paper-scale memory/throughput/determinism floors."""
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, list) or not data:
-        print(f"bench_guard: {path} is not a non-empty trajectory",
-              file=sys.stderr)
+    entry, _ = newest_entry(path)
+    if entry is None:
         return 1
 
-    newest = {b.get("name"): b for b in data[-1].get("benchmarks", [])}
-
-    def find(prefix):
-        for name, bench in newest.items():
-            if name.startswith(prefix):
-                return bench
-        return None
+    newest = {b.get("name"): b
+              for b in entry.get("benchmarks", [])}.values()
 
     failed = False
 
-    run = find("BM_Memcached32kUdp")
+    run = find_bench(newest, "BM_Memcached32kUdp")
     if run is None:
         print("bench_guard: newest entry has no BM_Memcached32kUdp row",
               file=sys.stderr)
@@ -194,8 +245,8 @@ def check_scale(path, min_nodes_per_gb, min_events_per_sec,
               f"events/s={events:.3e} seq_par_identical={identical:g} "
               f"{verdict}")
 
-    raw = find("BM_SampleSetFoldPercentile")
-    sketch = find("BM_SketchFoldPercentile")
+    raw = find_bench(newest, "BM_SampleSetFoldPercentile")
+    sketch = find_bench(newest, "BM_SketchFoldPercentile")
     if raw is None or sketch is None:
         print("bench_guard: newest entry is missing the fold benchmarks",
               file=sys.stderr)
@@ -224,9 +275,7 @@ def check_multicore(path, racks, scale_factor, fame_json,
                     min_barrier_qps):
     """Adding workers must buy real speedup on a multi-core runner."""
     with open(path) as f:
-        data = json.load(f)
-
-    cores = int(data.get("context", {}).get("num_cpus", 0))
+        cores = int(json.load(f).get("context", {}).get("num_cpus", 0))
     if cores < 2:
         print(f"bench_guard: multicore SKIPPED — runner reports "
               f"{cores if cores else 'an unknown number of'} CPU(s); "
@@ -236,20 +285,12 @@ def check_multicore(path, racks, scale_factor, fame_json,
 
     seq = None
     par_rows = []
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench.get("name", "")
-        if not name.startswith("BM_ClusterIncastSharded/"):
-            continue
-        args = run_args(name)
-        if args.get("racks") != racks:
-            continue
+    for args, bench in sharded_rows(path, racks):
         if args.get("par") == 0:
             seq = items_per_second(bench)
         elif args.get("par") == 1:
             par_rows.append((args.get("threads", 0),
-                             items_per_second(bench), name))
+                             items_per_second(bench), bench["name"]))
 
     if seq is None or not par_rows:
         print(f"bench_guard: missing BM_ClusterIncastSharded rows at "
@@ -292,16 +333,13 @@ def check_multicore(path, racks, scale_factor, fame_json,
 
 def check_barrier_floor(path, cores, min_barrier_qps):
     """Raw barrier throughput floor from the fame trajectory."""
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, list) or not data:
-        print(f"bench_guard: {path} is not a non-empty trajectory",
-              file=sys.stderr)
+    entry, _ = newest_entry(path)
+    if entry is None:
         return True
 
     failed = False
     scored = 0
-    for bench in data[-1].get("benchmarks", []):
+    for bench in entry.get("benchmarks", []):
         name = bench.get("name", "")
         if not name.startswith("BM_FameBarrierRoundTrip/"):
             continue
@@ -326,25 +364,15 @@ def check_barrier_floor(path, cores, min_barrier_qps):
 
 def check_transport(path, max_rtt_ns, min_sync_per_sec, min_pair_ratio):
     """Enforce the cross-process transport floors on a trajectory."""
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, list) or not data:
-        print(f"bench_guard: {path} is not a non-empty trajectory",
-              file=sys.stderr)
+    entry, _ = newest_entry(path)
+    if entry is None:
         return 1
 
-    newest = data[-1].get("benchmarks", [])
-
-    def find(prefix):
-        for bench in newest:
-            if bench.get("name", "").startswith(prefix):
-                return bench
-        return None
-
-    rtt = find("BM_ShmRingRoundTrip")
-    sync = find("BM_CoupledSyncRate")
-    seq = find("BM_CoupledIncastSeq")
-    pair = find("BM_CoupledIncastPair")
+    newest = entry.get("benchmarks", [])
+    rtt = find_bench(newest, "BM_ShmRingRoundTrip")
+    sync = find_bench(newest, "BM_CoupledSyncRate")
+    seq = find_bench(newest, "BM_CoupledIncastSeq")
+    pair = find_bench(newest, "BM_CoupledIncastPair")
     missing = [label for label, bench in
                [("BM_ShmRingRoundTrip", rtt),
                 ("BM_CoupledSyncRate", sync),
@@ -451,12 +479,28 @@ def check_sweep(path):
     return 1 if failed else 0
 
 
+# Mode -> check, each reading the options it needs.
+MODES = {
+    "sync": lambda o: check_sync(o.json_file, o.racks, o.min_ratio),
+    "multicore": lambda o: check_multicore(o.json_file, o.racks,
+                                           o.scale_factor, o.fame_json,
+                                           o.min_barrier_qps),
+    "packet": lambda o: check_packet(o.json_file, o.max_regression),
+    "scale": lambda o: check_scale(o.json_file, o.min_nodes_per_gb,
+                                   o.min_events_per_sec,
+                                   o.min_sketch_speedup),
+    "sweep": lambda o: check_sweep(o.json_file),
+    "transport": lambda o: check_transport(o.json_file, o.max_rtt_ns,
+                                           o.min_sync_per_sec,
+                                           o.min_pair_ratio),
+}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("json_file")
     ap.add_argument("--mode",
-                    choices=["sync", "multicore", "packet", "scale",
-                             "sweep", "transport"],
+                    choices=list(MODES),
                     default="sync",
                     help="which invariant to check (default sync)")
     ap.add_argument("--racks", type=int, default=4,
@@ -500,54 +544,7 @@ def main():
                          "sequential event-throughput ratio (default "
                          "0.5)")
     opts = ap.parse_args()
-
-    if opts.mode == "multicore":
-        return check_multicore(opts.json_file, opts.racks,
-                               opts.scale_factor, opts.fame_json,
-                               opts.min_barrier_qps)
-    if opts.mode == "sweep":
-        return check_sweep(opts.json_file)
-    if opts.mode == "transport":
-        return check_transport(opts.json_file, opts.max_rtt_ns,
-                               opts.min_sync_per_sec,
-                               opts.min_pair_ratio)
-    if opts.mode == "packet":
-        return check_packet(opts.json_file, opts.max_regression)
-    if opts.mode == "scale":
-        return check_scale(opts.json_file, opts.min_nodes_per_gb,
-                           opts.min_events_per_sec,
-                           opts.min_sketch_speedup)
-
-    with open(opts.json_file) as f:
-        data = json.load(f)
-
-    seq = par1 = None
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench.get("name", "")
-        if not name.startswith("BM_ClusterIncastSharded/"):
-            continue
-        args = run_args(name)
-        if args.get("racks") != opts.racks:
-            continue
-        if args.get("par") == 0:
-            seq = items_per_second(bench)
-        elif args.get("par") == 1 and args.get("threads") == 1:
-            par1 = items_per_second(bench)
-
-    if seq is None or par1 is None:
-        print(f"bench_guard: missing BM_ClusterIncastSharded rows at "
-              f"racks={opts.racks} (seq={seq}, par1={par1}) in "
-              f"{opts.json_file}", file=sys.stderr)
-        return 1
-
-    ratio = par1 / seq
-    verdict = "OK" if ratio >= opts.min_ratio else "REGRESSION"
-    print(f"bench_guard: racks={opts.racks} seq={seq:.3e} "
-          f"par(threads=1)={par1:.3e} items/s "
-          f"ratio={ratio:.3f} (floor {opts.min_ratio}) {verdict}")
-    return 0 if ratio >= opts.min_ratio else 1
+    return MODES[opts.mode](opts)
 
 
 if __name__ == "__main__":
