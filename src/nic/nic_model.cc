@@ -6,9 +6,10 @@ namespace diablo {
 namespace nic {
 
 NicParams
-NicParams::fromConfig(const Config &cfg, const std::string &prefix)
+NicParams::fromConfig(const Config &cfg, const std::string &prefix,
+                     const NicParams &defaults)
 {
-    NicParams p;
+    NicParams p = defaults;
     p.tx_ring_entries = static_cast<uint32_t>(
         cfg.getUint(prefix + "tx_ring_entries", p.tx_ring_entries));
     p.rx_ring_entries = static_cast<uint32_t>(

@@ -52,8 +52,14 @@ struct NicParams {
      */
     SimTime rx_itr = SimTime();
 
-    static NicParams fromConfig(const Config &cfg,
-                                const std::string &prefix);
+    /** Read the @p prefix keys over @p defaults. */
+    static NicParams fromConfig(const Config &cfg, const std::string &prefix,
+                                const NicParams &defaults);
+    static NicParams
+    fromConfig(const Config &cfg, const std::string &prefix)
+    {
+        return fromConfig(cfg, prefix, NicParams());
+    }
 };
 
 /** Intel 8254x-style NIC; PacketSink on the wire side, NicDevice to the

@@ -8,9 +8,10 @@ namespace diablo {
 namespace os {
 
 CpuParams
-CpuParams::fromConfig(const Config &cfg, const std::string &prefix)
+CpuParams::fromConfig(const Config &cfg, const std::string &prefix,
+                     const CpuParams &defaults)
 {
-    CpuParams p;
+    CpuParams p = defaults;
     p.freq_ghz = cfg.getDouble(prefix + "freq_ghz", p.freq_ghz);
     p.cpi = cfg.getDouble(prefix + "cpi", p.cpi);
     p.cores = static_cast<uint32_t>(cfg.getUint(prefix + "cores",

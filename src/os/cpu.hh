@@ -51,8 +51,14 @@ struct CpuParams {
     /** Cores sharing one run queue (DIABLO-2 extension; default 1). */
     uint32_t cores = 1;
 
-    static CpuParams fromConfig(const Config &cfg,
-                                const std::string &prefix);
+    /** Read the @p prefix keys over @p defaults. */
+    static CpuParams fromConfig(const Config &cfg, const std::string &prefix,
+                                const CpuParams &defaults);
+    static CpuParams
+    fromConfig(const Config &cfg, const std::string &prefix)
+    {
+        return fromConfig(cfg, prefix, CpuParams());
+    }
 };
 
 /** Fixed-CPI CPU resource with one or more cores. */

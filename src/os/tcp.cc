@@ -14,9 +14,10 @@ using net::tcp_flags::kRst;
 using net::tcp_flags::kSyn;
 
 TcpParams
-TcpParams::fromConfig(const Config &cfg, const std::string &prefix)
+TcpParams::fromConfig(const Config &cfg, const std::string &prefix,
+                     const TcpParams &defaults)
 {
-    TcpParams p;
+    TcpParams p = defaults;
     p.mss = static_cast<uint32_t>(cfg.getUint(prefix + "mss", p.mss));
     p.send_buf_bytes =
         cfg.getUint(prefix + "send_buf_bytes", p.send_buf_bytes);

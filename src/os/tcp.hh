@@ -59,8 +59,14 @@ struct TcpParams {
     /** Handshake retry budget before abort (Linux tcp_syn_retries). */
     uint32_t max_syn_retries = 6;
 
-    static TcpParams fromConfig(const Config &cfg,
-                                const std::string &prefix);
+    /** Read the @p prefix keys over @p defaults. */
+    static TcpParams fromConfig(const Config &cfg, const std::string &prefix,
+                                const TcpParams &defaults);
+    static TcpParams
+    fromConfig(const Config &cfg, const std::string &prefix)
+    {
+        return fromConfig(cfg, prefix, TcpParams());
+    }
 };
 
 /** One TCP connection endpoint. */

@@ -61,15 +61,17 @@ ClusterParams::tengig100ns()
 void
 ClusterParams::applyConfig(const Config &cfg)
 {
-    topo = topo::ClosParams::fromConfig(cfg, "topo.");
-    cpu = os::CpuParams::fromConfig(cfg, "cpu.");
+    // Every layer reads its keys over its current value, so a preset
+    // (gige1us, tengig100ns) survives a config that does not name them.
+    topo = topo::ClosParams::fromConfig(cfg, "topo.", topo);
+    cpu = os::CpuParams::fromConfig(cfg, "cpu.", cpu);
     if (cfg.has("kernel.version")) {
         kernel_profile = os::KernelProfile::byName(
             cfg.getString("kernel.version", kernel_profile.name));
     }
     kernel_profile.applyConfig(cfg, "kernel.");
-    tcp = os::TcpParams::fromConfig(cfg, "tcp.");
-    nic = nic::NicParams::fromConfig(cfg, "nic.");
+    tcp = os::TcpParams::fromConfig(cfg, "tcp.", tcp);
+    nic = nic::NicParams::fromConfig(cfg, "nic.", nic);
     seed = cfg.getUint("seed", seed);
     lazy_servers = cfg.getBool("sim.lazy_servers", lazy_servers);
 }

@@ -8,9 +8,10 @@ namespace diablo {
 namespace topo {
 
 ClosParams
-ClosParams::fromConfig(const Config &cfg, const std::string &prefix)
+ClosParams::fromConfig(const Config &cfg, const std::string &prefix,
+                       const ClosParams &defaults)
 {
-    ClosParams p;
+    ClosParams p = defaults;
     p.servers_per_rack = static_cast<uint32_t>(
         cfg.getUint(prefix + "servers_per_rack", p.servers_per_rack));
     p.racks_per_array = static_cast<uint32_t>(
@@ -19,8 +20,9 @@ ClosParams::fromConfig(const Config &cfg, const std::string &prefix)
         cfg.getUint(prefix + "num_arrays", p.num_arrays));
     p.uplink_planes = static_cast<uint32_t>(
         cfg.getUint(prefix + "uplink_planes", p.uplink_planes));
-    const std::string model =
-        cfg.getString(prefix + "switch_model", "voq");
+    const std::string model = cfg.getString(
+        prefix + "switch_model",
+        p.switch_model == SwitchModelKind::Voq ? "voq" : "output_queue");
     if (model == "voq") {
         p.switch_model = SwitchModelKind::Voq;
     } else if (model == "output_queue" || model == "oq") {

@@ -81,8 +81,15 @@ struct ClosParams {
         return servers_per_rack * racks_per_array * num_arrays;
     }
 
+    /** Read the @p prefix keys over @p defaults. */
     static ClosParams fromConfig(const Config &cfg,
-                                 const std::string &prefix);
+                                 const std::string &prefix,
+                                 const ClosParams &defaults);
+    static ClosParams
+    fromConfig(const Config &cfg, const std::string &prefix)
+    {
+        return fromConfig(cfg, prefix, ClosParams());
+    }
 };
 
 /** Hop classification used by the paper's Figure 10. */

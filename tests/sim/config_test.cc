@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sim/cluster.hh"
 
 namespace diablo {
@@ -38,6 +40,52 @@ TEST(ClusterConfig, ApplyConfigOverridesEveryLayer)
     EXPECT_EQ(p.tcp.min_rto, SimTime::ms(100));
     EXPECT_FALSE(p.nic.zero_copy);
     EXPECT_EQ(p.seed, 777u);
+}
+
+TEST(ClusterConfig, EmptyConfigKeepsPresets)
+{
+    // applyConfig reads every key over the current value: a config that
+    // names none of them leaves both presets' switches and links intact
+    // (the shared-dynamic 2 MB array/DC buffers of gige1us, the 10G /
+    // 100 ns ports of tengig100ns).
+    const Config empty;
+    for (const ClusterParams &preset :
+         {ClusterParams::gige1us(), ClusterParams::tengig100ns()}) {
+        ClusterParams p = preset;
+        p.applyConfig(empty);
+        const std::pair<const switchm::SwitchParams *,
+                        const switchm::SwitchParams *>
+            levels[] = {{&p.topo.rack_sw, &preset.topo.rack_sw},
+                        {&p.topo.array_sw, &preset.topo.array_sw},
+                        {&p.topo.dc_sw, &preset.topo.dc_sw}};
+        for (const auto &[got, want] : levels) {
+            EXPECT_EQ(got->buffer_policy, want->buffer_policy);
+            EXPECT_EQ(got->buffer_total_bytes, want->buffer_total_bytes);
+            EXPECT_EQ(got->buffer_per_port_bytes,
+                      want->buffer_per_port_bytes);
+            EXPECT_DOUBLE_EQ(got->dynamic_alpha, want->dynamic_alpha);
+            EXPECT_DOUBLE_EQ(got->port_bw.asGbps(), want->port_bw.asGbps());
+            EXPECT_EQ(got->port_latency, want->port_latency);
+        }
+        EXPECT_DOUBLE_EQ(p.topo.host_bw.asGbps(),
+                         preset.topo.host_bw.asGbps());
+    }
+    ClusterParams g = ClusterParams::gige1us();
+    g.applyConfig(empty);
+    EXPECT_EQ(g.topo.array_sw.buffer_policy,
+              switchm::BufferPolicy::SharedDynamic);
+    EXPECT_EQ(g.topo.dc_sw.buffer_total_bytes, 2u * 1024 * 1024);
+    ClusterParams t = ClusterParams::tengig100ns();
+    t.applyConfig(empty);
+    EXPECT_DOUBLE_EQ(t.topo.array_sw.port_bw.asGbps(), 10.0);
+    EXPECT_EQ(t.topo.rack_sw.port_latency, SimTime::ns(100));
+
+    // A key that is named still overrides just that field.
+    Config one;
+    one.set("topo.array.dynamic_alpha", 1.0);
+    g.applyConfig(one);
+    EXPECT_DOUBLE_EQ(g.topo.array_sw.dynamic_alpha, 1.0);
+    EXPECT_EQ(g.topo.array_sw.buffer_total_bytes, 2u * 1024 * 1024);
 }
 
 TEST(ClusterConfig, CommandLineStyleAssignments)
