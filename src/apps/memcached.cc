@@ -269,6 +269,7 @@ mcTcpClient(std::shared_ptr<ClientCtx> ctx)
         co_await k.sim().sleep(SimTime::seconds(ctx->rng.exponential(
             ctx->params.think_mean.asSeconds())));
     }
+    ctx->stats->finished = k.sim().now();
     ctx->stats->done = true;
 }
 
@@ -330,6 +331,7 @@ mcUdpClient(std::shared_ptr<ClientCtx> ctx)
         co_await k.sim().sleep(SimTime::seconds(ctx->rng.exponential(
             ctx->params.think_mean.asSeconds())));
     }
+    ctx->stats->finished = k.sim().now();
     ctx->stats->done = true;
 }
 

@@ -105,6 +105,7 @@ struct McClientParams {
  *  O(clients * bins) instead of O(total samples * log). */
 struct McClientStats {
     bool done = false;
+    SimTime finished;                    ///< when done was set
     LatencyStat latency_us;              ///< all requests
     LatencyStat latency_us_by_hop[3];    ///< Local / OneHop / TwoHop
     /** First request on each lazily-opened TCP connection: the requests

@@ -143,6 +143,30 @@ TEST(Memcached, ShardedRunOutlastsIdleDriveWindows)
             << (parallel ? "par" : "seq");
         EXPECT_EQ(r.latency_us.fingerprint(), ref.latency_us.fingerprint())
             << (parallel ? "par" : "seq");
+        EXPECT_EQ(r.elapsed.toPs(), ref.elapsed.toPs())
+            << (parallel ? "par" : "seq");
+    }
+}
+
+TEST(Memcached, ElapsedIsEngineIndependent)
+{
+    // The run ends when the last client finishes, whichever engine
+    // advanced it: a sharded engine must not report a partition's
+    // clock, which stops at that partition's own last event.
+    const McExperimentParams p = tinyExperiment(false);
+    Simulator sim;
+    McExperiment single(sim, p);
+    single.run();
+    const McExperimentResult &ref = single.result();
+    ASSERT_EQ(ref.requests_completed, 28u * 20u);
+    EXPECT_GT(ref.elapsed, SimTime());
+
+    for (bool parallel : {false, true}) {
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        McExperiment exp(ps, p);
+        exp.run(parallel);
+        EXPECT_EQ(exp.result().elapsed.toPs(), ref.elapsed.toPs())
+            << (parallel ? "par" : "seq");
     }
 }
 
