@@ -8,8 +8,8 @@
  * Long unattended runs must never die artifact-less: a SIGINT from an
  * operator, a SIGTERM from a batch scheduler, or a watchdog trip all
  * funnel into one process-wide *request* flag that the experiment
- * drivers poll at safe points (engine window boundaries, periodic
- * events) and answer by finalizing a partial artifact before exiting
+ * drivers poll between engine windows and answer by finalizing a
+ * partial artifact before exiting
  * with a distinct code.  The handlers only ever store into a lock-free
  * atomic — async-signal-safe by construction — and re-raising the
  * signal (a second Ctrl-C) restores the default disposition so a wedged

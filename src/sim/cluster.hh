@@ -35,6 +35,7 @@
  * @endcode
  */
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -52,6 +53,8 @@ namespace net {
 class ChannelLink;
 } // namespace net
 namespace sim {
+
+class TelemetryProbe;
 
 /** Everything needed to instantiate a cluster. */
 struct ClusterParams {
@@ -150,6 +153,44 @@ class Cluster {
      * run, on a sharded cluster only (fatal otherwise).
      */
     void enableProcessCoupling(const fame::PartitionSet::CoupledOptions &opts);
+
+    /**
+     * Advance the engine to a window end; false when a coupled run was
+     * abandoned (see PartitionSet::runCoupled).
+     */
+    using Step = std::function<bool(SimTime)>;
+
+    /**
+     * This cluster's own engine as a Step: runUntil on the single
+     * Simulator; runSequential, or runParallel when @p parallel, on a
+     * sharded build.
+     */
+    Step engineStep(bool parallel);
+
+    /** Which check ended drive(), and the window end it reached. */
+    struct DriveEnd {
+        enum Reason { Done, Stopped, Abandoned, Capped, Idle };
+        Reason reason = Done;
+        SimTime reached;
+    };
+
+    /**
+     * The run-to-completion loop every workload and engine shares:
+     * advance with @p step in windows ending at @p window, 2 x @p
+     * window, ... of simulated time until @p done holds.  Before every
+     * window @p pulse (when set) may stop the run, and a window that
+     * would start at or past @p cap is not run.  A set @p probe takes
+     * its samples inside each window (TelemetryProbe::driveTo) without
+     * changing the window sequence.  After a window, a false step
+     * abandons the run, and an uncoupled engine with nothing pending
+     * while the workload is not done is idle: no later window could
+     * finish it.  The pulse and done run between windows, where no
+     * engine worker is running, so they may read any model state.
+     */
+    DriveEnd drive(SimTime window, SimTime cap, const Step &step,
+                   const std::function<bool()> &done,
+                   const std::function<bool()> &pulse,
+                   TelemetryProbe *probe);
 
     uint32_t size() const { return network_->totalServers(); }
     uint32_t numRacks() const

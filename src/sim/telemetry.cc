@@ -37,55 +37,21 @@ TelemetryProbe::flush()
     }
 }
 
-void
-TelemetryProbe::installPeriodic(std::function<bool()> done)
-{
-    Simulator &sim = cluster_.sim(); // fatal on a sharded cluster
-    // Self-rescheduling closure; owns nothing but the done predicate.
-    struct Tick {
-        TelemetryProbe *probe;
-        std::function<bool()> done;
-
-        void
-        operator()()
-        {
-            Simulator &s = probe->cluster_.sim();
-            probe->sample(s.now());
-            probe->next_due_ = probe->next_due_ + probe->period_;
-            if (done && done()) {
-                return;
-            }
-            s.schedule(probe->period_, Tick{probe, done});
-        }
-    };
-    sim.schedule(next_due_ - sim.now(), Tick{this, std::move(done)});
-}
-
-void
-TelemetryProbe::poll(SimTime now)
-{
-    while (next_due_ <= now) {
-        sample(next_due_);
-        next_due_ = next_due_ + period_;
-    }
-}
-
-SimTime
-TelemetryProbe::clampWindow(SimTime until) const
-{
-    return next_due_ < until ? next_due_ : until;
-}
-
-void
+bool
 TelemetryProbe::driveTo(SimTime until,
-                        const std::function<void(SimTime)> &run)
+                        const std::function<bool(SimTime)> &run)
 {
     for (;;) {
-        const SimTime sub = clampWindow(until);
-        run(sub);
-        poll(sub);
-        if (!(sub < until)) {
-            return;
+        const SimTime sub = next_due_ < until ? next_due_ : until;
+        if (!run(sub)) {
+            return false;
+        }
+        if (sub == next_due_) {
+            sample(sub);
+            next_due_ = next_due_ + period_;
+        }
+        if (sub == until) {
+            return true;
         }
     }
 }

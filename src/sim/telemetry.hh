@@ -13,19 +13,12 @@
  * materialized-node delta, and engine progress.  Because sampling is
  * driven by simulated time and the probe only *reads* model state,
  * enabling it never perturbs simulated results: runs with telemetry on
- * and off are bit-identical (asserted by tests for both engines).
+ * and off are bit-identical (asserted by tests for every engine).
  *
- * Two attachment modes cover the two ways runs are driven:
- *
- *  - installPeriodic(): a self-rescheduling event on the cluster's
- *    single Simulator.  Single-engine only; the optional done()
- *    predicate stops rescheduling so `sim.run()` can still drain.
- *
- *  - poll(now): for window-driven engines (seq/par PartitionSet
- *    drivers), the host loop calls poll() at window boundaries —
- *    between quanta no worker is running, so cross-partition reads are
- *    race-free, and clampWindow() aligns window ends to sample
- *    instants so samples land exactly on the period grid.
+ * The probe has one mode on every engine: the shared run loop
+ * (Cluster::drive) hands each window to driveTo(), which ends sub-windows
+ * at the sample instants and samples between them, where no engine
+ * worker is running, so cross-partition reads are race-free.
  */
 
 #include <cstdint>
@@ -66,36 +59,16 @@ class TelemetryProbe {
     void setSampler(Sampler s) { sampler_ = std::move(s); }
 
     /**
-     * Single-engine mode: schedule a self-rescheduling sampling event
-     * on the cluster's Simulator.  @p done (when set) is checked after
-     * each sample and stops rescheduling, letting run() drain.
+     * Drive the engine to exactly @p until while sampling on the
+     * period grid: repeatedly advances to the next sample instant (via
+     * @p run, which must advance the engine to its argument), samples,
+     * and finishes at @p until.  The caller's window sequence is
+     * unchanged — the same outer windows run with telemetry on or off,
+     * which is what keeps window-quantized measurements bit-identical
+     * either way.  Returns false, without sampling further, as soon as
+     * @p run does.
      */
-    void installPeriodic(std::function<bool()> done = {});
-
-    /**
-     * Windowed mode: take any samples due at or before @p now.  Call
-     * at window boundaries (no workers running).  Samples are stamped
-     * with their nominal grid time, so a poll that covers several
-     * periods emits several rows.
-     */
-    void poll(SimTime now);
-
-    /**
-     * Clamp a window end so the next sample instant is never jumped
-     * over: returns min(until, next sample due time).
-     */
-    SimTime clampWindow(SimTime until) const;
-
-    /**
-     * Drive a windowed engine to exactly @p until while sampling on
-     * the period grid: repeatedly advances to the next sample instant
-     * (via @p run, which must advance the engine to its argument),
-     * polls, and finishes at @p until.  The caller's window sequence
-     * is unchanged — the same outer windows run with telemetry on or
-     * off, which is what keeps window-quantized measurements (e.g. a
-     * driver's elapsed time) bit-identical either way.
-     */
-    void driveTo(SimTime until, const std::function<void(SimTime)> &run);
+    bool driveTo(SimTime until, const std::function<bool(SimTime)> &run);
 
     SimTime period() const { return period_; }
     uint64_t samplesWritten() const { return samples_; }

@@ -14,11 +14,11 @@
  *    whole run;
  *  - **stall** (`run.stall=<s>`): no *simulation progress* for that
  *    long.  Progress is whatever monotone counter the run loop
- *    publishes via noteProgress() at its safe points (engine window
- *    boundaries, periodic events) — the watchdog never reads engine
- *    state itself, so arming it cannot perturb the run or race with
- *    workers.  A run wedged *inside* a quantum stops publishing, which
- *    is exactly the stall signature.
+ *    publishes via noteProgress() before every engine window — the
+ *    watchdog never reads engine state itself, so arming it cannot
+ *    perturb the run or race with workers.  A run wedged *inside* a
+ *    window stops publishing, which is exactly the stall signature;
+ *    so a stall budget must exceed one window's wall time.
  *
  * On trip the watchdog invokes the diagnostic callback (which may dump
  * best-effort engine state: sim time, per-partition next-event minima,

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,23 +43,42 @@ tmpStream(const char *tag)
     return testing::TempDir() + "diablo_telemetry_" + tag + ".jsonl";
 }
 
+enum class Engine { Single, Seq, Par };
+
+const char *
+engineName(Engine e)
+{
+    return e == Engine::Single ? "single" : e == Engine::Seq ? "seq" : "par";
+}
+
+constexpr Engine kEngines[] = {Engine::Single, Engine::Seq, Engine::Par};
+
 /**
- * Windowed sharded incast — the same traffic pattern the seq≡par
- * bit-identity tests pin — optionally with a TelemetryProbe sampling
- * every 700 µs (deliberately not a divisor of the 250 ms window, so
- * driveTo really does subdivide windows at awkward grid points).
- * The fingerprint folds every engine-independent observable; quanta
- * are excluded because subdividing windows legitimately changes how
- * the engine chops time, which must never show up in results.
+ * Incast — the same traffic pattern the seq≡par bit-identity tests pin
+ * — driven through the shared run loop on @p engine, optionally with a
+ * TelemetryProbe sampling every 700 µs (deliberately not a divisor of
+ * the 250 ms window, so driveTo really does subdivide windows at
+ * awkward grid points).  The fingerprint folds every engine-independent
+ * observable; quanta are excluded because subdividing windows
+ * legitimately changes how the engine chops time, which must never
+ * show up in results.
  */
 std::vector<uint64_t>
-runIncastWindowed(bool parallel, bool with_probe,
-                  const std::string &stream_path,
-                  uint64_t *samples_out = nullptr)
+runIncast(Engine engine, bool with_probe, const std::string &stream_path,
+          uint64_t *samples_out = nullptr)
 {
     const ClusterParams params = fourRackParams();
-    fame::PartitionSet ps(Cluster::partitionsRequired(params));
-    Cluster cluster(ps, params);
+    Simulator sim;
+    std::unique_ptr<fame::PartitionSet> ps;
+    std::unique_ptr<Cluster> owned;
+    if (engine == Engine::Single) {
+        owned = std::make_unique<Cluster>(sim, params);
+    } else {
+        ps = std::make_unique<fame::PartitionSet>(
+            Cluster::partitionsRequired(params));
+        owned = std::make_unique<Cluster>(*ps, params);
+    }
+    Cluster &cluster = *owned;
 
     apps::IncastParams ip;
     ip.block_bytes = 32 * 1024;
@@ -80,22 +100,10 @@ runIncastWindowed(bool parallel, bool with_probe,
         });
     }
 
-    auto step = [&](SimTime t) {
-        if (parallel) {
-            ps.runParallel(t);
-        } else {
-            ps.runSequential(t);
-        }
-    };
-    SimTime t;
-    while (!app.result().done && t < 10_sec) {
-        t = t + 250_ms;
-        if (probe != nullptr) {
-            probe->driveTo(t, step);
-        } else {
-            step(t);
-        }
-    }
+    const Cluster::DriveEnd end = cluster.drive(
+        250_ms, 10_sec, cluster.engineStep(engine == Engine::Par),
+        [&app] { return app.result().done; }, {}, probe.get());
+    EXPECT_EQ(end.reason, Cluster::DriveEnd::Done) << engineName(engine);
 
     const apps::IncastResult &r = app.result();
     EXPECT_TRUE(r.done);
@@ -115,8 +123,12 @@ runIncastWindowed(bool parallel, bool with_probe,
     fp.push_back(cluster.totalNicRxDrops());
     fp.push_back(cluster.network().totalSwitchDrops());
     fp.push_back(cluster.network().totalForwarded());
-    for (size_t i = 0; i < ps.size(); ++i) {
-        fp.push_back(ps.partition(i).executedEvents());
+    if (ps != nullptr) {
+        for (size_t i = 0; i < ps->size(); ++i) {
+            fp.push_back(ps->partition(i).executedEvents());
+        }
+    } else {
+        fp.push_back(sim.executedEvents());
     }
     for (const Cluster::PoolStats &p : cluster.poolStats()) {
         fp.push_back(p.makes);
@@ -126,57 +138,44 @@ runIncastWindowed(bool parallel, bool with_probe,
 }
 
 // The headline contract: enabling the probe changes *nothing* in the
-// simulated outcome — on the sequential reference engine...
-TEST(Telemetry, ProbeDoesNotPerturbSequentialEngine)
+// simulated outcome, on every engine — on the parallel one, samples
+// are only taken at window boundaries with no worker running.
+TEST(Telemetry, ProbeDoesNotPerturbAnyEngine)
 {
-    const std::string path = tmpStream("seq");
-    uint64_t samples = 0;
-    std::vector<uint64_t> off =
-        runIncastWindowed(false, false, path);
-    std::vector<uint64_t> on =
-        runIncastWindowed(false, true, path, &samples);
-    EXPECT_EQ(off, on);
-    EXPECT_GT(samples, 0u);
-    std::remove(path.c_str());
+    for (Engine e : kEngines) {
+        const std::string path = tmpStream(engineName(e));
+        uint64_t samples = 0;
+        std::vector<uint64_t> off = runIncast(e, false, path);
+        std::vector<uint64_t> on = runIncast(e, true, path, &samples);
+        EXPECT_EQ(off, on) << engineName(e);
+        EXPECT_GT(samples, 0u) << engineName(e);
+        std::remove(path.c_str());
+    }
 }
 
-// ...and on the fused parallel engine, where samples are only taken at
-// window boundaries with no worker running.
-TEST(Telemetry, ProbeDoesNotPerturbParallelEngine)
+// Every engine writes the same number of samples (the stream is
+// sim-time-paced, so its length is itself deterministic), and the
+// sharded engines still agree with each other with the probe attached.
+TEST(Telemetry, EnginesAgreeWithProbeAttached)
 {
-    const std::string path = tmpStream("par");
-    uint64_t samples = 0;
-    std::vector<uint64_t> off = runIncastWindowed(true, false, path);
-    std::vector<uint64_t> on =
-        runIncastWindowed(true, true, path, &samples);
-    EXPECT_EQ(off, on);
-    EXPECT_GT(samples, 0u);
-    std::remove(path.c_str());
-}
-
-// Both engines with the probe attached still agree with each other,
-// and write the same number of samples (the stream is sim-time-paced,
-// so its length is itself deterministic).
-TEST(Telemetry, SequentialAndParallelAgreeWithProbeAttached)
-{
-    const std::string seq_path = tmpStream("seq2");
-    const std::string par_path = tmpStream("par2");
-    uint64_t seq_samples = 0, par_samples = 0;
-    std::vector<uint64_t> seq =
-        runIncastWindowed(false, true, seq_path, &seq_samples);
-    std::vector<uint64_t> par =
-        runIncastWindowed(true, true, par_path, &par_samples);
-    EXPECT_EQ(seq, par);
-    EXPECT_EQ(seq_samples, par_samples);
-    std::remove(seq_path.c_str());
-    std::remove(par_path.c_str());
+    std::vector<uint64_t> fps[3];
+    uint64_t samples[3] = {};
+    for (Engine e : kEngines) {
+        const size_t i = static_cast<size_t>(e);
+        const std::string path = tmpStream(engineName(e));
+        fps[i] = runIncast(e, true, path, &samples[i]);
+        std::remove(path.c_str());
+    }
+    EXPECT_EQ(fps[1], fps[2]);
+    EXPECT_EQ(samples[0], samples[1]);
+    EXPECT_EQ(samples[1], samples[2]);
 }
 
 TEST(Telemetry, StreamIsOneJsonObjectPerSample)
 {
     const std::string path = tmpStream("shape");
     uint64_t samples = 0;
-    runIncastWindowed(false, true, path, &samples);
+    runIncast(Engine::Seq, true, path, &samples);
 
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
@@ -196,9 +195,8 @@ TEST(Telemetry, StreamIsOneJsonObjectPerSample)
     std::remove(path.c_str());
 }
 
-// Single-engine runs sample via a self-rescheduling event instead of
-// window subdivision; the memcached harness's results must still be
-// bit-identical with the probe installed or absent.
+// The memcached harness drives the same loop: its single-engine
+// results must be bit-identical with the probe attached or absent.
 TEST(Telemetry, ProbeDoesNotPerturbSingleEngineMemcached)
 {
     auto run = [](bool with_probe, const std::string &path,

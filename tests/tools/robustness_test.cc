@@ -61,10 +61,13 @@ slurp(const std::string &path)
                        std::istreambuf_iterator<char>());
 }
 
-/** A run that takes ~2 s wall — long enough to interrupt reliably. */
-const char kSlowIncast[] =
+/** A run that takes ~2 s wall — long enough to interrupt reliably;
+ *  append the engine. */
+const char kSlowIncastRun[] =
     " incast incast.servers=96 incast.racks=12 incast.iterations=100"
-    " incast.block_bytes=262144 --engine seq";
+    " incast.block_bytes=262144";
+const std::string kSlowIncast = std::string(kSlowIncastRun) +
+                                " --engine seq";
 
 /** Spawn diablo_run (args appended after the binary) with output to
  *  @p log; returns the child pid. */
@@ -122,31 +125,38 @@ waitExit(pid_t pid)
 
 TEST(RunInterrupt, SigtermFinalizesAValidPartialArtifact)
 {
-    const std::string json = tmpPath("sigterm.json");
-    const std::string log = tmpPath("sigterm.log");
-    std::remove(json.c_str());
+    // Every engine polls the interrupt flag between windows.
+    for (const char *engine : {"seq", "single"}) {
+        SCOPED_TRACE(engine);
+        const std::string json = tmpPath("sigterm.json");
+        const std::string log = tmpPath("sigterm.log");
+        std::remove(json.c_str());
 
-    const pid_t pid =
-        spawnRun(std::string(kSlowIncast) + " --json " + json, log);
-    ASSERT_GT(pid, 0);
-    std::this_thread::sleep_for(300ms);
-    ASSERT_EQ(kill(pid, SIGTERM), 0) << "run exited before the signal";
-    EXPECT_EQ(waitExit(pid), diablo::core::kExitInterrupted);
+        const pid_t pid = spawnRun(std::string(kSlowIncastRun) +
+                                       " --engine " + engine +
+                                       " --json " + json,
+                                   log);
+        ASSERT_GT(pid, 0);
+        std::this_thread::sleep_for(300ms);
+        ASSERT_EQ(kill(pid, SIGTERM), 0) << "run exited before the signal";
+        EXPECT_EQ(waitExit(pid), diablo::core::kExitInterrupted);
 
-    // The partial artifact is complete JSON with status/cause/
-    // fingerprint — but validate() must refuse it for resume.
-    const std::string doc = slurp(json);
-    EXPECT_NE(doc.find("\"status\": \"interrupted\""),
-              std::string::npos);
-    EXPECT_NE(doc.find("\"interrupt_cause\": \"SIGTERM\""),
-              std::string::npos);
-    EXPECT_NE(doc.find("\n  \"fingerprint\": \"0x"), std::string::npos);
-    const auto v = diablo::analysis::RunArtifact::validate(json);
-    EXPECT_FALSE(v.ok);
-    EXPECT_EQ(v.status, "interrupted");
-    EXPECT_FALSE(v.fingerprint.empty());
-    std::remove(json.c_str());
-    std::remove(log.c_str());
+        // The partial artifact is complete JSON with status/cause/
+        // fingerprint — but validate() must refuse it for resume.
+        const std::string doc = slurp(json);
+        EXPECT_NE(doc.find("\"status\": \"interrupted\""),
+                  std::string::npos);
+        EXPECT_NE(doc.find("\"interrupt_cause\": \"SIGTERM\""),
+                  std::string::npos);
+        EXPECT_NE(doc.find("\n  \"fingerprint\": \"0x"),
+                  std::string::npos);
+        const auto v = diablo::analysis::RunArtifact::validate(json);
+        EXPECT_FALSE(v.ok);
+        EXPECT_EQ(v.status, "interrupted");
+        EXPECT_FALSE(v.fingerprint.empty());
+        std::remove(json.c_str());
+        std::remove(log.c_str());
+    }
 }
 
 TEST(RunInterrupt, WatchdogDeadlineAbortsWithDiagnostic)
