@@ -17,8 +17,8 @@
  *    these call futex(2) without FUTEX_PRIVATE_FLAG; non-Linux builds
  *    degrade to a bounded sleep, which only costs latency.
  *  - SpscRecordRing: a cacheline-padded single-producer single-consumer
- *    byte ring carrying length-prefixed records, the building block of
- *    fame::ShmRingTransport.  Producer and consumer may be in different
+ *    byte ring carrying length-prefixed records; a fame::Transport is
+ *    one pair of them.  Producer and consumer may be in different
  *    processes; each side spins briefly and then parks on the ring's
  *    head/tail word.
  *

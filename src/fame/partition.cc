@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 #include "core/interrupt.hh"
 #include "core/log.hh"
@@ -91,14 +90,9 @@ PartitionSet::PartitionSet(size_t n) : topo_(CpuTopology::host())
     }
     last_run_executed_.assign(n, 0);
     weights_.assign(n, 1.0);
-    groups_.assign(n, -1);
     // A valid 1-worker fusion exists from birth, so Channel::post finds
     // a dirty lane even before the first run sets up its own fusion.
-    worker_of_.assign(n, 0);
-    worker_parts_.resize(1);
-    ensureLanes(1);
-    lane_active_ = 1;
-    worker_cpu_.assign(1, -1);
+    assignPartitions(1);
 }
 
 void
@@ -290,129 +284,24 @@ PartitionSet::setPartitionWeight(size_t i, double w)
 }
 
 void
-PartitionSet::setPartitionGroup(size_t i, int64_t group)
-{
-    if (i >= parts_.size()) {
-        fatal("PartitionSet: setPartitionGroup(%zu): out of range", i);
-    }
-    groups_[i] = group;
-}
-
-void
 PartitionSet::assignPartitions(size_t workers)
 {
+    // The placement rule process ranks use too.  Results never depend
+    // on the assignment; only wall-clock does.
+    worker_of_ = lptAssign(weights_, static_cast<uint32_t>(workers));
     worker_parts_.resize(workers);
     for (auto &wp : worker_parts_) {
         wp.clear();
     }
-    worker_of_.resize(parts_.size());
+    std::vector<double> load(workers, 0.0);
+    for (size_t p = 0; p < parts_.size(); ++p) {
+        worker_parts_[worker_of_[p]].push_back(p);
+        load[worker_of_[p]] += weights_[p];
+    }
     ensureLanes(workers);
     lane_active_ = workers;
     for (size_t w = 0; w < workers; ++w) {
         lanes_[w].published_min = SimTime::max();
-    }
-
-    std::vector<double> load(workers, 0.0);
-    if (workers == 1) {
-        for (size_t p = 0; p < parts_.size(); ++p) {
-            worker_of_[p] = 0;
-            worker_parts_[0].push_back(p);
-            load[0] += weights_[p];
-        }
-        placeWorkers(workers, load);
-        return;
-    }
-
-    // Deterministic two-level LPT greedy.  Level 1 works on locality
-    // groups (setPartitionGroup; ungrouped partitions are singletons):
-    // heaviest group first, onto the least-loaded worker (ties: lowest
-    // worker id) — *if* placing the whole group there would not push
-    // that worker past 1.25x the ideal per-worker share.  A group too
-    // heavy to keep together spills to level 2, where its partitions
-    // are placed individually by plain LPT.  With many more groups
-    // than workers this preserves rack->array locality; with few heavy
-    // groups it degenerates to the old partition-level balance.
-    // Results never depend on the assignment — only wall-clock does.
-    double total = 0.0;
-    for (size_t p = 0; p < parts_.size(); ++p) {
-        total += weights_[p];
-    }
-    const double ideal = total / static_cast<double>(workers);
-    const double cap = ideal * 1.25;
-
-    // Collect groups in first-appearance order (deterministic).
-    std::vector<std::vector<size_t>> group_parts;
-    std::vector<double> group_weight;
-    {
-        std::map<int64_t, size_t> seen;
-        for (size_t p = 0; p < parts_.size(); ++p) {
-            if (groups_[p] < 0) {
-                group_parts.push_back({p});
-                group_weight.push_back(weights_[p]);
-                continue;
-            }
-            auto it = seen.find(groups_[p]);
-            if (it == seen.end()) {
-                seen.emplace(groups_[p], group_parts.size());
-                group_parts.push_back({p});
-                group_weight.push_back(weights_[p]);
-            } else {
-                group_parts[it->second].push_back(p);
-                group_weight[it->second] += weights_[p];
-            }
-        }
-    }
-
-    std::vector<size_t> gorder(group_parts.size());
-    for (size_t g = 0; g < gorder.size(); ++g) {
-        gorder[g] = g;
-    }
-    std::stable_sort(gorder.begin(), gorder.end(),
-                     [&group_weight](size_t a, size_t b) {
-                         return group_weight[a] > group_weight[b];
-                     });
-
-    auto leastLoaded = [&load, workers]() {
-        size_t best = 0;
-        for (size_t w = 1; w < workers; ++w) {
-            if (load[w] < load[best]) {
-                best = w;
-            }
-        }
-        return best;
-    };
-    auto place = [this, &load](size_t p, size_t w) {
-        load[w] += weights_[p];
-        worker_of_[p] = static_cast<uint32_t>(w);
-        worker_parts_[w].push_back(p);
-    };
-
-    std::vector<size_t> spill;
-    for (size_t g : gorder) {
-        const size_t best = leastLoaded();
-        if (group_parts[g].size() > 1 &&
-            load[best] + group_weight[g] > cap) {
-            // Keeping this group together would overload the worker;
-            // remember its partitions for level-2 placement.
-            spill.insert(spill.end(), group_parts[g].begin(),
-                         group_parts[g].end());
-            continue;
-        }
-        for (size_t p : group_parts[g]) {
-            place(p, best);
-        }
-    }
-    std::stable_sort(spill.begin(), spill.end(),
-                     [this](size_t a, size_t b) {
-                         return weights_[a] > weights_[b];
-                     });
-    for (size_t p : spill) {
-        place(p, leastLoaded());
-    }
-    // Within one worker, keep partition-index order (pure cosmetics —
-    // partitions are independent inside a quantum).
-    for (auto &wp : worker_parts_) {
-        std::sort(wp.begin(), wp.end());
     }
     placeWorkers(workers, load);
 }
@@ -521,35 +410,78 @@ PartitionSet::deliver(const Channel &ch, SimTime when, EventFn &&fn)
         static_cast<uint32_t>(ch.dst_), when);
 }
 
-SimTime
-PartitionSet::drainDirtyChannels()
+namespace {
+
+/** Header of the WireMsgHdr + payload record starting at @p rec. */
+WireMsgHdr
+msgHeader(const uint8_t *rec)
 {
-    // Merge the per-worker dirty lists and drain in channel-creation
-    // order: the destination-queue insertion sequence — and therefore
-    // same-timestamp tie-breaking — must not depend on the fusion.
+    WireMsgHdr hdr;
+    std::memcpy(&hdr, rec, sizeof(hdr));
+    return hdr;
+}
+
+} // namespace
+
+SimTime
+PartitionSet::drain()
+{
+    // One merged drain for every engine: each lane's dirty channels
+    // (whole pending_ vectors) and, coupled, each peer's front batch
+    // (individual wire records), in (channel, peer, record) order.
+    // Channel order makes the destination-queue insertion sequence —
+    // and so same-timestamp tie-breaking — independent of the fusion
+    // and of which process a message came from.  A channel is
+    // local-dirty xor inbound (its source is owned xor foreign), so
+    // the two entry kinds never interleave within one channel.
     drain_scratch_.clear();
     for (size_t w = 0; w < lane_active_; ++w) {
         WorkerLane &lane = lanes_[w];
-        if (lane.dirty_count != 0) {
-            drain_scratch_.insert(drain_scratch_.end(), lane.dirty,
-                                  lane.dirty + lane.dirty_count);
-            lane.dirty_count = 0;
+        for (uint32_t i = 0; i < lane.dirty_count; ++i) {
+            drain_scratch_.push_back(
+                DrainEntry{lane.dirty[i], kLocalDrain, 0});
+        }
+        lane.dirty_count = 0;
+    }
+    for (size_t pi = 0; pi < peers_.size(); ++pi) {
+        const std::vector<uint8_t> &data = peers_[pi].batches.front().data;
+        for (size_t off = 0; off < data.size();) {
+            const WireMsgHdr hdr = msgHeader(data.data() + off);
+            drain_scratch_.push_back(
+                DrainEntry{hdr.channel, static_cast<uint32_t>(pi), off});
+            off += sizeof(hdr) + hdr.len;
         }
     }
     if (drain_scratch_.empty()) {
-        return SimTime::max();
+        return SimTime::max(); // a window with no messages
     }
     std::sort(drain_scratch_.begin(), drain_scratch_.end());
     SimTime min_when = SimTime::max();
-    for (uint32_t idx : drain_scratch_) {
-        Channel &ch = *channels_[idx];
-        for (auto &msg : ch.pending_) {
-            min_when = std::min(min_when, msg.when);
-            deliver(ch, msg.when, std::move(msg.fn));
+    for (const DrainEntry &e : drain_scratch_) {
+        Channel &ch = *channels_[e.channel];
+        if (e.peer == kLocalDrain) {
+            for (auto &msg : ch.pending_) {
+                min_when = std::min(min_when, msg.when);
+                deliver(ch, msg.when, std::move(msg.fn));
+            }
+            // clear() keeps capacity: steady-state traffic re-posts
+            // into the same storage with no allocator round trips.
+            ch.pending_.clear();
+            continue;
         }
-        // clear() keeps capacity: steady-state traffic re-posts into
-        // the same storage with no allocator round trips.
-        ch.pending_.clear();
+        if (ch.cls_ != Channel::Cls::In) {
+            panic("PartitionSet: coupled: rank %u sent a record on "
+                  "channel %s, whose destination it owns itself",
+                  peers_[e.peer].rank, ch.name_.c_str());
+        }
+        const uint8_t *rec =
+            peers_[e.peer].batches.front().data.data() + e.off;
+        const WireMsgHdr hdr = msgHeader(rec);
+        const SimTime when = SimTime::ps(hdr.when_ps);
+        min_when = std::min(min_when, when);
+        deliver(ch, when,
+                ch.decoder_(*parts_[ch.dst_], when, rec + sizeof(hdr),
+                            hdr.len));
     }
     return min_when;
 }
@@ -680,7 +612,7 @@ PartitionSet::windowEnd() noexcept
             return;
         }
     } else {
-        earliest = drainDirtyChannels();
+        earliest = drain();
         for (size_t w = 0; w < par_workers_; ++w) {
             earliest = std::min(earliest, lanes_[w].published_min);
         }
@@ -897,6 +829,14 @@ namespace {
 constexpr int64_t kCoupledWaitBudgetNs = 60LL * 1000 * 1000 * 1000;
 constexpr int64_t kCoupledInterruptedBudgetNs = 2LL * 1000 * 1000 * 1000;
 
+/**
+ * One ring wait: spin this many relaxations (see TreeBarrier), then
+ * futex-park for one slice; waits loop with liveness checks between
+ * slices until the budget above runs out.
+ */
+constexpr uint32_t kCoupledSpinBudget = 512;
+constexpr int64_t kCoupledWaitSliceNs = 20 * 1000 * 1000;
+
 int64_t
 coupledWaitBudgetNs()
 {
@@ -932,23 +872,22 @@ PartitionSet::postRecord(Channel &ch, SimTime when, const void *bytes,
 {
     ch.validatePost(when);
     if (ch.cls_ == Channel::Cls::Out) {
-        // Destination owned by a peer process: buffer the bytes; the
-        // window barrier flushes every out-dirty channel in index
-        // order.  Packed [i64 when][u32 len][payload]; the buffer
+        // Destination owned by a peer process: buffer the record in
+        // its wire layout (WireMsgHdr + payload), which it keeps
+        // through the ring into the peer's batch; the window barrier
+        // flushes every out-dirty channel in index order.  The buffer
         // keeps its capacity across windows like pending_ does.
         if (ch.out_pending_.empty()) {
             out_dirty_.push_back(ch.index_);
         }
-        const int64_t when_ps = when.toPs();
+        WireMsgHdr hdr;
+        hdr.channel = ch.index_;
+        hdr.len = len;
+        hdr.when_ps = when.toPs();
         const size_t off = ch.out_pending_.size();
-        ch.out_pending_.resize(off + sizeof(when_ps) + sizeof(len) + len);
-        std::memcpy(ch.out_pending_.data() + off, &when_ps,
-                    sizeof(when_ps));
-        std::memcpy(ch.out_pending_.data() + off + sizeof(when_ps), &len,
-                    sizeof(len));
-        std::memcpy(ch.out_pending_.data() + off + sizeof(when_ps) +
-                        sizeof(len),
-                    bytes, len);
+        ch.out_pending_.resize(off + sizeof(hdr) + len);
+        std::memcpy(ch.out_pending_.data() + off, &hdr, sizeof(hdr));
+        std::memcpy(ch.out_pending_.data() + off + sizeof(hdr), bytes, len);
         ch.out_min_ = std::min(ch.out_min_, when);
         return;
     }
@@ -1002,8 +941,6 @@ PartitionSet::enableCoupled(const CoupledOptions &opts)
     }
     owner_of_ = opts.owner_of;
     self_rank_ = opts.self_rank;
-    coupled_spin_ = opts.spin_budget;
-    coupled_timeout_ns_ = opts.wait_timeout_ns;
 
     size_t owned = 0;
     for (size_t p = 0; p < parts_.size(); ++p) {
@@ -1100,33 +1037,22 @@ PartitionSet::pollPeer(size_t pi)
             break;
         }
         case kWireMsg: {
-            WireMsgHdr hdr;
-            if (n < sizeof(hdr)) {
+            if (n < sizeof(WireMsgHdr)) {
                 panic("PartitionSet: coupled: truncated MSG header from "
                       "rank %u",
                       ps.rank);
             }
-            std::memcpy(&hdr, recv_scratch_.data(), sizeof(hdr));
+            const WireMsgHdr hdr = msgHeader(recv_scratch_.data());
             if (n != sizeof(hdr) + hdr.len ||
                 hdr.channel >= channels_.size()) {
                 panic("PartitionSet: coupled: malformed MSG from rank "
                       "%u (channel %u, len %u, record %u)",
                       ps.rank, hdr.channel, hdr.len, n);
             }
-            PeerState::Batch &b = openBatch();
-            // Re-pack as [u32 channel][u32 len][i64 when][payload].
-            const size_t off = b.data.size();
-            b.offsets.push_back(off);
-            b.data.resize(off + sizeof(hdr.channel) + sizeof(hdr.len) +
-                          sizeof(hdr.when_ps) + hdr.len);
-            uint8_t *w = b.data.data() + off;
-            std::memcpy(w, &hdr.channel, sizeof(hdr.channel));
-            w += sizeof(hdr.channel);
-            std::memcpy(w, &hdr.len, sizeof(hdr.len));
-            w += sizeof(hdr.len);
-            std::memcpy(w, &hdr.when_ps, sizeof(hdr.when_ps));
-            w += sizeof(hdr.when_ps);
-            std::memcpy(w, recv_scratch_.data() + sizeof(hdr), hdr.len);
+            // Staged as it arrived: drain() decodes this same layout.
+            std::vector<uint8_t> &data = openBatch().data;
+            data.insert(data.end(), recv_scratch_.data(),
+                        recv_scratch_.data() + n);
             ++coupled_stats_.msgs_recv;
             break;
         }
@@ -1176,8 +1102,9 @@ PartitionSet::coupledSend(size_t pi, const void *bytes, uint32_t n)
         if (ps.tr->peerAborted()) {
             return false;
         }
-        if (!ps.tr->waitForSpace(n, coupled_spin_, coupled_timeout_ns_)) {
-            waited_ns += coupled_timeout_ns_;
+        if (!ps.tr->waitForSpace(n, kCoupledSpinBudget,
+                                 kCoupledWaitSliceNs)) {
+            waited_ns += kCoupledWaitSliceNs;
             if (waited_ns >= coupledWaitBudgetNs()) {
                 log::warn("PartitionSet: coupled: rank %u stopped "
                           "consuming (%lld ms); abandoning run",
@@ -1201,26 +1128,15 @@ PartitionSet::flushOutgoing()
     for (uint32_t idx : out_dirty_) {
         Channel &ch = *channels_[idx];
         const uint32_t pi = peer_of_rank_[owner_of_[ch.dst_]];
-        size_t off = 0;
-        while (off < ch.out_pending_.size()) {
-            WireMsgHdr hdr;
-            hdr.channel = idx;
-            std::memcpy(&hdr.when_ps, ch.out_pending_.data() + off,
-                        sizeof(hdr.when_ps));
-            off += sizeof(hdr.when_ps);
-            std::memcpy(&hdr.len, ch.out_pending_.data() + off,
-                        sizeof(hdr.len));
-            off += sizeof(hdr.len);
-            wire_scratch_.resize(sizeof(hdr) + hdr.len);
-            std::memcpy(wire_scratch_.data(), &hdr, sizeof(hdr));
-            std::memcpy(wire_scratch_.data() + sizeof(hdr),
-                        ch.out_pending_.data() + off, hdr.len);
-            off += hdr.len;
-            if (!coupledSend(pi, wire_scratch_.data(),
-                             static_cast<uint32_t>(wire_scratch_.size()))) {
+        const std::vector<uint8_t> &out = ch.out_pending_;
+        for (size_t off = 0; off < out.size();) {
+            const uint32_t n = static_cast<uint32_t>(
+                sizeof(WireMsgHdr) + msgHeader(out.data() + off).len);
+            if (!coupledSend(pi, out.data() + off, n)) {
                 return false;
             }
             ++coupled_stats_.msgs_sent;
+            off += n;
         }
         ch.out_pending_.clear(); // keeps capacity
         ch.out_min_ = SimTime::max();
@@ -1239,10 +1155,10 @@ PartitionSet::awaitPeer(PeerState &ps, const std::function<bool()> &ready,
             return false;
         }
         const bool got =
-            ps.tr->waitForData(coupled_spin_, coupled_timeout_ns_);
+            ps.tr->waitForData(kCoupledSpinBudget, kCoupledWaitSliceNs);
         pollAllPeers();
         if (!got && !ready()) {
-            waited_ns += coupled_timeout_ns_;
+            waited_ns += kCoupledWaitSliceNs;
             if (waited_ns >= coupledWaitBudgetNs()) {
                 log::warn("PartitionSet: coupled: rank %u silent awaiting "
                           "%s (%lld ms); abandoning run",
@@ -1283,72 +1199,6 @@ PartitionSet::awaitBatch(size_t pi, uint64_t seq)
     return true;
 }
 
-void
-PartitionSet::coupledDrain()
-{
-    // Merged drain: local dirty channels (whole pending_ vectors) and
-    // every peer's front batch (individual records), ordered by global
-    // channel index — the same order drainDirtyChannels uses — so the
-    // destination-queue insertion sequence is independent of which
-    // process a message came from.  A channel is local-dirty xor
-    // inbound (its source is owned xor foreign), so the two entry
-    // kinds never interleave within one channel.
-    coupled_drain_scratch_.clear();
-    WorkerLane &lane = lanes_[0];
-    for (uint32_t i = 0; i < lane.dirty_count; ++i) {
-        coupled_drain_scratch_.push_back(
-            CoupledDrainEntry{lane.dirty[i], UINT32_MAX, 0});
-    }
-    lane.dirty_count = 0;
-    for (size_t pi = 0; pi < peers_.size(); ++pi) {
-        const PeerState::Batch &b = peers_[pi].batches.front();
-        for (size_t r = 0; r < b.offsets.size(); ++r) {
-            uint32_t channel = 0;
-            std::memcpy(&channel, b.data.data() + b.offsets[r],
-                        sizeof(channel));
-            coupled_drain_scratch_.push_back(CoupledDrainEntry{
-                channel, static_cast<uint32_t>(pi),
-                static_cast<uint32_t>(r)});
-        }
-    }
-    std::stable_sort(coupled_drain_scratch_.begin(),
-                     coupled_drain_scratch_.end(),
-                     [](const CoupledDrainEntry &a,
-                        const CoupledDrainEntry &b) {
-                         return a.channel < b.channel;
-                     });
-    for (const CoupledDrainEntry &e : coupled_drain_scratch_) {
-        Channel &ch = *channels_[e.channel];
-        if (e.peer == UINT32_MAX) {
-            for (auto &msg : ch.pending_) {
-                deliver(ch, msg.when, std::move(msg.fn));
-            }
-            ch.pending_.clear();
-            continue;
-        }
-        if (ch.cls_ != Channel::Cls::In) {
-            panic("PartitionSet: coupled: rank %u sent a record on "
-                  "channel %s, whose destination it owns itself",
-                  peers_[e.peer].rank, ch.name_.c_str());
-        }
-        const PeerState::Batch &b = peers_[e.peer].batches.front();
-        const uint8_t *rec = b.data.data() + b.offsets[e.rec];
-        uint32_t len = 0;
-        int64_t when_ps = 0;
-        std::memcpy(&len, rec + sizeof(uint32_t), sizeof(len));
-        std::memcpy(&when_ps, rec + 2 * sizeof(uint32_t),
-                    sizeof(when_ps));
-        const uint8_t *payload =
-            rec + 2 * sizeof(uint32_t) + sizeof(when_ps);
-        const SimTime when = SimTime::ps(when_ps);
-        deliver(ch, when,
-                ch.decoder_(*parts_[ch.dst_], when, payload, len));
-    }
-    for (auto &ps : peers_) {
-        ps.batches.pop_front();
-    }
-}
-
 bool
 PartitionSet::coupledBarrier(SimTime bound, SimTime contrib,
                              SimTime *global)
@@ -1385,7 +1235,10 @@ PartitionSet::coupledBarrier(SimTime bound, SimTime contrib,
         g = std::min(g, SimTime::ps(b.contrib_ps));
     }
     ++sync_seq_;
-    coupledDrain();
+    drain();
+    for (auto &ps : peers_) {
+        ps.batches.pop_front();
+    }
     *global = g;
     return true;
 }

@@ -45,8 +45,9 @@
  *     engine degenerates to a single-thread loop with no barrier at
  *     all — near-runSequential cost.  The calling thread doubles as
  *     worker 0, so a run hands off to at most `workers-1` pool
- *     threads.  setPartitionWeight() biases the (deterministic, LPT
- *     greedy) fusion assignment toward balance.
+ *     threads.  The fused sets come from lptAssign() over the
+ *     setPartitionWeight() weights — the same deterministic rule that
+ *     places partitions on processes.
  *  2. **Hierarchical spin-then-park barrier.**  Workers synchronize
  *     on a radix-4 combining tree (TreeBarrier): arrivals touch one
  *     cacheline per tree node instead of all contending one atomic,
@@ -94,10 +95,10 @@
  *
  * All three engines are one window driver (runWindows): runSequential
  * is its 1-worker case, runParallel its `min(P, parallelism())`-worker
- * case, and runCoupled the 1-worker case with the coupled exchange
- * below swapped in for the local drain.  The full scan survives only
- * at run entry (nextPendingTime(), which also sees channel posts made
- * outside a run), where it is also the reference the engine tests
+ * case, and runCoupled the 1-worker case whose window end wraps the
+ * same drain in the coupled exchange below.  The full scan survives
+ * only at run entry (nextPendingTime(), which also sees channel posts
+ * made outside a run), where it is also the reference the engine tests
  * compare against.
  *
  * **Cross-process coupling (runCoupled).**  A third engine spreads the
@@ -126,6 +127,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -233,7 +235,10 @@ class PartitionSet {
         Cls cls_ = Cls::Local;
         bool remote_out_ = false;
         RecordDecoder decoder_;
-        /** Outbound records awaiting flush: [i64 when][u32 len][bytes]. */
+        /**
+         * Outbound records awaiting flush, already in wire layout
+         * (WireMsgHdr + payload each), sent to the ring as they are.
+         */
         std::vector<uint8_t> out_pending_;
         SimTime out_min_ = SimTime::max();
     };
@@ -309,32 +314,19 @@ class PartitionSet {
 
     /**
      * Relative load hint for partition @p i (default 1.0, must be
-     * positive): fusion assigns partitions to workers by greedy
-     * longest-processing-time on these weights.  A sharded cluster
-     * sets rack partitions ∝ servers and the switch partition ∝ trunk
-     * fan-in.  Purely a balance hint; results never depend on it.
+     * positive): fusion places partitions on workers, and a coupled
+     * launcher on processes, with lptAssign() over these weights.  A
+     * sharded cluster sets rack partitions ∝ servers and the switch
+     * partition ∝ trunk fan-in.  Purely a balance hint; results never
+     * depend on it.
      */
     void setPartitionWeight(size_t i, double w);
 
     /**
-     * Locality hint: partitions sharing a non-negative @p group id are
-     * placed on the same worker when that fits — the fusion first runs
-     * LPT over whole groups, then spills a group to partition-level
-     * placement only if keeping it together would overload a worker by
-     * more than 25% of the ideal share.  A sharded cluster groups each
-     * array's rack partitions together (rack -> array -> datacenter
-     * hierarchy), so at 16x more partitions than cores, racks that
-     * exchange intra-array traffic land on one worker and their
-     * channel drains stay cache-warm.  Group -1 (the default) means
-     * ungrouped: the partition is its own singleton group.  Purely a
-     * balance/locality hint; results never depend on it.
-     */
-    void setPartitionGroup(size_t i, int64_t group);
-
-    /**
-     * Worker that partition @p i was fused onto in the most recent
-     * parallel run (0 before any run).  Introspection for balance
-     * tooling and the fusion tests; never affects results.
+     * Worker that partition @p i was fused onto in the most recent run
+     * (0 before any run): `lptAssign(partitionWeights(),
+     * lastRunWorkers())[i]`.  Introspection for balance tooling and
+     * the fusion tests; never affects results.
      */
     uint32_t workerOfPartition(size_t i) const { return worker_of_[i]; }
 
@@ -429,10 +421,6 @@ class PartitionSet {
         std::vector<uint32_t> owner_of;
         /** Transport to every other rank appearing in owner_of. */
         std::vector<std::pair<uint32_t, Transport *>> peers;
-        /** Ring-wait spin budget before parking (see TreeBarrier). */
-        uint32_t spin_budget = 512;
-        /** One futex-park slice; waits loop with liveness checks. */
-        int64_t wait_timeout_ns = 20 * 1000 * 1000;
     };
 
     /**
@@ -489,15 +477,17 @@ class PartitionSet {
 
     const CoupledStats &coupledStats() const { return coupled_stats_; }
 
-    /** Fusion weights (setPartitionWeight), for the process placement. */
+    /** Placement weights (setPartitionWeight) for lptAssign. */
     const std::vector<double> &partitionWeights() const { return weights_; }
 
     /**
      * Deterministic partition -> rank map: greedy LPT over @p weights
      * onto @p nprocs ranks (heaviest partition first, least-loaded
      * rank, ties to the lowest rank), relabeled in first-appearance
-     * order so rank 0 owns partition 0.  Every process — launcher and
-     * children — computes this independently and must agree, which the
+     * order so rank 0 owns partition 0.  The one placement rule: it
+     * fuses partitions onto worker threads, and every process of a
+     * coupled group — launcher and children — computes it
+     * independently for the process ranks and must agree, which the
      * HELLO handshake's owner hash verifies.
      */
     static std::vector<uint32_t> lptAssign(
@@ -597,8 +587,11 @@ class PartitionSet {
      */
     void deliver(const Channel &ch, SimTime when, EventFn &&fn);
 
-    /** Drain dirty channels in creation order; min drained `when`. */
-    SimTime drainDirtyChannels();
+    /**
+     * Deliver every lane's dirty channels and, coupled, every peer's
+     * front batch in (channel, peer, record) order; min drained `when`.
+     */
+    SimTime drain();
 
     /**
      * Start of the next window that can contain work given the
@@ -638,12 +631,12 @@ class PartitionSet {
     bool runWindows(SimTime until, size_t workers, const char *entry);
 
     /**
-     * Window end, single-threaded: exchange (the local drain, or the
-     * coupled SYNC barrier), count the quantum, pick the next window.
+     * Window end, single-threaded: drain (inside the coupled SYNC
+     * barrier when coupled), count the quantum, pick the next window.
      */
     void windowEnd() noexcept;
 
-    /** Fuse partitions onto @p workers (deterministic LPT greedy). */
+    /** Fuse partitions onto @p workers with lptAssign over weights_. */
     void assignPartitions(size_t workers);
 
     /** Resolve worker -> CPU placement for the fusion just computed. */
@@ -676,17 +669,19 @@ class PartitionSet {
          * ahead, so polling while waiting for barrier j may consume
          * records that belong to j+1; batches stage them in arrival
          * order — messages accumulate into the open (back) batch, the
-         * peer's SYNC closes it — and awaitBatch consumes exactly the
-         * front completed batch.
+         * peer's SYNC closes it — and the barrier drains and pops
+         * exactly the front completed batch.
          */
         struct Batch {
             uint64_t seq = 0;
             int64_t bound_ps = 0;
             int64_t contrib_ps = 0;
             bool complete = false;
-            /** Packed records: [u32 channel][u32 len][i64 when][bytes]. */
+            /**
+             * MSG records back to back, each as it crossed the ring
+             * (WireMsgHdr + payload), for drain() to decode in place.
+             */
             std::vector<uint8_t> data;
-            std::vector<size_t> offsets; ///< record starts within data
         };
         std::deque<Batch> batches;
     };
@@ -728,16 +723,12 @@ class PartitionSet {
      */
     bool coupledBarrier(SimTime bound, SimTime contrib, SimTime *global);
 
-    /** Merged drain of local dirty channels and front peer batches. */
-    void coupledDrain();
-
     bool exchangeHello();
     void abandonCoupled();
 
     std::vector<std::unique_ptr<Simulator>> parts_;
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<double> weights_;
-    std::vector<int64_t> groups_; ///< -1 = ungrouped (singleton)
     SimTime quantum_override_;
     mutable SimTime quantum_cache_;
     mutable bool quantum_cache_valid_ = false;
@@ -773,7 +764,22 @@ class PartitionSet {
     std::unique_ptr<WorkerLane[]> lanes_; ///< per-worker hot state
     size_t lane_count_ = 0;               ///< allocated (never shrinks)
     size_t lane_active_ = 0;              ///< lanes of the current fusion
-    std::vector<uint32_t> drain_scratch_; ///< merged+sorted dirty list
+
+    /** One drain() entry: a local channel or one inbound record. */
+    struct DrainEntry {
+        uint32_t channel;
+        uint32_t peer; ///< index in peers_; kLocalDrain = pending_
+        size_t off;    ///< record offset in the peer's front batch
+
+        bool
+        operator<(const DrainEntry &o) const
+        {
+            return std::tie(channel, peer, off) <
+                   std::tie(o.channel, o.peer, o.off);
+        }
+    };
+    static constexpr uint32_t kLocalDrain = UINT32_MAX;
+    std::vector<DrainEntry> drain_scratch_; ///< entries of one drain
     TreeBarrier barrier_;
     size_t par_workers_ = 0;
 
@@ -804,19 +810,9 @@ class PartitionSet {
     std::vector<uint32_t> owner_of_;   ///< partition -> owning rank
     std::vector<PeerState> peers_;     ///< rank order, deterministic
     std::vector<uint32_t> peer_of_rank_; ///< rank -> index in peers_
-    uint32_t coupled_spin_ = 512;
-    int64_t coupled_timeout_ns_ = 20 * 1000 * 1000;
     uint64_t sync_seq_ = 0;
     std::vector<uint32_t> out_dirty_;  ///< Out channels with buffered records
     std::vector<uint8_t> recv_scratch_;
-    std::vector<uint8_t> wire_scratch_;
-    /** (channel, peer-or-local, record) entries of one merged drain. */
-    struct CoupledDrainEntry {
-        uint32_t channel;
-        uint32_t peer; ///< UINT32_MAX = local pending_ drain
-        uint32_t rec;
-    };
-    std::vector<CoupledDrainEntry> coupled_drain_scratch_;
     CoupledStats coupled_stats_;
 };
 

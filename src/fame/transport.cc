@@ -7,62 +7,25 @@
 namespace diablo {
 namespace fame {
 
-namespace {
-
-/**
- * Heap storage for one in-process ring pair.  Both endpoints keep a
- * shared_ptr so the rings outlive whichever side is destroyed first.
- */
-struct InProcRingPair {
-    explicit InProcRingPair(uint32_t capacity)
-    {
-        const size_t footprint = SpscRecordRing::footprint(capacity);
-        mem_a = std::aligned_alloc(64, footprint);
-        mem_b = std::aligned_alloc(64, footprint);
-        if (!mem_a || !mem_b)
-            panic("InProcRingPair: allocation of %zu-byte ring failed",
-                  footprint);
-        a_to_b = SpscRecordRing::init(mem_a, capacity);
-        b_to_a = SpscRecordRing::init(mem_b, capacity);
-    }
-
-    ~InProcRingPair()
-    {
-        std::free(mem_a);
-        std::free(mem_b);
-    }
-
-    InProcRingPair(const InProcRingPair &) = delete;
-    InProcRingPair &operator=(const InProcRingPair &) = delete;
-
-    void *mem_a = nullptr;
-    void *mem_b = nullptr;
-    SpscRecordRing *a_to_b = nullptr;
-    SpscRecordRing *b_to_a = nullptr;
-};
-
-class InProcTransport : public ShmRingTransport {
-  public:
-    InProcTransport(std::shared_ptr<InProcRingPair> storage,
-                    SpscRecordRing *tx, SpscRecordRing *rx)
-        : ShmRingTransport(tx, rx), storage_(std::move(storage))
-    {
-    }
-
-  private:
-    std::shared_ptr<InProcRingPair> storage_;
-};
-
-} // namespace
-
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
 makeInProcTransportPair(uint32_t ring_capacity)
 {
-    auto storage = std::make_shared<InProcRingPair>(ring_capacity);
-    auto a = std::make_unique<InProcTransport>(storage, storage->a_to_b,
-                                               storage->b_to_a);
-    auto b = std::make_unique<InProcTransport>(storage, storage->b_to_a,
-                                               storage->a_to_b);
+    // Both rings in one heap block that the two endpoints share, so it
+    // outlives whichever is destroyed first.  Ring footprints are
+    // 64-byte multiples, so the second ring starts cacheline-aligned.
+    const size_t footprint = SpscRecordRing::footprint(ring_capacity);
+    std::shared_ptr<void> mem(std::aligned_alloc(64, 2 * footprint),
+                              std::free);
+    if (!mem)
+        panic("makeInProcTransportPair: allocation of two %zu-byte rings "
+              "failed",
+              footprint);
+    auto *base = static_cast<uint8_t *>(mem.get());
+    SpscRecordRing *a_to_b = SpscRecordRing::init(base, ring_capacity);
+    SpscRecordRing *b_to_a =
+        SpscRecordRing::init(base + footprint, ring_capacity);
+    auto a = std::make_unique<Transport>(a_to_b, b_to_a, mem);
+    auto b = std::make_unique<Transport>(b_to_a, a_to_b, std::move(mem));
     return {std::move(a), std::move(b)};
 }
 
@@ -148,7 +111,7 @@ groupTransport(void *mem, const ShmGroupLayout &layout, uint32_t self,
         SpscRecordRing::attach(base + layout.ringOffset(self, peer));
     SpscRecordRing *rx =
         SpscRecordRing::attach(base + layout.ringOffset(peer, self));
-    return std::make_unique<ShmRingTransport>(tx, rx);
+    return std::make_unique<Transport>(tx, rx);
 }
 
 } // namespace fame

@@ -87,94 +87,75 @@ struct WireSync {
 };
 
 /**
- * A bidirectional record pipe to one peer engine.  Send/recv move one
- * whole record (kind header + body); ordering is FIFO per direction.
- * All methods are called from the engine's single coupled thread.
+ * A bidirectional record pipe to one peer engine over a pair of
+ * SpscRecordRings: tx carries self -> peer, rx peer -> self, and the
+ * peer wraps the same two rings with the roles swapped.  The rings sit
+ * in one of two places — a process group's ShmSegment
+ * (groupTransport) for real multi-process runs, or a heap block
+ * (makeInProcTransportPair) that @p storage keeps alive for in-process
+ * coupling.  Send/recv move one whole record (kind header + body);
+ * ordering is FIFO per direction.  All methods are called from the
+ * engine's single coupled thread.
  */
 class Transport {
   public:
-    virtual ~Transport() = default;
+    Transport(SpscRecordRing *tx, SpscRecordRing *rx,
+              std::shared_ptr<void> storage = nullptr)
+        : tx_(tx), rx_(rx), storage_(std::move(storage))
+    {
+    }
 
-    /** Enqueue one record; false when the pipe is full (retry). */
-    virtual bool trySend(const void *bytes, uint32_t n) = 0;
+    /** Enqueue one record; false when the ring is full (retry). */
+    bool
+    trySend(const void *bytes, uint32_t n)
+    {
+        return tx_->tryPush(bytes, n);
+    }
 
     /** Dequeue one record into @p out; its length, or 0 when empty. */
-    virtual uint32_t tryRecv(void *out, uint32_t cap) = 0;
+    uint32_t
+    tryRecv(void *out, uint32_t cap)
+    {
+        return rx_->tryPop(out, cap);
+    }
 
     /**
      * One bounded wait for inbound data: spin, then park for at most
      * @p timeout_ns.  True when data is available.  Callers loop with
      * interrupt / peerAborted checks between calls.
      */
-    virtual bool waitForData(uint32_t spin_budget, int64_t timeout_ns) = 0;
-
-    /** One bounded wait for @p bytes of outbound space (as above). */
-    virtual bool waitForSpace(uint32_t bytes, uint32_t spin_budget,
-                              int64_t timeout_ns) = 0;
-
-    /** Tell the peer this engine is abandoning the run; wakes it. */
-    virtual void abort() = 0;
-
-    /** True once the peer called abort() (sticky). */
-    virtual bool peerAborted() const = 0;
-};
-
-/**
- * Transport over a pair of SpscRecordRings in caller-owned memory
- * (a ShmSegment for real multi-process runs, heap for in-process
- * coupling).  tx carries self -> peer, rx peer -> self; the peer wraps
- * the same two rings with the roles swapped.
- */
-class ShmRingTransport : public Transport {
-  public:
-    ShmRingTransport(SpscRecordRing *tx, SpscRecordRing *rx)
-        : tx_(tx), rx_(rx)
-    {
-    }
-
     bool
-    trySend(const void *bytes, uint32_t n) override
-    {
-        return tx_->tryPush(bytes, n);
-    }
-
-    uint32_t
-    tryRecv(void *out, uint32_t cap) override
-    {
-        return rx_->tryPop(out, cap);
-    }
-
-    bool
-    waitForData(uint32_t spin_budget, int64_t timeout_ns) override
+    waitForData(uint32_t spin_budget, int64_t timeout_ns)
     {
         return rx_->waitForData(spin_budget, timeout_ns);
     }
 
+    /** One bounded wait for @p bytes of outbound space (as above). */
     bool
-    waitForSpace(uint32_t bytes, uint32_t spin_budget,
-                 int64_t timeout_ns) override
+    waitForSpace(uint32_t bytes, uint32_t spin_budget, int64_t timeout_ns)
     {
         return tx_->waitForSpace(bytes, spin_budget, timeout_ns);
     }
 
+    /**
+     * Tell the peer this engine is abandoning the run and wake it.  The
+     * peer observes its rx (= our tx) ring's flag; our rx is flagged
+     * too so our own parked waits (if any remain) bail out.
+     */
     void
-    abort() override
+    abort()
     {
-        // The peer observes its rx (= our tx) ring's flag; flag our rx
-        // too so our own parked waits (if any remain) bail out.
         tx_->setAborted();
         rx_->setAborted();
     }
 
-    bool
-    peerAborted() const override
-    {
-        return rx_->aborted();
-    }
+    /** True once the peer called abort() (sticky). */
+    bool peerAborted() const { return rx_->aborted(); }
 
   private:
     SpscRecordRing *tx_;
     SpscRecordRing *rx_;
+    std::shared_ptr<void> storage_; ///< heap rings' owner; null over shm
 };
 
 /**

@@ -175,21 +175,15 @@ Cluster::Cluster(fame::PartitionSet &ps, const ClusterParams &params)
     network_ = std::make_unique<topo::ClosNetwork>(hooks, params_.topo);
     buildServers();
 
-    // Fusion balance hints for runParallel's partition->worker
-    // placement: a rack partition's event rate scales with the servers
-    // it hosts (kernel/NIC/uplink per server, plus its ToR); the
-    // switch partition carries the aggregation levels, whose
-    // forwarding load scales with total trunk fan-in.  Pure wall-clock
-    // hints — results are identical for any placement.
-    // Locality hint mirroring the paper's rack -> array -> datacenter
-    // hierarchy: racks of one array exchange most of their traffic
-    // through that array's switches, so group them onto one worker
-    // when the balance allows (setPartitionGroup spills oversized
-    // groups automatically).  The switch partition stays ungrouped.
+    // Balance hints for the partition placement (lptAssign, onto
+    // runParallel's workers and --processes ranks alike): a rack
+    // partition's event rate scales with the servers it hosts
+    // (kernel/NIC/uplink per server, plus its ToR); the switch
+    // partition carries the aggregation levels, whose forwarding load
+    // scales with total trunk fan-in.  Pure wall-clock hints — results
+    // are identical for any placement.
     for (uint32_t r = 0; r < racks; ++r) {
         ps.setPartitionWeight(r, params_.topo.servers_per_rack + 1.0);
-        ps.setPartitionGroup(
-            r, static_cast<int64_t>(r / params_.topo.racks_per_array));
     }
     if (racks > 1) {
         ps.setPartitionWeight(

@@ -363,80 +363,6 @@ TEST(PartitionSet, FusedWorkerCountsAreBitIdentical)
     }
 }
 
-TEST(PartitionSet, FusionGroupsColocateWhenBalanced)
-{
-    // 8 equal-weight partitions in 4 groups of 2 on 4 workers: the
-    // group-aware LPT must keep each group whole (every pair shares a
-    // worker) and still balance (the 4 groups land on 4 distinct
-    // workers).
-    PartitionSet ps(8);
-    ps.setParallelism(4);
-    for (size_t i = 0; i < 8; ++i) {
-        ps.setPartitionGroup(i, static_cast<int64_t>(i / 2));
-        ps.partition(i).schedule(SimTime::us(1), [] {});
-    }
-    ps.runParallel(SimTime::us(10));
-    EXPECT_EQ(ps.lastRunWorkers(), 4u);
-    std::vector<bool> seen(4, false);
-    for (size_t g = 0; g < 4; ++g) {
-        const uint32_t w = ps.workerOfPartition(2 * g);
-        EXPECT_EQ(w, ps.workerOfPartition(2 * g + 1)) << "group " << g;
-        EXPECT_FALSE(seen[w]) << "two groups on worker " << w;
-        seen[w] = true;
-    }
-}
-
-TEST(PartitionSet, OversizedFusionGroupSpills)
-{
-    // One group holding every partition cannot stay together on 2
-    // workers without a 2x imbalance; the fusion must spill it to
-    // partition-level placement and use both workers.
-    PartitionSet ps(6);
-    ps.setParallelism(2);
-    for (size_t i = 0; i < 6; ++i) {
-        ps.setPartitionGroup(i, 0);
-        ps.partition(i).schedule(SimTime::us(1), [] {});
-    }
-    ps.runParallel(SimTime::us(10));
-    EXPECT_EQ(ps.lastRunWorkers(), 2u);
-    bool used[2] = {false, false};
-    for (size_t i = 0; i < 6; ++i) {
-        used[ps.workerOfPartition(i)] = true;
-    }
-    EXPECT_TRUE(used[0]);
-    EXPECT_TRUE(used[1]);
-}
-
-TEST(PartitionSet, FusionGroupsPreserveBitIdentity)
-{
-    // Grouping is a placement hint only: the grouped parallel run must
-    // produce the same order-sensitive checksum as the ungrouped
-    // sequential reference.
-    auto run = [](bool parallel, bool grouped) {
-        PartitionSet ps(8);
-        ps.setParallelism(3);
-        if (grouped) {
-            for (size_t i = 0; i < 8; ++i) {
-                ps.setPartitionGroup(i, static_cast<int64_t>(i / 3));
-            }
-        }
-        RingWorkload w(ps, 1_us);
-        for (size_t i = 0; i < 8; ++i) {
-            w.inject(i, 1000 + i, 10);
-        }
-        if (parallel) {
-            ps.runParallel(SimTime::ms(5));
-        } else {
-            ps.runSequential(SimTime::ms(5));
-        }
-        return w.globalChecksum();
-    };
-    const uint64_t ref = run(false, false);
-    EXPECT_EQ(ref, run(true, false));
-    EXPECT_EQ(ref, run(true, true));
-    EXPECT_EQ(ref, run(false, true));
-}
-
 TEST(PartitionSet, FusionCapsWorkersAtPartitionCount)
 {
     PartitionSet ps(3);
@@ -503,22 +429,9 @@ TEST(PartitionSet, RandomizedTopologyStressSeqParIdentical)
             burst_at_us.push_back(rng.uniformInt(0, 3000));
         }
 
-        // Half the trials also attach random fusion groups — placement
-        // hints must never perturb results, whatever the shape.
-        const bool grouped = rng.uniformInt(0, 1) == 1;
-        std::vector<int64_t> group_of(parts, 0);
-        for (size_t i = 0; i < parts; ++i) {
-            group_of[i] = grouped
-                              ? static_cast<int64_t>(rng.uniformInt(0, 2))
-                              : static_cast<int64_t>(i);
-        }
-
         auto run = [&](bool parallel, size_t threads) {
             PartitionSet ps(parts);
             ps.setParallelism(threads);
-            for (size_t i = 0; i < parts; ++i) {
-                ps.setPartitionGroup(i, group_of[i]);
-            }
             RingWorkload w(ps, hop, fanout);
             for (uint64_t at : burst_at_us) {
                 for (size_t i = 0; i < parts; ++i) {

@@ -332,6 +332,17 @@ runRecordCoupled(size_t parts, const std::vector<SimTime> &untils,
               set_a.coupledStats().msgs_recv);
     EXPECT_EQ(set_a.coupledStats().bytes_sent,
               set_b.coupledStats().bytes_recv);
+    // Exact wire bytes: one HELLO, then every MSG as its header plus
+    // the payload, then the SYNCs — a second layout or an extra header
+    // on the wire breaks this.
+    for (const PartitionSet *ps : {&set_a, &set_b}) {
+        const PartitionSet::CoupledStats &cs = ps->coupledStats();
+        EXPECT_EQ(cs.bytes_sent,
+                  sizeof(WireHello) +
+                      cs.msgs_sent * (sizeof(WireMsgHdr) +
+                                      sizeof(RecordWorkload::TokenRec)) +
+                      cs.sync_sent * sizeof(WireSync));
+    }
     // Lockstep: both sides executed the identical window sequence.
     EXPECT_EQ(set_a.quantaExecuted(), set_b.quantaExecuted());
 

@@ -174,6 +174,43 @@ TEST(ClusterSharded, PoolLedgersBitIdenticalUnderFaultPlan)
     }
 }
 
+// Worker fusion and process placement share one rule: after a parallel
+// run, every partition sits on lptAssign's worker for the set's
+// weights — on hand-set unequal weights and on the weights a sharded
+// 8-rack cluster sets for its racks and switch partition.
+TEST(ClusterSharded, FusionFollowsLptAssign)
+{
+    auto expectLptFusion = [](fame::PartitionSet &ps, const char *what) {
+        for (size_t workers : {2u, 3u, 4u}) {
+            ps.setParallelism(workers);
+            ps.runParallel(ps.partition(0).now() + 10_us);
+            ASSERT_EQ(ps.lastRunWorkers(), workers) << what;
+            const std::vector<uint32_t> lpt = fame::PartitionSet::lptAssign(
+                ps.partitionWeights(),
+                static_cast<uint32_t>(ps.lastRunWorkers()));
+            for (size_t i = 0; i < ps.size(); ++i) {
+                EXPECT_EQ(ps.workerOfPartition(i), lpt[i])
+                    << what << ": partition " << i << ", " << workers
+                    << " workers";
+            }
+        }
+    };
+
+    fame::PartitionSet weighted(6);
+    const double weights[6] = {1.0, 5.0, 2.0, 2.0, 7.0, 3.0};
+    for (size_t i = 0; i < 6; ++i) {
+        weighted.setPartitionWeight(i, weights[i]);
+    }
+    expectLptFusion(weighted, "unequal weights");
+
+    ClusterParams params = fourRackParams();
+    params.topo.num_arrays = 2; // 8 racks + the switch partition
+    fame::PartitionSet ps(Cluster::partitionsRequired(params));
+    ASSERT_EQ(ps.size(), 9u);
+    Cluster cluster(ps, params);
+    expectLptFusion(ps, "8-rack cluster");
+}
+
 TEST(ClusterSharded, IncastActuallyStressesTheFabric)
 {
     // Guard against the determinism test passing vacuously on an idle

@@ -754,8 +754,8 @@ makeIncastSetup(const Config &cfg)
 // builds the full model like any run and drives the group through
 // outer windows via the shared control block; every rank runs only the
 // partitions the deterministic LPT assignment gives it, exchanging
-// trunk packets and sync records over shared-memory rings
-// (fame::ShmRingTransport).  Results are bit-identical to the seq/par
+// trunk packets and sync records over shared-memory rings (one
+// fame::Transport per peer, from fame::groupTransport).  Results are bit-identical to the seq/par
 // engines: every child fills the same measured artifact sections as
 // any run and writes their ledger() down a pipe, and the leader adds
 // each ledger into its own before the per-run constants go in, so the
