@@ -89,13 +89,17 @@ class TrajectoryReporter : public benchmark::BenchmarkReporter {
 
     /**
      * Append this run as one object to the JSON array in @p path,
-     * creating the file if needed.  Returns false on I/O failure (the
-     * benchmark results were already printed; losing the trajectory
-     * entry is not fatal).
+     * creating the file if needed.  A run in which no benchmark ran
+     * (e.g. a filter matching nothing) writes nothing.  Returns false
+     * on I/O failure (the benchmark results were already printed;
+     * losing the trajectory entry is not fatal).
      */
     bool
     append(const std::string &path) const
     {
+        if (entries_.empty()) {
+            return true;
+        }
         std::ostringstream obj;
         obj << "  {\n";
         const char *label = std::getenv("DIABLO_BENCH_LABEL");
