@@ -518,76 +518,4 @@ LatencyStat::fingerprint() const
     return h;
 }
 
-LogHistogram::LogHistogram(double lo, double hi, int bins_per_decade)
-    : lo_(lo), hi_(hi)
-{
-    if (lo <= 0 || hi <= lo || bins_per_decade <= 0) {
-        fatal("LogHistogram: invalid bin specification");
-    }
-    log_lo_ = std::log10(lo);
-    double decades = std::log10(hi) - log_lo_;
-    size_t nbins =
-        static_cast<size_t>(std::ceil(decades * bins_per_decade)) + 1;
-    inv_bin_width_ = bins_per_decade;
-    bins_.assign(nbins, 0);
-}
-
-void
-LogHistogram::record(double x)
-{
-    ++count_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    size_t b = static_cast<size_t>((std::log10(x) - log_lo_) *
-                                   inv_bin_width_);
-    if (b >= bins_.size()) {
-        ++overflow_;
-        return;
-    }
-    ++bins_[b];
-}
-
-double
-LogHistogram::upperEdge() const
-{
-    // The configured upper bound, not the top of the (slightly wider)
-    // bin grid: overflow percentiles saturate at the range the caller
-    // declared, which is what the header's contract promises.
-    return hi_;
-}
-
-double
-LogHistogram::percentile(double p) const
-{
-    // Contract (see header): rank = clamp(ceil(p/100 * count), 1,
-    // count) over all samples including underflow_/overflow_; ranks in
-    // the underflow mass clamp to lo_, ranks in the overflow mass to
-    // the upper bin edge.  The old computation truncated the rank
-    // (p=0 always hit lo_ even with no underflow) and used a >= test
-    // that returned one rank early.
-    if (count_ == 0) {
-        return 0.0;
-    }
-    const double clamped = std::clamp(p, 0.0, 100.0);
-    uint64_t rank = static_cast<uint64_t>(
-        std::ceil(clamped / 100.0 * static_cast<double>(count_)));
-    rank = std::clamp<uint64_t>(rank, 1, count_);
-
-    uint64_t acc = underflow_;
-    if (rank <= acc) {
-        return lo_; // lower bin-edge clamp
-    }
-    for (size_t b = 0; b < bins_.size(); ++b) {
-        acc += bins_[b];
-        if (rank <= acc) {
-            double e = log_lo_ + (static_cast<double>(b) + 0.5) /
-                                     inv_bin_width_;
-            return std::pow(10.0, e);
-        }
-    }
-    return upperEdge(); // overflow mass: upper bin-edge clamp
-}
-
 } // namespace diablo

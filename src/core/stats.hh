@@ -273,46 +273,6 @@ class LatencyStat : public SampleSet {
     QuantileSketch sketch_;
 };
 
-/**
- * Fixed-memory histogram over logarithmic bins; used where sample counts
- * are too large to retain (engine microbenchmarks).
- */
-class LogHistogram {
-  public:
-    /** Bins span [lo, hi) with @p bins_per_decade log10 subdivisions. */
-    LogHistogram(double lo, double hi, int bins_per_decade);
-
-    void record(double x);
-
-    uint64_t count() const { return count_; }
-    uint64_t underflowCount() const { return underflow_; }
-    uint64_t overflowCount() const { return overflow_; }
-
-    /**
-     * Rank-based percentile over *every* recorded sample, including the
-     * underflow/overflow tallies.  Contract: with r = clamp(ceil(p/100
-     * * count), 1, count), ranks that land in the underflow mass clamp
-     * to the lower edge `lo`, ranks inside a bin return the bin's
-     * log-midpoint, and ranks in the overflow mass clamp to the
-     * histogram's upper edge — out-of-range samples shift interior
-     * percentiles correctly and the tails saturate at the edges instead
-     * of being silently dropped from the rank calculation.
-     */
-    double percentile(double p) const;
-
-  private:
-    double upperEdge() const;
-
-    double lo_;
-    double hi_;
-    double log_lo_;
-    double inv_bin_width_;
-    std::vector<uint64_t> bins_;
-    uint64_t count_ = 0;
-    uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
-};
-
 } // namespace diablo
 
 #endif // DIABLO_CORE_STATS_HH_

@@ -175,54 +175,6 @@ TEST(SampleSet, SelfMergeDoublesSamples)
     EXPECT_DOUBLE_EQ(a.percentile(100), 3.0);
 }
 
-TEST(LogHistogram, PercentileApproximation)
-{
-    LogHistogram h(1.0, 1e6, 8);
-    // 1000 samples at 100, 10 at 10000.
-    for (int i = 0; i < 1000; ++i) {
-        h.record(100.0);
-    }
-    for (int i = 0; i < 10; ++i) {
-        h.record(10000.0);
-    }
-    EXPECT_EQ(h.count(), 1010u);
-    double p50 = h.percentile(50);
-    EXPECT_GT(p50, 50.0);
-    EXPECT_LT(p50, 200.0);
-    double p999 = h.percentile(99.95);
-    EXPECT_GT(p999, 5000.0);
-    EXPECT_LT(p999, 20000.0);
-}
-
-TEST(LogHistogram, UnderflowOverflowRankContract)
-{
-    LogHistogram h(10.0, 1000.0, 4);
-    // 5 underflow, 10 in range at ~100, 5 overflow.
-    for (int i = 0; i < 5; ++i) {
-        h.record(1.0);
-    }
-    for (int i = 0; i < 10; ++i) {
-        h.record(100.0);
-    }
-    for (int i = 0; i < 5; ++i) {
-        h.record(1e6);
-    }
-    EXPECT_EQ(h.count(), 20u);
-    EXPECT_EQ(h.underflowCount(), 5u);
-    EXPECT_EQ(h.overflowCount(), 5u);
-
-    // Ranks 1..5 are underflow: clamp to the lower edge.
-    EXPECT_DOUBLE_EQ(h.percentile(0), 10.0);
-    EXPECT_DOUBLE_EQ(h.percentile(25), 10.0);
-    // Ranks 6..15 land in the ~100 bin (log-midpoint, so approximate).
-    double p50 = h.percentile(50);
-    EXPECT_GT(p50, 50.0);
-    EXPECT_LT(p50, 200.0);
-    // Ranks 16..20 are overflow: clamp to the histogram's upper edge.
-    EXPECT_DOUBLE_EQ(h.percentile(99), 1000.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100), 1000.0);
-}
-
 TEST(QuantileSketch, PercentileWithinRelativeError)
 {
     QuantileSketch s;
