@@ -25,6 +25,7 @@
 
 #include "apps/incast.hh"
 #include "bench/bench_json.hh"
+#include "core/cpu_topology.hh"
 #include "sim/cluster.hh"
 
 using namespace diablo;
@@ -106,7 +107,7 @@ BM_ClusterIncastSharded(benchmark::State &state)
     const bool parallel = state.range(0) != 0;
     const auto racks = static_cast<uint32_t>(state.range(1));
     const auto spr = static_cast<uint32_t>(state.range(2));
-    // Worker cap for the fused parallel engine; 0 = hardware default.
+    // Worker cap for the fused parallel engine; 0 = one per allowed CPU.
     // threads=1 is the degenerate-fusion case that must stay within
     // striking distance of the sequential reference even on a 1-core
     // runner (guarded in CI by tools/bench_guard.py).
@@ -139,6 +140,10 @@ BM_ClusterIncastSharded(benchmark::State &state)
         benchmark::Counter(static_cast<double>(quanta));
     state.counters["workers"] =
         benchmark::Counter(static_cast<double>(workers));
+    // The cores this run may use, for bench_guard's multicore scoring
+    // (google-benchmark's num_cpus ignores the affinity mask).
+    state.counters["cores"] = benchmark::Counter(
+        static_cast<double>(allowedCpus().size()));
     state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 // Real time is the comparable axis (the parallel engine spends its

@@ -30,13 +30,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_json.hh"
+#include "core/cpu_topology.hh"
 #include "fame/partition.hh"
 
 using namespace diablo;
@@ -44,27 +43,10 @@ using namespace diablo::time_literals;
 
 namespace {
 
-/** Worker count a run would fuse to (mirrors PartitionSet's rule). */
-size_t
-ps_workers(size_t parts, size_t threads)
-{
-    if (threads == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        threads = hw != 0 ? hw : 1;
-    }
-    return std::min(parts, threads);
-}
-
-size_t
-host_cores()
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
-}
-
 /**
- * Stamp every entry with the host core count and whether this row ran
- * more workers than cores.  Trajectory comparisons (bench_guard, and
+ * Stamp every entry with the cores the benchmark may use (its affinity
+ * mask, so a taskset'd run reports what it got) and whether this row
+ * ran more workers than cores.  Trajectory comparisons (bench_guard, and
  * anyone eyeballing BENCH_fame.json) must not mix a threads:2 row from
  * a 1-core runner — where both workers timeshare one core and the
  * barrier parks immediately — with the same row from a real 2-core
@@ -73,7 +55,7 @@ host_cores()
 void
 annotate_multicore(benchmark::State &state, size_t workers)
 {
-    const size_t cores = host_cores();
+    const size_t cores = allowedCpus().size();
     state.counters["workers"] =
         benchmark::Counter(static_cast<double>(workers));
     state.counters["cores"] =
@@ -88,6 +70,7 @@ BM_FameBarrierRoundTrip(benchmark::State &state)
     const auto parts = static_cast<size_t>(state.range(0));
     const auto threads = static_cast<size_t>(state.range(1));
     uint64_t quanta = 0;
+    size_t workers = 0;
     // 1 ms quantum over a 1 s horizon = 1000 barriers per run; no
     // channels and no events, so each quantum is pure synchronization.
     for (auto _ : state) {
@@ -101,8 +84,9 @@ BM_FameBarrierRoundTrip(benchmark::State &state)
         state.ResumeTiming();
         ps.runParallel(SimTime::sec(1));
         quanta += ps.lastRunQuanta();
+        workers = ps.lastRunWorkers();
     }
-    annotate_multicore(state, ps_workers(parts, threads));
+    annotate_multicore(state, workers);
     state.SetItemsProcessed(static_cast<int64_t>(quanta));
 }
 
@@ -161,6 +145,7 @@ BM_FameFusedThroughput(benchmark::State &state)
     const auto threads = static_cast<size_t>(state.range(0));
     constexpr size_t kParts = 8;
     uint64_t events = 0;
+    size_t workers = 0;
     for (auto _ : state) {
         state.PauseTiming();
         fame::PartitionSet ps(kParts);
@@ -170,8 +155,9 @@ BM_FameFusedThroughput(benchmark::State &state)
         ps.runParallel(SimTime::ms(20));
         benchmark::DoNotOptimize(ring.sum);
         events += ps.lastRunTotalExecutedEvents();
+        workers = ps.lastRunWorkers();
     }
-    annotate_multicore(state, ps_workers(kParts, threads));
+    annotate_multicore(state, workers);
     state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 
@@ -183,6 +169,7 @@ BM_FameSkipRate(benchmark::State &state)
     uint64_t events = 0;
     uint64_t quanta = 0;
     uint64_t grid_windows = 0;
+    size_t workers = 0;
     for (auto _ : state) {
         state.PauseTiming();
         fame::PartitionSet ps(kParts);
@@ -207,13 +194,14 @@ BM_FameSkipRate(benchmark::State &state)
         quanta += ps.lastRunQuanta();
         grid_windows +=
             static_cast<uint64_t>(horizon.toPs() / ps.quantum().toPs());
+        workers = ps.lastRunWorkers();
     }
     state.counters["skip_pct"] = benchmark::Counter(
         grid_windows != 0
             ? 100.0 * static_cast<double>(grid_windows - quanta) /
                   static_cast<double>(grid_windows)
             : 0.0);
-    annotate_multicore(state, ps_workers(kParts, threads));
+    annotate_multicore(state, workers);
     state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 

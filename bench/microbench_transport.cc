@@ -36,6 +36,7 @@
 
 #include "apps/incast.hh"
 #include "bench/bench_json.hh"
+#include "core/cpu_topology.hh"
 #include "fame/partition.hh"
 #include "fame/transport.hh"
 #include "sim/cluster.hh"
@@ -45,18 +46,11 @@ using namespace diablo::time_literals;
 
 namespace {
 
-size_t
-host_cores()
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
-}
-
 /** Stamp a row with the worker/core shape (see microbench_fame.cc). */
 void
 annotate_multicore(benchmark::State &state, size_t workers)
 {
-    const size_t cores = host_cores();
+    const size_t cores = allowedCpus().size();
     state.counters["workers"] =
         benchmark::Counter(static_cast<double>(workers));
     state.counters["cores"] =

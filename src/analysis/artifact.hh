@@ -77,9 +77,9 @@ struct RunArtifact {
     uint64_t threads_requested = 0;
     uint64_t partitions = 1;
     uint64_t workers = 1;
-    /** Online CPUs the engine saw (0 = not recorded). */
+    /** CPUs the process may use, per its affinity mask (0 = not recorded). */
     uint64_t cores = 0;
-    /** True when the run fused more workers than the host has CPUs. */
+    /** True when the run fused more workers than it had CPUs. */
     bool oversubscribed = false;
     /**
      * Worker -> cpu pinning map of the last parallel run (-1 =

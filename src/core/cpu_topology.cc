@@ -1,250 +1,36 @@
 #include "core/cpu_topology.hh"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <thread>
 
 #ifdef __linux__
-#include <dirent.h>
 #include <sched.h>
 #endif
 
 namespace diablo {
 
-namespace {
-
-bool readFileString(const std::string &path, std::string *out) {
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return false;
-    char buf[4096];
-    size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-    std::fclose(f);
-    buf[n] = '\0';
-    out->assign(buf, n);
-    while (!out->empty() &&
-           (out->back() == '\n' || out->back() == '\r' || out->back() == ' '))
-        out->pop_back();
-    return true;
-}
-
-/** ids present as <prefix><N> directories under `dir`, ascending. */
-std::vector<int> listNumberedDirs(const std::string &dir,
-                                  const char *prefix) {
-    std::vector<int> ids;
+std::vector<int> allowedCpus() {
+    std::vector<int> cpus;
 #ifdef __linux__
-    DIR *d = opendir(dir.c_str());
-    if (!d)
-        return ids;
-    const size_t plen = std::strlen(prefix);
-    while (struct dirent *e = readdir(d)) {
-        const char *name = e->d_name;
-        if (std::strncmp(name, prefix, plen) != 0)
-            continue;
-        const char *p = name + plen;
-        if (*p == '\0')
-            continue;
-        bool digits = true;
-        for (const char *q = p; *q; ++q)
-            digits = digits && std::isdigit((unsigned char)*q);
-        if (digits)
-            ids.push_back(std::atoi(p));
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        for (int c = 0; c < CPU_SETSIZE; ++c)
+            if (CPU_ISSET(c, &set))
+                cpus.push_back(c);
     }
-    closedir(d);
-    std::sort(ids.begin(), ids.end());
-#else
-    (void)dir;
-    (void)prefix;
 #endif
-    return ids;
-}
-
-std::vector<int> listCpuDirs(const std::string &cpu_dir) {
-    return listNumberedDirs(cpu_dir, "cpu");
-}
-
-/**
- * Canonical key of the cpu's last-level cache: the shared_cpu_list of
- * the highest-level Unified (or Data, if no Unified) cache index.
- * Empty when the cache directory is absent.
- */
-std::string llcKeyOf(const std::string &cpu_path) {
-    std::string best_key;
-    int best_level = -1;
-    for (int index = 0; index < 16; ++index) {
-        std::string base =
-            cpu_path + "/cache/index" + std::to_string(index);
-        std::string level_s, type_s, shared_s;
-        if (!readFileString(base + "/level", &level_s))
-            continue;
-        if (!readFileString(base + "/shared_cpu_list", &shared_s))
-            continue;
-        readFileString(base + "/type", &type_s);
-        if (type_s == "Instruction")
-            continue;
-        int level = std::atoi(level_s.c_str());
-        if (level > best_level) {
-            best_level = level;
-            best_key = shared_s;
-        }
+    if (cpus.empty()) {
+        const unsigned n = std::thread::hardware_concurrency();
+        for (unsigned c = 0; c < (n ? n : 1); ++c)
+            cpus.push_back((int)c);
     }
-    return best_key;
-}
-
-unsigned fallbackHardwareCpus() {
-    unsigned n = std::thread::hardware_concurrency();
-    return n ? n : 1;
-}
-
-} // namespace
-
-size_t CpuTopology::llcGroupCount() const {
-    int max_group = -1;
-    for (int g : llc_of)
-        max_group = std::max(max_group, g);
-    return (size_t)(max_group + 1);
-}
-
-int CpuTopology::llcGroupOf(int cpu) const {
-    for (size_t i = 0; i < cpus.size(); ++i)
-        if (cpus[i] == cpu)
-            return llc_of[i];
-    return -1;
-}
-
-size_t CpuTopology::numaNodeCount() const {
-    if (numa_of.empty())
-        return cpus.empty() ? 0 : 1; // omitted numa_of: single node
-    int max_node = -1;
-    for (int n : numa_of)
-        max_node = std::max(max_node, n);
-    return (size_t)(max_node + 1);
-}
-
-int CpuTopology::numaNodeOf(int cpu) const {
-    for (size_t i = 0; i < cpus.size(); ++i)
-        if (cpus[i] == cpu)
-            // Hand-built topologies (tests, tools) may omit numa_of;
-            // absent means single-node.
-            return i < numa_of.size() ? numa_of[i] : 0;
-    return -1;
-}
-
-CpuTopology CpuTopology::flat(unsigned n) {
-    CpuTopology t;
-    if (n == 0)
-        n = 1;
-    t.cpus.reserve(n);
-    t.llc_of.assign(n, 0);
-    t.numa_of.assign(n, 0);
-    for (unsigned i = 0; i < n; ++i)
-        t.cpus.push_back((int)i);
-    t.from_sysfs = false;
-    return t;
-}
-
-CpuTopology CpuTopology::detectFrom(const std::string &cpu_dir,
-                                    unsigned fallback_cpus) {
-    return detectFrom(cpu_dir, fallback_cpus, std::string());
-}
-
-CpuTopology CpuTopology::detectFrom(const std::string &cpu_dir,
-                                    unsigned fallback_cpus,
-                                    const std::string &node_dir) {
-    std::vector<int> ids = listCpuDirs(cpu_dir);
-    if (ids.empty())
-        return flat(fallback_cpus);
-
-    // sysfs node<N>/cpulist, read up front: cpu id -> node id.  An
-    // unreadable (or absent) node tree leaves the map empty and every
-    // cpu lands on one node, matching single-socket hosts.
-    std::map<int, int> node_of_cpu;
-    if (!node_dir.empty()) {
-        for (int node : listNumberedDirs(node_dir, "node")) {
-            std::string list;
-            if (!readFileString(node_dir + "/node" + std::to_string(node) +
-                                    "/cpulist",
-                                &list))
-                continue;
-            for (int cpu : parseCpuList(list))
-                node_of_cpu.emplace(cpu, node);
-        }
-    }
-
-    CpuTopology t;
-    t.from_sysfs = true;
-    std::map<std::string, int> group_of_key;
-    std::map<int, int> numa_group_of_node; // dense, first appearance
-    for (int id : ids) {
-        std::string cpu_path = cpu_dir + "/cpu" + std::to_string(id);
-        // Respect hotplug state; cpu0 typically has no online file.
-        std::string online;
-        if (readFileString(cpu_path + "/online", &online) && online == "0")
-            continue;
-        std::string key = llcKeyOf(cpu_path);
-        if (key.empty())
-            key = "all"; // no cache info: one shared group
-        auto [it, fresh] =
-            group_of_key.emplace(key, (int)group_of_key.size());
-        t.cpus.push_back(id);
-        t.llc_of.push_back(it->second);
-        (void)fresh;
-        auto node_it = node_of_cpu.find(id);
-        const int raw_node =
-            node_it != node_of_cpu.end() ? node_it->second : 0;
-        auto [nit, nfresh] = numa_group_of_node.emplace(
-            raw_node, (int)numa_group_of_node.size());
-        t.numa_of.push_back(nit->second);
-        (void)nfresh;
-    }
-    if (t.cpus.empty())
-        return flat(fallback_cpus);
-    return t;
-}
-
-const CpuTopology &CpuTopology::host() {
-    static const CpuTopology cached =
-        detectFrom("/sys/devices/system/cpu", fallbackHardwareCpus(),
-                   "/sys/devices/system/node");
-    return cached;
-}
-
-std::vector<int> parseCpuList(const std::string &text) {
-    std::vector<int> out;
-    const char *p = text.c_str();
-    while (*p) {
-        char *end = nullptr;
-        long lo = std::strtol(p, &end, 10);
-        if (end == p || lo < 0)
-            return {};
-        long hi = lo;
-        p = end;
-        if (*p == '-') {
-            ++p;
-            hi = std::strtol(p, &end, 10);
-            if (end == p || hi < lo)
-                return {};
-            p = end;
-        }
-        for (long c = lo; c <= hi; ++c)
-            out.push_back((int)c);
-        if (*p == ',')
-            ++p;
-        else if (*p != '\0')
-            return {};
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
+    return cpus;
 }
 
 bool pinCurrentThreadToCpu(int cpu) {
 #ifdef __linux__
-    if (cpu < 0)
+    if (cpu < 0 || cpu >= CPU_SETSIZE)
         return false;
     cpu_set_t set;
     CPU_ZERO(&set);

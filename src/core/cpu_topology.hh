@@ -3,95 +3,28 @@
 
 /**
  * @file
- * CPU cache topology detection and thread pinning.
+ * The CPUs a thread may run on, and thread pinning.
  *
- * The parallel FAME engine wants to know two things about the host:
- * how many CPUs it may actually run on (so it can stop spinning when
- * oversubscribed), and which CPUs share a last-level cache (so fused
- * partition groups that exchange channel traffic can be placed on LLC
- * siblings and their quantum-boundary message drain stays on-package).
- *
- * Detection reads /sys/devices/system/cpu.  Hosts without sysfs (or
- * non-Linux builds) fall back to a deterministic flat topology derived
- * from std::thread::hardware_concurrency(): N CPUs, one LLC group.
- * detectFrom() takes the sysfs root as a parameter so tests can point
- * it at a fixture directory describing any machine shape.
+ * The parallel FAME engine asks the host one question: which CPUs may
+ * this run use?  The answer is the calling thread's affinity mask, so
+ * `taskset`, `numactl` and cpusets confine the engine the way the
+ * operator asked.  The mask sets the default worker count, decides
+ * whether a run is oversubscribed (more workers than CPUs, where the
+ * barrier must park instead of spinning), and lists the CPUs automatic
+ * placement pins workers to.
  */
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace diablo {
 
-struct CpuTopology {
-    /** Online CPU ids, ascending. */
-    std::vector<int> cpus;
-
-    /**
-     * Last-level-cache group per entry of cpus (parallel array).
-     * Group ids are dense, assigned in order of first appearance, so
-     * two topologies describing the same machine compare equal.
-     */
-    std::vector<int> llc_of;
-
-    /**
-     * NUMA node group per entry of cpus (parallel array, dense ids in
-     * first-appearance order like llc_of).  Detected from the sysfs
-     * node directory (node<N>/cpulist); a host without one — or the
-     * flat fallback — reports a single node.  An LLC group never spans
-     * nodes on real hardware, so node distance is the coarser tier of
-     * the worker placement score.
-     */
-    std::vector<int> numa_of;
-
-    /** True when the shape came from sysfs, false for the fallback. */
-    bool from_sysfs = false;
-
-    size_t cpuCount() const { return cpus.size(); }
-
-    /** Number of distinct LLC groups (>= 1 unless no CPUs). */
-    size_t llcGroupCount() const;
-
-    /** LLC group of a cpu id, or -1 if the id is not in cpus. */
-    int llcGroupOf(int cpu) const;
-
-    /** Number of distinct NUMA nodes (>= 1 unless no CPUs). */
-    size_t numaNodeCount() const;
-
-    /** NUMA node group of a cpu id, or -1 if the id is not in cpus. */
-    int numaNodeOf(int cpu) const;
-
-    /**
-     * Detect the host topology: sysfs when available, else the flat
-     * fallback.  The result is cached after the first call.
-     */
-    static const CpuTopology &host();
-
-    /**
-     * Parse a topology from a sysfs-style tree rooted at `cpu_dir`
-     * (the directory containing cpu0/, cpu1/, ...).  Returns the flat
-     * fallback with `fallback_cpus` CPUs when the tree is unreadable.
-     * NUMA shape comes from `node_dir` (the directory containing
-     * node0/cpulist, node1/cpulist, ...; /sys/devices/system/node on a
-     * real host); the two-argument overload — and any unreadable node
-     * tree — yields a single node.
-     */
-    static CpuTopology detectFrom(const std::string &cpu_dir,
-                                  unsigned fallback_cpus);
-    static CpuTopology detectFrom(const std::string &cpu_dir,
-                                  unsigned fallback_cpus,
-                                  const std::string &node_dir);
-
-    /** Flat fallback: CPUs 0..n-1, all in one LLC group. */
-    static CpuTopology flat(unsigned n);
-};
-
 /**
- * Parse a sysfs cpu list ("0-3,8,10-11") into ascending cpu ids.
- * Malformed input yields an empty vector.
+ * CPU ids in the calling thread's affinity mask, ascending.  Never
+ * empty: where the mask cannot be read (or on non-Linux builds) it is
+ * CPUs 0..hardware_concurrency()-1.
  */
-std::vector<int> parseCpuList(const std::string &text);
+std::vector<int> allowedCpus();
 
 /**
  * Pin the calling thread to one CPU.  Returns false (and leaves the

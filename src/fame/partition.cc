@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/cpu_topology.hh"
 #include "core/interrupt.hh"
 #include "core/log.hh"
 
@@ -79,7 +80,7 @@ PartitionSet::growLaneDirty(WorkerLane &lane)
     lane.dirty_cap = cap;
 }
 
-PartitionSet::PartitionSet(size_t n) : topo_(CpuTopology::host())
+PartitionSet::PartitionSet(size_t n)
 {
     if (n == 0) {
         fatal("PartitionSet: need at least one partition");
@@ -88,7 +89,6 @@ PartitionSet::PartitionSet(size_t n) : topo_(CpuTopology::host())
     for (size_t i = 0; i < n; ++i) {
         parts_.push_back(std::make_unique<Simulator>());
     }
-    last_run_executed_.assign(n, 0);
     weights_.assign(n, 1.0);
     // A valid 1-worker fusion exists from birth, so Channel::post finds
     // a dirty lane even before the first run sets up its own fusion.
@@ -163,8 +163,7 @@ void
 PartitionSet::setQuantum(SimTime q)
 {
     if (q <= SimTime()) {
-        fatal("PartitionSet: quantum must be strictly positive (got %s); "
-              "use clearQuantum() to drop an override",
+        fatal("PartitionSet: quantum must be strictly positive (got %s)",
               q.str().c_str());
     }
     quantum_override_ = q;
@@ -243,32 +242,25 @@ void
 PartitionSet::setWorkerCpus(std::vector<int> cpus)
 {
     const std::lock_guard<std::mutex> lk = lockIdle("setWorkerCpus");
+    // Ask the kernel, not the caller's mask: a caller pinned to one CPU
+    // may still hand its workers the other CPUs of its cpuset.
+    const SavedAffinity home = saveCurrentThreadAffinity();
     for (int c : cpus) {
-        if (topo_.llcGroupOf(c) < 0) {
-            fatal("PartitionSet: setWorkerCpus: cpu %d is not an online "
-                  "CPU of this host's topology (%zu CPUs)",
-                  c, topo_.cpuCount());
+        if (!pinCurrentThreadToCpu(c)) {
+            fatal("PartitionSet: setWorkerCpus: the kernel refuses to pin "
+                  "a thread to cpu %d",
+                  c);
         }
     }
+    restoreCurrentThreadAffinity(home);
     pin_cpus_ = std::move(cpus);
     pin_mode_ = PinMode::Explicit;
-}
-
-void
-PartitionSet::setCpuTopology(CpuTopology topo)
-{
-    const std::lock_guard<std::mutex> lk = lockIdle("setCpuTopology");
-    topo_ = std::move(topo);
 }
 
 size_t
 PartitionSet::parallelism() const
 {
-    if (threads_ != 0) {
-        return threads_;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
+    return threads_ != 0 ? threads_ : allowedCpus().size();
 }
 
 void
@@ -293,98 +285,40 @@ PartitionSet::assignPartitions(size_t workers)
     for (auto &wp : worker_parts_) {
         wp.clear();
     }
-    std::vector<double> load(workers, 0.0);
     for (size_t p = 0; p < parts_.size(); ++p) {
         worker_parts_[worker_of_[p]].push_back(p);
-        load[worker_of_[p]] += weights_[p];
     }
     ensureLanes(workers);
     lane_active_ = workers;
     for (size_t w = 0; w < workers; ++w) {
         lanes_[w].published_min = SimTime::max();
     }
-    placeWorkers(workers, load);
+    placeWorkers(workers);
 }
 
 void
-PartitionSet::placeWorkers(size_t workers, const std::vector<double> &load)
+PartitionSet::placeWorkers(size_t workers)
 {
+    // The run's CPU set is the explicit list, else the calling thread's
+    // affinity mask; worker w takes its w-th CPU.  A solo run has no
+    // barrier to spin on, so it needs no mask.
     worker_cpu_.assign(workers, -1);
+    size_t cpus = workers;
     if (pin_mode_ == PinMode::Explicit) {
-        for (size_t w = 0; w < workers && w < pin_cpus_.size(); ++w) {
-            worker_cpu_[w] = pin_cpus_[w];
-        }
-    } else if (pin_mode_ == PinMode::Auto) {
-        // Pin only when every worker can own a CPU: an oversubscribed
-        // run gains nothing from affinity (the barrier already parks
-        // immediately), and a solo run should not perturb the caller's
-        // mask for a degenerate fusion.
-        if (workers < 2 || workers > topo_.cpuCount()) {
-            for (size_t w = 0; w < workers; ++w) {
-                lanes_[w].cpu = -1;
-            }
-            return;
-        }
-        // Worker-to-worker affinity = number of channels crossing the
-        // pair.  Heaviest worker first, each taking the free CPU with
-        // the most affinity into LLC groups of already-placed partners
-        // (ties: lowest cpu id) — so fused sets that exchange messages
-        // land on LLC siblings and the serial drain stays on-package.
-        // Affinity into the same NUMA node but a different LLC scores
-        // half the same-LLC tier: on a multi-socket host, when no
-        // LLC-sibling CPU is free, a worker still lands on its
-        // partners' node rather than paying a cross-socket drain.
-        std::vector<uint32_t> aff(workers * workers, 0);
-        for (const auto &ch : channels_) {
-            const uint32_t a = worker_of_[ch->src_];
-            const uint32_t b = worker_of_[ch->dst_];
-            if (a != b) {
-                ++aff[a * workers + b];
-                ++aff[b * workers + a];
-            }
-        }
-        std::vector<size_t> order(workers);
-        for (size_t w = 0; w < workers; ++w) {
-            order[w] = w;
-        }
-        std::stable_sort(order.begin(), order.end(),
-                         [&load](size_t a, size_t b) {
-                             return load[a] > load[b];
-                         });
-        std::vector<char> taken(topo_.cpuCount(), 0);
-        for (size_t w : order) {
-            size_t best = SIZE_MAX;
-            uint64_t best_score = 0;
-            for (size_t c = 0; c < topo_.cpuCount(); ++c) {
-                if (taken[c]) {
-                    continue;
-                }
-                uint64_t score = 0;
-                const int c_numa = c < topo_.numa_of.size()
-                                       ? topo_.numa_of[c]
-                                       : 0;
-                for (size_t v = 0; v < workers; ++v) {
-                    if (v == w || worker_cpu_[v] < 0) {
-                        continue;
-                    }
-                    if (topo_.llcGroupOf(worker_cpu_[v]) == topo_.llc_of[c]) {
-                        score += 2 * aff[w * workers + v];
-                    } else if (topo_.numaNodeOf(worker_cpu_[v]) == c_numa) {
-                        score += aff[w * workers + v];
-                    }
-                }
-                if (best == SIZE_MAX || score > best_score) {
-                    best = c;
-                    best_score = score;
-                }
-            }
-            if (best == SIZE_MAX) {
-                continue; // unreachable: workers <= cpuCount above
-            }
-            taken[best] = 1;
-            worker_cpu_[w] = topo_.cpus[best];
+        std::copy_n(pin_cpus_.begin(), std::min(workers, pin_cpus_.size()),
+                    worker_cpu_.begin());
+        std::vector<int> distinct = pin_cpus_;
+        std::sort(distinct.begin(), distinct.end());
+        cpus = std::unique(distinct.begin(), distinct.end()) -
+               distinct.begin();
+    } else if (workers > 1) {
+        const std::vector<int> allowed = allowedCpus();
+        cpus = allowed.size();
+        if (pin_mode_ == PinMode::Auto && workers <= cpus) {
+            std::copy_n(allowed.begin(), workers, worker_cpu_.begin());
         }
     }
+    last_oversubscribed_ = workers > 1 && workers > cpus;
     for (size_t w = 0; w < workers; ++w) {
         lanes_[w].cpu = worker_cpu_[w];
     }
@@ -518,45 +452,6 @@ PartitionSet::windowForEarliest(SimTime earliest, SimTime t, SimTime q,
 }
 
 void
-PartitionSet::beginRunStats()
-{
-    run_start_quanta_ = quanta_;
-    for (size_t i = 0; i < parts_.size(); ++i) {
-        last_run_executed_[i] = parts_[i]->executedEvents();
-    }
-}
-
-void
-PartitionSet::endRunStats()
-{
-    last_run_quanta_ = quanta_ - run_start_quanta_;
-    for (size_t i = 0; i < parts_.size(); ++i) {
-        last_run_executed_[i] =
-            parts_[i]->executedEvents() - last_run_executed_[i];
-    }
-}
-
-uint64_t
-PartitionSet::lastRunTotalExecutedEvents() const
-{
-    uint64_t n = 0;
-    for (uint64_t e : last_run_executed_) {
-        n += e;
-    }
-    return n;
-}
-
-void
-PartitionSet::resetStats()
-{
-    quanta_ = 0;
-    run_start_quanta_ = 0;
-    last_run_quanta_ = 0;
-    std::fill(last_run_executed_.begin(), last_run_executed_.end(),
-              uint64_t{0});
-}
-
-void
 PartitionSet::rebuildCalendars()
 {
     // Run entry: events may have been scheduled into (or cancelled
@@ -665,8 +560,9 @@ PartitionSet::ensureWorkerPool(size_t pool_threads)
 void
 PartitionSet::workerLoop(size_t worker_id)
 {
-    // The thread's inherited mask is home base: runs whose placement
-    // pins this worker narrow it, runs that don't restore it.
+    // The thread's inherited mask — the caller's, unpinned (see
+    // runWindows) — is home base: runs whose placement pins this
+    // worker narrow it, runs that don't restore it.
     const SavedAffinity home = saveCurrentThreadAffinity();
     bool pinned = false;
     uint64_t seen_generation = 0;
@@ -688,7 +584,7 @@ PartitionSet::workerLoop(size_t worker_id)
             // workers_running_ and never touch the barrier.
             participate = worker_id < par_workers_;
             if (participate) {
-                cpu = worker_cpu_[worker_id];
+                cpu = lanes_[worker_id].cpu;
             }
         }
         if (!participate) {
@@ -728,9 +624,9 @@ PartitionSet::runWindows(SimTime until, size_t workers, const char *entry)
     }
     assignPartitions(workers);
     rebuildCalendars();
-    beginRunStats();
+    const uint64_t start_quanta = quanta_;
+    const uint64_t start_events = totalExecutedEvents();
     par_workers_ = workers;
-    last_oversubscribed_ = workers > topo_.cpuCount();
     par_q_ = q;
     par_until_ = until;
     run_ok_ = true;
@@ -756,16 +652,6 @@ PartitionSet::runWindows(SimTime until, size_t workers, const char *entry)
     par_done_ = par_t_ >= until;
 
     if (!par_done_) {
-        // The caller doubles as worker 0: borrow its affinity for the
-        // run when the placement pinned worker 0, and hand it back on
-        // exit regardless of how the run went.
-        const int cpu0 = worker_cpu_.empty() ? -1 : worker_cpu_[0];
-        SavedAffinity home;
-        bool pinned0 = false;
-        if (cpu0 >= 0) {
-            home = saveCurrentThreadAffinity();
-            pinned0 = pinCurrentThreadToCpu(cpu0);
-        }
         if (workers > 1) {
             barrier_.init(static_cast<uint32_t>(workers));
             // Spinning only pays when every worker owns a core; on an
@@ -781,14 +667,24 @@ PartitionSet::runWindows(SimTime until, size_t workers, const char *entry)
             }
             pool_work_cv_.notify_all();
             // Spawn missing pool threads only after the generation and
-            // running count are published: a new thread starts with
-            // seen_generation 0 and participates immediately.
+            // running count are published (a new thread starts with
+            // seen_generation 0 and participates immediately), and
+            // before worker 0 pins, so each inherits the caller's mask.
             ensureWorkerPool(workers - 1);
-            workerBody(0); // the calling thread is worker 0
+        }
+        // The caller doubles as worker 0: borrow its affinity for the
+        // run when the placement pinned worker 0, and hand it back on
+        // exit regardless of how the run went.
+        SavedAffinity home;
+        bool pinned0 = false;
+        if (lanes_[0].cpu >= 0) {
+            home = saveCurrentThreadAffinity();
+            pinned0 = pinCurrentThreadToCpu(lanes_[0].cpu);
+        }
+        workerBody(0);
+        if (workers > 1) {
             std::unique_lock<std::mutex> lk(pool_mu_);
             pool_idle_cv_.wait(lk, [&] { return workers_running_ == 0; });
-        } else {
-            workerBody(0); // fused to one worker: no pool, no barrier
         }
         if (pinned0) {
             restoreCurrentThreadAffinity(home);
@@ -798,7 +694,8 @@ PartitionSet::runWindows(SimTime until, size_t workers, const char *entry)
         std::lock_guard<std::mutex> lk(pool_mu_);
         run_active_ = false;
     }
-    endRunStats();
+    last_run_quanta_ = quanta_ - start_quanta;
+    last_run_events_ = totalExecutedEvents() - start_events;
     return run_ok_;
 }
 

@@ -53,16 +53,15 @@
  *     cacheline per tree node instead of all contending one atomic,
  *     waiters spin with bounded backoff (quanta are ~µs; a futex
  *     round trip costs more than most quanta) and park only after
- *     the budget — which drops to zero when workers outnumber online
- *     CPUs, because spinning on a timeshared core just burns the
+ *     the budget — which drops to zero when workers outnumber the
+ *     run's CPUs, because spinning on a timeshared core just burns the
  *     scheduler quantum the other worker needs.
- *  3. **Cache-topology-aware worker placement.**  Fusion derives a
- *     worker-to-worker affinity from the channels crossing them and
- *     pins workers so that heavily-communicating workers share a
- *     last-level cache (CpuTopology; sysfs-detected, deterministic
- *     fallback), keeping quantum-boundary message drains on-package.
- *     setWorkerCpus() overrides the map; setWorkerPinning(false)
- *     disables it.
+ *  3. **Workers on the CPUs the caller may use.**  A run's CPU set is
+ *     the calling thread's affinity mask (allowedCpus(), so taskset,
+ *     numactl and cpusets confine the engine), or an explicit
+ *     setWorkerCpus() list.  Worker w is pinned to the w-th CPU of the
+ *     set; a run with more workers than CPUs is oversubscribed and
+ *     stays unpinned.  setWorkerPinning(false) disables pinning.
  *  4. **Per-worker lanes and arenas.**  All hot per-worker engine
  *     state — published minima, the next-event calendar, the dirty
  *     channel list — lives in one cacheline-aligned WorkerLane whose
@@ -132,7 +131,6 @@
 #include <vector>
 
 #include "core/arena.hh"
-#include "core/cpu_topology.hh"
 #include "core/simulator.hh"
 #include "fame/calendar.hh"
 #include "fame/transport.hh"
@@ -266,8 +264,8 @@ class PartitionSet {
      * Synchronization quantum (lookahead): the explicit override if one
      * was set, else the minimum channel latency, else kNoChannelQuantum.
      * The derived value is cached (run entry used to pay an O(channels)
-     * scan) and invalidated by makeChannel/setQuantum/clearQuantum, so
-     * a channel added after an override is set is still validated.
+     * scan) and invalidated by makeChannel/setQuantum, so a channel
+     * added after an override is set is still validated.
      */
     SimTime quantum() const;
 
@@ -276,18 +274,8 @@ class PartitionSet {
      * (rejected otherwise), and — to keep the engine conservative — no
      * larger than the minimum channel latency at run time (checked in
      * quantum(), so channels may be added after the override is set).
-     * Use clearQuantum() to drop the override; a zero quantum is never
-     * a valid request, so it is no longer overloaded to mean "clear".
      */
     void setQuantum(SimTime q);
-
-    /** Remove a setQuantum() override and return to the derived value. */
-    void
-    clearQuantum()
-    {
-        quantum_override_ = SimTime();
-        quantum_cache_valid_ = false;
-    }
 
     /**
      * Enable/disable empty-quantum skipping (default: enabled).  Only
@@ -301,7 +289,8 @@ class PartitionSet {
      * Cap the number of worker threads runParallel fuses partitions
      * onto: a run uses `min(size(), n)` workers (the calling thread is
      * worker 0, so at most n-1 pool threads run).  @p n == 0 restores
-     * the default, `hardware_concurrency`.  A request above the
+     * the default: one worker per CPU in the calling thread's affinity
+     * mask (allowedCpus()), read at each run.  A request above the
      * partition count is clamped to it (extra workers could never own
      * a partition) with a one-time warning.  Simulated results are
      * identical for every setting — only the fusion changes.  Fatal if
@@ -309,7 +298,7 @@ class PartitionSet {
      */
     void setParallelism(size_t n);
 
-    /** Resolved worker cap (the hardware default when unset). */
+    /** Resolved worker cap (allowedCpus().size() when unset). */
     size_t parallelism() const;
 
     /**
@@ -332,34 +321,28 @@ class PartitionSet {
 
     /**
      * Enable/disable automatic worker-to-CPU pinning (default on).
-     * When on and the host has at least as many online CPUs as the run
-     * has workers, each worker is pinned to one CPU, placed so that
-     * workers exchanging channel traffic share a last-level cache.
+     * When on, a multi-worker run whose CPU set — the calling thread's
+     * affinity mask at run entry — holds at least as many CPUs as the
+     * run has workers pins worker w to the w-th CPU of the set.
      * Oversubscribed runs (more workers than CPUs) are never pinned.
-     * Purely a wall-clock matter; results never depend on it.
+     * Disabling also drops a setWorkerCpus() list.  Purely a
+     * wall-clock matter; results never depend on it.
      */
     void setWorkerPinning(bool enable);
 
     /**
      * Explicit worker-to-CPU map: worker @p i is pinned to cpus[i];
-     * workers beyond the list run unpinned.  Every id must name an
-     * online CPU of the topology (fatal otherwise — a silent fallback
-     * would hide a stale pinning config from a different machine).
-     * Overrides the automatic placement; fatal while a run is live.
+     * workers beyond the list run unpinned.  The list's distinct ids
+     * are the run's CPU set in place of the caller's mask, so two
+     * workers listed on one CPU are oversubscribed.  Every id must be
+     * one the kernel lets the calling thread pin to (fatal otherwise —
+     * a silent fallback would hide a stale pinning config from a
+     * different machine); the check pins the caller to each id in turn
+     * and then restores its mask, so an id outside the caller's
+     * current mask but inside its cpuset is accepted.  Fatal while a
+     * run is live.
      */
     void setWorkerCpus(std::vector<int> cpus);
-
-    /**
-     * Replace the detected host topology (tests pin down placement on
-     * arbitrary machine shapes; tools may restrict the engine to a
-     * cpuset).  Call before setWorkerCpus — explicit maps are checked
-     * against the topology current at set time.  Fatal while a run is
-     * live.
-     */
-    void setCpuTopology(CpuTopology topo);
-
-    /** Topology the engine is placing workers against. */
-    const CpuTopology &cpuTopology() const { return topo_; }
 
     /**
      * CPU each worker of the most recent fusion was assigned to, -1
@@ -368,7 +351,10 @@ class PartitionSet {
      */
     const std::vector<int> &lastRunWorkerCpus() const { return worker_cpu_; }
 
-    /** True when the last parallel run had more workers than CPUs. */
+    /**
+     * True when the last run had more than one worker and more workers
+     * than CPUs in its CPU set (see setWorkerCpus/setWorkerPinning).
+     */
     bool lastRunOversubscribed() const { return last_oversubscribed_; }
 
     /** Layout introspection for the false-sharing tests. */
@@ -498,7 +484,7 @@ class PartitionSet {
      * PartitionSet, for the scaling benchmark.  With skipping enabled,
      * empty windows are jumped over and not counted; the count is
      * identical between sequential and parallel runs.  Per-run deltas
-     * are available from lastRunQuanta(); resetStats() zeroes this.
+     * are available from lastRunQuanta().
      */
     uint64_t quantaExecuted() const { return quanta_; }
 
@@ -516,35 +502,20 @@ class PartitionSet {
      */
     SimTime nextPendingTime() const;
 
-    // --- per-run statistics (the host-performance model's inputs) ---
+    // --- per-run statistics ---
     //
-    // Both run engines snapshot counters on entry and publish deltas on
+    // Every engine snapshots counters on entry and publishes deltas on
     // exit, so interleaved runSequential/runParallel calls on one
-    // PartitionSet can be attributed individually: events per partition
-    // per run expose load imbalance (the FAME host model's utilization
-    // input), quanta per run expose synchronization intensity.
+    // PartitionSet can be attributed individually.
 
     /** Quanta executed by the most recent run (either engine). */
     uint64_t lastRunQuanta() const { return last_run_quanta_; }
 
-    /** Events executed by partition @p i during the most recent run. */
-    uint64_t lastRunExecutedEvents(size_t i) const
-    {
-        return last_run_executed_[i];
-    }
-
-    /** Events executed across all partitions during the most recent run. */
-    uint64_t lastRunTotalExecutedEvents() const;
+    /** Change in totalExecutedEvents() over the most recent run. */
+    uint64_t lastRunTotalExecutedEvents() const { return last_run_events_; }
 
     /** Workers the most recent run fused the partitions onto. */
     size_t lastRunWorkers() const { return par_workers_; }
-
-    /**
-     * Zero the cumulative quantum counter and the last-run deltas.
-     * (Executed-event totals are owned by the Simulators and stay
-     * cumulative; the per-run accessors above are already deltas.)
-     */
-    void resetStats();
 
   private:
     /**
@@ -602,10 +573,6 @@ class PartitionSet {
     static SimTime windowForEarliest(SimTime earliest, SimTime t,
                                      SimTime q, SimTime until);
 
-    // --- per-run statistics bookkeeping ---
-    void beginRunStats();
-    void endRunStats();
-
     // --- next-event calendars ---
 
     /** Re-queue every owned partition in its lane (run entry). */
@@ -639,8 +606,11 @@ class PartitionSet {
     /** Fuse partitions onto @p workers with lptAssign over weights_. */
     void assignPartitions(size_t workers);
 
-    /** Resolve worker -> CPU placement for the fusion just computed. */
-    void placeWorkers(size_t workers, const std::vector<double> &load);
+    /**
+     * Resolve worker -> CPU placement and oversubscription for a
+     * @p workers fusion (see setWorkerPinning/setWorkerCpus).
+     */
+    void placeWorkers(size_t workers);
 
     /** Grow lanes_ to at least @p workers lanes (never shrinks). */
     void ensureLanes(size_t workers);
@@ -734,12 +704,11 @@ class PartitionSet {
     mutable bool quantum_cache_valid_ = false;
     bool skip_idle_ = true;
     uint64_t quanta_ = 0;
-    size_t threads_ = 0; ///< setParallelism cap; 0 = hardware default
+    size_t threads_ = 0; ///< setParallelism cap; 0 = one per allowed CPU
 
     // Per-run stat deltas (see accessors above).
-    uint64_t run_start_quanta_ = 0;
     uint64_t last_run_quanta_ = 0;
-    std::vector<uint64_t> last_run_executed_;
+    uint64_t last_run_events_ = 0;
 
     // Worker pool: min(P, parallelism()) - 1 pool threads (the caller
     // is worker 0), created on first use, grown on demand, reused for
@@ -785,7 +754,6 @@ class PartitionSet {
 
     // Worker placement (see setWorkerPinning/setWorkerCpus).
     enum class PinMode { Auto, Off, Explicit };
-    CpuTopology topo_;
     PinMode pin_mode_ = PinMode::Auto;
     std::vector<int> pin_cpus_;   ///< Explicit worker -> cpu request
     std::vector<int> worker_cpu_; ///< resolved placement of last fusion

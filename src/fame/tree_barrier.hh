@@ -29,7 +29,7 @@
  *
  * Waiters spin with bounded exponential backoff, then park on their
  * node's sense word (futex via std::atomic::wait).  The spin budget is
- * settable: when the engine detects more workers than online CPUs it
+ * settable: when a run has more workers than it has CPUs the engine
  * drops the budget to zero, because spinning on a timeshared core just
  * burns the scheduler quantum the *other* worker needs (the measured
  * 40.8M -> 16k quanta/s collapse at threads:2 on one core).

@@ -135,7 +135,9 @@ PacketPtr
 PacketPool::make()
 {
     ++makes_;
-    const uint64_t live = makes_ - returns_.load(std::memory_order_relaxed);
+    const uint64_t live =
+        makes_ + ghost_arrivals_ - returns_.load(std::memory_order_relaxed) -
+        ghost_departures_.load(std::memory_order_relaxed);
     if (live > high_water_) {
         high_water_ = live;
     }
@@ -186,9 +188,10 @@ PacketPtr
 PacketPool::makeGhost()
 {
     // Uncounted make (see the header's ghost-accounting note): same
-    // freelist pop as make(), but no makes_/high-water/heap bookkeeping
-    // and no fresh id — the caller rewrites every field from the wire
-    // record, id included.
+    // freelist pop as make(), but an arrival instead of a make, no
+    // high-water/heap bookkeeping and no fresh id — the caller rewrites
+    // every field from the wire record, id included.
+    ++ghost_arrivals_;
     Packet *head = free_head_.load(std::memory_order_acquire);
     while (head != nullptr &&
            !free_head_.compare_exchange_weak(head, head->pool_next,
@@ -206,6 +209,7 @@ PacketPool::makeGhost()
 void
 PacketPool::recycleGhost(Packet *p)
 {
+    ghost_departures_.fetch_add(1, std::memory_order_relaxed);
     pushFree(p);
 }
 

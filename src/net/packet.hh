@@ -168,7 +168,10 @@ class PacketPool {
         return returns_.load(std::memory_order_relaxed);
     }
 
-    /** Maximum packets simultaneously live, sampled at make(). */
+    /**
+     * Maximum packets simultaneously live, sampled at make(): makes +
+     * ghost arrivals - returns - ghost departures.
+     */
     uint64_t highWater() const { return high_water_; }
 
     // --- cross-process ghost accounting ---------------------------------
@@ -176,12 +179,14 @@ class PacketPool {
     // A packet crossing a process boundary exists twice for an instant:
     // the sender's copy dies at serialization and the receiver
     // materializes a replica from its local pool for the same partition.
-    // Neither side's pool counters may see those synthetic transitions —
-    // the sender's copy was counted at make() and the replica's death
-    // will be counted at its real recycle — so the per-partition
+    // makes/returns must not see those synthetic transitions — the
+    // sender's copy was counted at make() and the replica's death will
+    // be counted at its real recycle — so the per-partition
     // makes/returns summed across all processes equal the single-process
     // totals exactly (the fingerprint folds them).  makeGhost/
-    // recycleGhost are those uncounted twins of make()/recycle().
+    // recycleGhost are those uncounted twins of make()/recycle(); they
+    // count a ghost arrival/departure instead, so the live count behind
+    // highWater() stays exact on each side.
 
     /**
      * Dense partition index this pool belongs to, stamped by the
@@ -208,9 +213,11 @@ class PacketPool {
 
     std::atomic<Packet *> free_head_{nullptr};
     uint64_t makes_ = 0;
+    uint64_t ghost_arrivals_ = 0;
     uint64_t heap_allocs_ = 0;
     uint64_t high_water_ = 0;
     std::atomic<uint64_t> returns_{0};
+    std::atomic<uint64_t> ghost_departures_{0};
     int64_t tag_ = -1;
 };
 

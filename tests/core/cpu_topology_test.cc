@@ -1,186 +1,25 @@
 /**
  * @file
- * CPU topology detection: the sysfs cpu-list grammar, the fixture-dir
- * parser the placement policy consumes (a fake /sys tree describing a
- * two-socket machine), the deterministic flat fallback, and the
- * pin/save/restore affinity round trip the worker pool performs.
+ * The engine's CPU set and thread pinning: allowedCpus() follows the
+ * calling thread's affinity mask, and the pin/save/restore round trip
+ * the worker pool performs leaves the caller's mask as it found it.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <string>
-#include <sys/stat.h>
+#include <algorithm>
 #include <vector>
 
 #include "core/cpu_topology.hh"
 
-using diablo::CpuTopology;
-using diablo::parseCpuList;
-
 namespace {
-
-TEST(ParseCpuListTest, RangesSinglesAndMixes)
-{
-    EXPECT_EQ(parseCpuList("5"), (std::vector<int>{5}));
-    EXPECT_EQ(parseCpuList("0-3"), (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(parseCpuList("0-3,8,10-11"),
-              (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
-    // Sysfs lists arrive sorted, but the parser must not rely on it.
-    EXPECT_EQ(parseCpuList("4,0-1"), (std::vector<int>{0, 1, 4}));
-    EXPECT_EQ(parseCpuList("2,2,2"), (std::vector<int>{2}));
-}
-
-TEST(ParseCpuListTest, MalformedYieldsEmpty)
-{
-    EXPECT_TRUE(parseCpuList("").empty());
-    EXPECT_TRUE(parseCpuList("banana").empty());
-    EXPECT_TRUE(parseCpuList("3-1").empty());
-    EXPECT_TRUE(parseCpuList("1,-2").empty());
-    EXPECT_TRUE(parseCpuList("1;2").empty());
-}
-
-TEST(CpuTopologyTest, FlatFallbackShape)
-{
-    const CpuTopology t = CpuTopology::flat(4);
-    EXPECT_FALSE(t.from_sysfs);
-    EXPECT_EQ(t.cpuCount(), 4u);
-    EXPECT_EQ(t.cpus, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(t.llcGroupCount(), 1u);
-    EXPECT_EQ(t.llcGroupOf(3), 0);
-    EXPECT_EQ(t.llcGroupOf(99), -1);
-    // Zero never happens (hardware_concurrency can return 0); clamp.
-    EXPECT_EQ(CpuTopology::flat(0).cpuCount(), 1u);
-}
-
-/** Writes a fake /sys/devices/system/cpu tree for detectFrom(). */
-class SysfsFixture {
-  public:
-    SysfsFixture()
-    {
-        char tmpl[] = "/tmp/diablo_cpu_topo_XXXXXX";
-        root_ = mkdtemp(tmpl);
-        EXPECT_FALSE(root_.empty());
-    }
-
-    ~SysfsFixture()
-    {
-        if (!root_.empty()) {
-            const std::string cmd = "rm -rf '" + root_ + "'";
-            [[maybe_unused]] int rc = std::system(cmd.c_str());
-        }
-    }
-
-    void
-    addCpu(int id, const std::string &llc_shared,
-           const std::string &online = "")
-    {
-        const std::string cpu = root_ + "/cpu" + std::to_string(id);
-        mkdirs(cpu + "/cache/index0");
-        mkdirs(cpu + "/cache/index2");
-        // index0: an L1 Data cache private to this cpu — the parser
-        // must pass over it in favour of the higher level below.
-        put(cpu + "/cache/index0/level", "1\n");
-        put(cpu + "/cache/index0/type", "Data\n");
-        put(cpu + "/cache/index0/shared_cpu_list",
-            std::to_string(id) + "\n");
-        // index2: the unified LLC whose shared list keys the group.
-        put(cpu + "/cache/index2/level", "3\n");
-        put(cpu + "/cache/index2/type", "Unified\n");
-        put(cpu + "/cache/index2/shared_cpu_list", llc_shared + "\n");
-        if (!online.empty()) {
-            put(cpu + "/online", online + "\n");
-        }
-    }
-
-    const std::string &root() const { return root_; }
-
-  private:
-    static void
-    mkdirs(const std::string &path)
-    {
-        std::string sofar;
-        for (size_t i = 0; i <= path.size(); ++i) {
-            if (i == path.size() || path[i] == '/') {
-                if (!sofar.empty()) {
-                    ::mkdir(sofar.c_str(), 0755);
-                }
-            }
-            if (i < path.size()) {
-                sofar.push_back(path[i]);
-            }
-        }
-    }
-
-    static void
-    put(const std::string &path, const std::string &text)
-    {
-        std::ofstream f(path);
-        f << text;
-    }
-
-    std::string root_;
-};
-
-TEST(CpuTopologyTest, DetectFromTwoLlcDomains)
-{
-    SysfsFixture fx;
-    // A 4-CPU machine with two 2-wide LLC domains (think two CCXs).
-    fx.addCpu(0, "0-1");
-    fx.addCpu(1, "0-1");
-    fx.addCpu(2, "2-3");
-    fx.addCpu(3, "2-3");
-
-    const CpuTopology t = CpuTopology::detectFrom(fx.root(), 1);
-    EXPECT_TRUE(t.from_sysfs);
-    EXPECT_EQ(t.cpus, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(t.llcGroupCount(), 2u);
-    EXPECT_EQ(t.llcGroupOf(0), t.llcGroupOf(1));
-    EXPECT_EQ(t.llcGroupOf(2), t.llcGroupOf(3));
-    EXPECT_NE(t.llcGroupOf(0), t.llcGroupOf(2));
-    // Group ids are dense and first-appearance ordered: deterministic.
-    EXPECT_EQ(t.llcGroupOf(0), 0);
-    EXPECT_EQ(t.llcGroupOf(2), 1);
-}
-
-TEST(CpuTopologyTest, DetectFromSkipsOfflineCpus)
-{
-    SysfsFixture fx;
-    fx.addCpu(0, "0-2");
-    fx.addCpu(1, "0-2", /*online=*/"0");
-    fx.addCpu(2, "0-2", /*online=*/"1");
-
-    const CpuTopology t = CpuTopology::detectFrom(fx.root(), 1);
-    EXPECT_EQ(t.cpus, (std::vector<int>{0, 2}));
-    EXPECT_EQ(t.llcGroupCount(), 1u);
-}
-
-TEST(CpuTopologyTest, DetectFromMissingTreeFallsBack)
-{
-    const CpuTopology t =
-        CpuTopology::detectFrom("/nonexistent/diablo/cpu", 3);
-    EXPECT_FALSE(t.from_sysfs);
-    EXPECT_EQ(t.cpuCount(), 3u);
-}
-
-TEST(CpuTopologyTest, HostIsSaneAndCached)
-{
-    const CpuTopology &t = CpuTopology::host();
-    EXPECT_GE(t.cpuCount(), 1u);
-    EXPECT_EQ(t.cpus.size(), t.llc_of.size());
-    EXPECT_GE(t.llcGroupCount(), 1u);
-    // Same object each call (cached detection).
-    EXPECT_EQ(&t, &CpuTopology::host());
-}
 
 TEST(CpuTopologyTest, PinSaveRestoreRoundTrip)
 {
 #ifdef __linux__
     const diablo::SavedAffinity home = diablo::saveCurrentThreadAffinity();
     ASSERT_TRUE(home.valid);
-    const int cpu = CpuTopology::host().cpus.front();
+    const int cpu = diablo::allowedCpus().front();
     EXPECT_TRUE(diablo::pinCurrentThreadToCpu(cpu));
     // Restoring must widen the mask back; a second save sees validity.
     diablo::restoreCurrentThreadAffinity(home);
@@ -189,6 +28,22 @@ TEST(CpuTopologyTest, PinSaveRestoreRoundTrip)
     EXPECT_EQ(again.mask, home.mask);
     // Pinning to an absurd cpu id fails without changing the mask.
     EXPECT_FALSE(diablo::pinCurrentThreadToCpu(-1));
+#else
+    GTEST_SKIP() << "affinity control is Linux-only";
+#endif
+}
+
+TEST(CpuTopologyTest, AllowedCpusFollowsTheThreadMask)
+{
+#ifdef __linux__
+    const std::vector<int> all = diablo::allowedCpus();
+    ASSERT_FALSE(all.empty());
+    EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
+    const diablo::SavedAffinity home = diablo::saveCurrentThreadAffinity();
+    ASSERT_TRUE(diablo::pinCurrentThreadToCpu(all.back()));
+    EXPECT_EQ(diablo::allowedCpus(), (std::vector<int>{all.back()}));
+    diablo::restoreCurrentThreadAffinity(home);
+    EXPECT_EQ(diablo::allowedCpus(), all);
 #else
     GTEST_SKIP() << "affinity control is Linux-only";
 #endif

@@ -122,6 +122,25 @@ TEST(PacketPool, HighWaterTracksConcurrentlyLivePackets)
     auto d = makePacket(sim);
     EXPECT_EQ(pool->highWater(), 3u); // one live again: no new peak
     EXPECT_EQ(pool->heapAllocs(), 3u);
+
+    // Coupled runs: a packet that crosses to a peer process leaves its
+    // sender's pool uncounted, and a replica arriving from a peer dies
+    // as a counted return.  Neither may skew the live count.
+    constexpr int kRounds = 5;
+    Simulator sender;
+    for (int i = 0; i < kRounds; ++i) {
+        releaseGhost(makePacket(sender));
+    }
+    EXPECT_EQ(packetPoolIfAttached(sender)->highWater(), 1u);
+    Simulator receiver;
+    PacketPool &replicas = packetPoolOf(receiver);
+    for (int i = 0; i < kRounds; ++i) {
+        replicas.makeGhost().reset();
+    }
+    auto e = makePacket(receiver);
+    EXPECT_EQ(replicas.highWater(), 1u);
+    EXPECT_EQ(replicas.makes(), 1u);
+    EXPECT_EQ(replicas.returns(), static_cast<uint64_t>(kRounds));
 }
 
 TEST(PacketPool, PacketDyingElsewhereReturnsHome)

@@ -146,7 +146,7 @@ TEST(ClusterSharded, PartitionsRequired)
 // bit-identical aggregate statistics from the sequential reference and
 // the pooled parallel engine — at every fusion width (1 = degenerate
 // solo worker, 2 = partitions sharing workers, 5 = one worker per
-// partition, 0 = hardware default) — under a workload with real TCP
+// partition, 0 = one per allowed CPU) — under a workload with real TCP
 // loss recovery (incast over 4 KB ToR buffers).
 TEST(ClusterSharded, SequentialAndParallelAreBitIdentical)
 {

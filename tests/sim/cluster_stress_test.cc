@@ -135,7 +135,7 @@ TEST(ClusterStress, RandomTopologiesSeqParIdenticalAcrossFusionWidths)
         const auto seq = runTrial(t, false, 1);
         ASSERT_FALSE(seq.empty());
         // 1 = degenerate fusion, 2 = racks sharing workers, 0 = the
-        // hardware default (one worker per partition on big hosts).
+        // default (one worker per allowed CPU, per partition on big hosts).
         for (size_t threads : {1u, 2u, 0u}) {
             const auto par = runTrial(t, true, threads);
             EXPECT_EQ(seq, par) << "threads=" << threads;

@@ -129,7 +129,7 @@ runFaultedIncast(bool parallel, size_t threads = 0)
 TEST(FaultInjection, FaultedRunIsBitIdenticalSequentialVsParallel)
 {
     // The faulted timeline must survive every fusion width: degenerate
-    // single-worker, shared workers, and the hardware default.
+    // single-worker, shared workers, and one worker per allowed CPU.
     FaultedOutcome seq = runFaultedIncast(false);
     EXPECT_TRUE(seq.done);
     for (size_t threads : {1u, 2u, 0u}) {

@@ -32,9 +32,12 @@ faster than the raw SampleSet fold at equal sample counts.
 
 multicore (--mode multicore) — reads the same --benchmark_out JSON as
 sync mode, but checks the *other* direction: that adding workers buys
-real speedup.  For every BM_ClusterIncastSharded par:1 row whose worker
+real speedup.  The core count is the smallest `cores` counter the
+rows report: the CPUs the benchmark's affinity mask allowed (a taskset'd
+run reports what it got, where google-benchmark's num_cpus counts every
+online CPU).  For every BM_ClusterIncastSharded par:1 row whose worker
 count W (min(threads, racks), with threads:0 meaning all cores) fits
-the runner — 2 <= W <= num_cpus — the parallel throughput must be at
+the runner — 2 <= W <= cores — the parallel throughput must be at
 least --scale-factor * W times the sequential (par:0) reference at the
 same shape (default 0.7, i.e. >=1.4x at two workers).  Oversubscribed
 rows are reported but not scored.  On a single-core runner the mode
@@ -274,18 +277,11 @@ def check_scale(path, min_nodes_per_gb, min_events_per_sec,
 def check_multicore(path, racks, scale_factor, fame_json,
                     min_barrier_qps):
     """Adding workers must buy real speedup on a multi-core runner."""
-    with open(path) as f:
-        cores = int(json.load(f).get("context", {}).get("num_cpus", 0))
-    if cores < 2:
-        print(f"bench_guard: multicore SKIPPED — runner reports "
-              f"{cores if cores else 'an unknown number of'} CPU(s); "
-              f"parallel scaling is not measurable here (this is an "
-              f"explicit skip, not a pass)")
-        return 0
-
     seq = None
     par_rows = []
+    row_cores = []
     for args, bench in sharded_rows(path, racks):
+        row_cores.append(bench.get("cores"))
         if args.get("par") == 0:
             seq = items_per_second(bench)
         elif args.get("par") == 1:
@@ -297,6 +293,17 @@ def check_multicore(path, racks, scale_factor, fame_json,
               f"racks={racks} (seq={seq}, par rows={len(par_rows)}) in "
               f"{path}", file=sys.stderr)
         return 1
+    if None in row_cores:
+        print(f"bench_guard: BM_ClusterIncastSharded rows at racks={racks} "
+              f"in {path} carry no cores counter", file=sys.stderr)
+        return 1
+
+    cores = int(min(float(c) for c in row_cores))
+    if cores < 2:
+        print(f"bench_guard: multicore SKIPPED — rows report {cores} "
+              f"CPU(s); parallel scaling is not measurable here (this "
+              f"is an explicit skip, not a pass)")
+        return 0
 
     failed = False
     scored = 0

@@ -25,7 +25,8 @@
  * sequential reference or the fused parallel engine — all three
  * produce the same simulated results, and seq and par bit-identical
  * artifact fingerprints (DESIGN.md §10).  --threads <N> caps the
- * parallel engine's worker count (0 = one per hardware thread).
+ * parallel engine's worker count (0 = one per CPU the process may use,
+ * so taskset and numactl confine the engine).
  *
  * --json <path> writes the machine-readable run artifact (see
  * analysis::RunArtifact for the schema): everything the text report
@@ -95,8 +96,8 @@ enum class Engine { Single, Seq, Par };
 
 struct EngineOpts {
     Engine engine = Engine::Single;
-    size_t threads = 0; ///< parallel worker cap; 0 = hardware default
-    bool pin = true;    ///< cache-topology-aware worker pinning
+    size_t threads = 0; ///< parallel worker cap; 0 = one per allowed CPU
+    bool pin = true;    ///< pin workers to the allowed CPUs
     bool mem_report = false;
     /**
      * Engine processes (--processes).  >1 selects the coupled
@@ -569,7 +570,7 @@ fillCommonArtifact(analysis::RunArtifact &a,
     a.workers = (ps != nullptr && opts.eng.engine == Engine::Par)
                     ? ps->lastRunWorkers()
                     : 1;
-    a.cores = CpuTopology::host().cpuCount();
+    a.cores = allowedCpus().size();
     if (ps != nullptr && opts.eng.engine == Engine::Par) {
         a.oversubscribed = ps->lastRunOversubscribed();
         a.worker_cpus = ps->lastRunWorkerCpus();
