@@ -20,6 +20,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -115,6 +116,7 @@ BM_ClusterIncastSharded(benchmark::State &state)
     uint64_t events = 0;
     uint64_t quanta = 0;
     uint64_t workers = 0;
+    double max_share = 0.0;
     for (auto _ : state) {
         const sim::ClusterParams params = benchParams(racks, spr);
         fame::PartitionSet ps(sim::Cluster::partitionsRequired(params));
@@ -135,11 +137,22 @@ BM_ClusterIncastSharded(benchmark::State &state)
         events += ps.totalExecutedEvents();
         quanta = ps.lastRunQuanta();
         workers = parallel ? ps.lastRunWorkers() : 1;
+        uint64_t largest = 0;
+        for (size_t i = 0; i < ps.size(); ++i) {
+            largest = std::max(largest, ps.partition(i).executedEvents());
+        }
+        max_share = static_cast<double>(largest) /
+                    static_cast<double>(ps.totalExecutedEvents());
     }
     state.counters["quanta"] =
         benchmark::Counter(static_cast<double>(quanta));
     state.counters["workers"] =
         benchmark::Counter(static_cast<double>(workers));
+    // The busiest partition's share of executed events (deterministic,
+    // the same on every engine): no placement of whole partitions can
+    // beat 1/share times sequential, which bench_guard prints as each
+    // scaling row's Amdahl bound.
+    state.counters["max_part_share"] = benchmark::Counter(max_share);
     // The cores this run may use, for bench_guard's multicore scoring
     // (google-benchmark's num_cpus ignores the affinity mask).
     state.counters["cores"] = benchmark::Counter(

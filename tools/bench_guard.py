@@ -39,8 +39,12 @@ online CPU).  For every BM_ClusterIncastSharded par:1 row whose worker
 count W (min(threads, racks), with threads:0 meaning all cores) fits
 the runner — 2 <= W <= cores — the parallel throughput must be at
 least --scale-factor * W times the sequential (par:0) reference at the
-same shape (default 0.7, i.e. >=1.4x at two workers).  Oversubscribed
-rows are reported but not scored.  On a single-core runner the mode
+same shape (default 0.7, i.e. >=1.4x at two workers).  Each row also
+prints its Amdahl bound, 1/share, from the `max_part_share` counter
+(the busiest partition's share of executed events): no engine that
+places whole partitions on workers can beat it, so a floor above it is
+unreachable.  Oversubscribed rows are reported but not scored.  On a
+single-core runner the mode
 prints an explicit SKIPPED line and exits 0 — it never passes
 vacuously without saying so.  Pass --fame-json BENCH_fame.json to also
 enforce the raw barrier floor: every non-oversubscribed
@@ -286,7 +290,8 @@ def check_multicore(path, racks, scale_factor, fame_json,
             seq = items_per_second(bench)
         elif args.get("par") == 1:
             par_rows.append((args.get("threads", 0),
-                             items_per_second(bench), bench["name"]))
+                             items_per_second(bench), bench["name"],
+                             bench.get("max_part_share")))
 
     if seq is None or not par_rows:
         print(f"bench_guard: missing BM_ClusterIncastSharded rows at "
@@ -307,7 +312,7 @@ def check_multicore(path, racks, scale_factor, fame_json,
 
     failed = False
     scored = 0
-    for threads, ips, name in sorted(par_rows):
+    for threads, ips, name, share in sorted(par_rows):
         workers = min(threads if threads else cores, racks)
         if workers < 2:
             # The solo-worker row is the sync-tax guard's business.
@@ -325,7 +330,8 @@ def check_multicore(path, racks, scale_factor, fame_json,
         scored += 1
         print(f"bench_guard: {name} workers={workers} cores={cores} "
               f"par={ips:.3e} seq={seq:.3e} items/s "
-              f"speedup={ratio:.2f}x (floor {floor:.2f}x) {verdict}")
+              f"speedup={ratio:.2f}x (floor {floor:.2f}x, "
+              f"{amdahl_bound(share, floor)}) {verdict}")
     if scored == 0:
         print(f"bench_guard: no scoreable multi-worker rows at "
               f"racks={racks} on a {cores}-core runner — add a "
@@ -336,6 +342,16 @@ def check_multicore(path, racks, scale_factor, fame_json,
         failed |= check_barrier_floor(fame_json, cores, min_barrier_qps)
 
     return 1 if failed else 0
+
+
+def amdahl_bound(share, floor):
+    """'Amdahl bound Bx' for a busiest-partition share, noting a floor
+    above it; rows without the counter predate it."""
+    if not share:
+        return "Amdahl bound n/a"
+    bound = 1.0 / float(share)
+    note = ", floor above it" if floor > bound else ""
+    return f"Amdahl bound {bound:.2f}x{note}"
 
 
 def check_barrier_floor(path, cores, min_barrier_qps):
