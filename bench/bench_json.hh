@@ -7,9 +7,10 @@
  *
  * Engine throughput is this project's headline number (the quantity
  * DIABLO's FPGAs improve by two orders of magnitude), so each
- * microbenchmark run is appended to a trajectory file — by default
- * `BENCH_engine.json` in the working directory, overridable with the
- * DIABLO_BENCH_JSON environment variable — as one JSON object per run:
+ * microbenchmark run is appended to a trajectory file — by default the
+ * binary's own `BENCH_<area>.json` in the working directory (runMain's
+ * @p fallback), overridable with the DIABLO_BENCH_JSON environment
+ * variable — as one JSON object per run:
  *
  *   [
  *     { "label": "...", "unix_time": 1754550000,
@@ -28,6 +29,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
@@ -77,11 +79,11 @@ class TrajectoryReporter : public benchmark::BenchmarkReporter {
     }
 
     /**
-     * Default trajectory path, honoring DIABLO_BENCH_JSON; @p fallback
-     * lets each microbenchmark binary keep its own trajectory file.
+     * Trajectory path: DIABLO_BENCH_JSON when set, else @p fallback,
+     * each microbenchmark binary's own trajectory file.
      */
     static std::string
-    defaultPath(const char *fallback = "BENCH_engine.json")
+    defaultPath(const char *fallback)
     {
         const char *env = std::getenv("DIABLO_BENCH_JSON");
         return env && *env ? env : fallback;
@@ -216,6 +218,31 @@ class TeeReporter : public benchmark::BenchmarkReporter {
     benchmark::BenchmarkReporter &a_;
     benchmark::BenchmarkReporter &b_;
 };
+
+/**
+ * The microbenchmarks' shared main: run the selected benchmarks with
+ * console output, append the run to the trajectory file (@p fallback
+ * unless DIABLO_BENCH_JSON names another) and warn when that fails.
+ * Returns 1 on an unrecognized argument, else 0.
+ */
+inline int
+runMain(int argc, char **argv, const char *fallback)
+{
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+        return 1;
+    }
+    benchmark::ConsoleReporter console;
+    TrajectoryReporter trajectory;
+    TeeReporter tee(console, trajectory);
+    benchmark::RunSpecifiedBenchmarks(&tee);
+    const std::string path = TrajectoryReporter::defaultPath(fallback);
+    if (!trajectory.append(path)) {
+        std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
+    }
+    benchmark::Shutdown();
+    return 0;
+}
 
 } // namespace bench_json
 } // namespace diablo

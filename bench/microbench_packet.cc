@@ -243,20 +243,5 @@ BENCHMARK(BM_PacketDatapath);
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-        return 1;
-    }
-    benchmark::ConsoleReporter console;
-    diablo::bench_json::TrajectoryReporter trajectory;
-    diablo::bench_json::TeeReporter tee(console, trajectory);
-    benchmark::RunSpecifiedBenchmarks(&tee);
-    const std::string path =
-        diablo::bench_json::TrajectoryReporter::defaultPath(
-            "BENCH_packet.json");
-    if (!trajectory.append(path)) {
-        fprintf(stderr, "warning: could not write %s\n", path.c_str());
-    }
-    benchmark::Shutdown();
-    return 0;
+    return diablo::bench_json::runMain(argc, argv, "BENCH_packet.json");
 }

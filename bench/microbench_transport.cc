@@ -123,7 +123,6 @@ BM_CoupledSyncRate(benchmark::State &state)
         fame::PartitionSet set_a(2);
         fame::PartitionSet set_b(2);
         for (fame::PartitionSet *ps : {&set_a, &set_b}) {
-            ps->setQuantum(SimTime::ms(1));
             ps->setSkipIdleQuanta(false);
             ps->partition(0).schedule(1_sec, [] {});
             ps->partition(1).schedule(1_sec, [] {});
@@ -267,20 +266,5 @@ BENCHMARK(BM_CoupledIncastPair)
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-        return 1;
-    }
-    benchmark::ConsoleReporter console;
-    diablo::bench_json::TrajectoryReporter trajectory;
-    diablo::bench_json::TeeReporter tee(console, trajectory);
-    benchmark::RunSpecifiedBenchmarks(&tee);
-    const std::string path =
-        diablo::bench_json::TrajectoryReporter::defaultPath(
-            "BENCH_transport.json");
-    if (!trajectory.append(path)) {
-        fprintf(stderr, "warning: could not write %s\n", path.c_str());
-    }
-    benchmark::Shutdown();
-    return 0;
+    return diablo::bench_json::runMain(argc, argv, "BENCH_transport.json");
 }

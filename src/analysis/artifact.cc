@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "analysis/json_writer.hh"
@@ -328,48 +327,44 @@ RunArtifact::validate(const std::string &path)
         return v;
     }
 
-    auto stringField = [&doc](const char *key) -> std::string {
-        const std::string pat = std::string("\"") + key + "\": \"";
+    // The value text after the first @p pat, up to the separator that
+    // ends a JSON value on our writer's lines; empty when absent.
+    auto after = [&doc](const std::string &pat) {
         const size_t p = doc.find(pat);
         if (p == std::string::npos) {
-            return "";
+            return std::string();
         }
         const size_t start = p + pat.size();
-        const size_t q = doc.find('"', start);
-        return q == std::string::npos ? "" : doc.substr(start, q - start);
+        return doc.substr(start, doc.find_first_of(",\n}", start) - start);
+    };
+    auto unquote = [](const std::string &s) {
+        return s.size() >= 2 && s.front() == '"' && s.back() == '"'
+                   ? s.substr(1, s.size() - 2)
+                   : std::string();
     };
 
-    const std::string schema_pat = "\"schema\": ";
-    const size_t sp = doc.find(schema_pat);
-    if (sp == std::string::npos) {
+    uint64_t schema = 0;
+    if (parseUint(after("\"schema\": "), &schema) != nullptr) {
         v.error = strprintf("'%s' has no schema field", path.c_str());
         return v;
     }
-    const long schema =
-        std::strtol(doc.c_str() + sp + schema_pat.size(), nullptr, 10);
     if (schema != kSchemaVersion) {
-        v.error = strprintf("'%s' has schema %ld, expected %d",
-                            path.c_str(), schema, kSchemaVersion);
+        v.error = strprintf("'%s' has schema %llu, expected %d",
+                            path.c_str(),
+                            static_cast<unsigned long long>(schema),
+                            kSchemaVersion);
         return v;
     }
 
     // Artifacts predating the status field were only ever written on
     // run completion, so absence means "ok".
-    v.status = stringField("status");
+    v.status = unquote(after("\"status\": "));
     if (v.status.empty()) {
         v.status = "ok";
     }
 
     // The run fingerprint is the only one at top-level indentation.
-    const std::string fpat = "\n  \"fingerprint\": \"";
-    const size_t fp = doc.find(fpat);
-    if (fp != std::string::npos) {
-        const size_t start = fp + fpat.size();
-        const size_t q = doc.find('"', start);
-        if (q != std::string::npos) {
-            v.fingerprint = doc.substr(start, q - start);
-        }
-    }
+    v.fingerprint = unquote(after("\n  \"fingerprint\": "));
     if (v.fingerprint.empty()) {
         v.error = strprintf("'%s' has no run fingerprint", path.c_str());
         return v;
@@ -377,6 +372,27 @@ RunArtifact::validate(const std::string &path)
     if (v.status != "ok") {
         v.error = strprintf("'%s' is a partial artifact (status '%s')",
                             path.c_str(), v.status.c_str());
+        return v;
+    }
+
+    // Headline results; the first latency digest is the headline one,
+    // and a run may have none.
+    const char *bad = nullptr;
+    if (parseDouble(after("\"elapsed_us\": "), &v.elapsed_us) != nullptr) {
+        bad = "elapsed_us";
+    } else if (parseDouble(after("\"goodput_mbps\": "), &v.goodput_mbps) !=
+               nullptr) {
+        bad = "goodput_mbps";
+    } else if (parseUint(after("\"requests_completed\": "),
+                         &v.requests_completed) != nullptr) {
+        bad = "requests_completed";
+    } else if (doc.find("\"p99_us\": ") != std::string::npos &&
+               parseDouble(after("\"p99_us\": "), &v.p99_us) != nullptr) {
+        bad = "p99_us";
+    }
+    if (bad != nullptr) {
+        v.error = strprintf("'%s' has no valid %s result", path.c_str(),
+                            bad);
         return v;
     }
     v.ok = true;

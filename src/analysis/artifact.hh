@@ -187,15 +187,20 @@ struct RunArtifact {
      * given artifact name: a complete "ok" artifact (valid — a resumed
      * sweep skips this grid point), an "interrupted" partial artifact
      * (invalid for resume, but status tells the caller why), and
-     * debris (unparseable, wrong schema, or truncated — which atomic
-     * writes make impossible for *our* writers, but a sweep directory
-     * outlives any one process).
+     * debris (unparseable, wrong schema, truncated, or a malformed
+     * result — which atomic writes make impossible for *our* writers,
+     * but a sweep directory outlives any one process).  A valid
+     * artifact also yields the headline results a sweep tabulates.
      */
     struct Validation {
         bool ok = false;      ///< complete artifact of a finished run
         std::string status;   ///< "ok"/"interrupted"/"" (unreadable)
         std::string fingerprint; ///< "0x..." hex string when present
         std::string error;    ///< human-readable reason when !ok
+        double elapsed_us = 0.0;
+        double goodput_mbps = 0.0;
+        uint64_t requests_completed = 0;
+        double p99_us = 0.0; ///< first latency digest's; 0 when none
     };
     static Validation validate(const std::string &path);
 };

@@ -73,19 +73,6 @@ AvailabilityReport::setCounter(const std::string &name, uint64_t value)
     counters_.push_back(NamedCounter{name, value});
 }
 
-void
-AvailabilityReport::attachLatencySketch(const std::string &name,
-                                        const QuantileSketch &sketch)
-{
-    for (NamedSketch &s : sketches_) {
-        if (s.name == name) {
-            s.sketch = sketch;
-            return;
-        }
-    }
-    sketches_.push_back(NamedSketch{name, sketch});
-}
-
 double
 AvailabilityReport::phaseGoodputMbps(size_t i) const
 {
@@ -125,11 +112,6 @@ AvailabilityReport::fingerprint() const
         h = mixString(h, c.name);
         h = mix(h, c.value);
     }
-    h = mix(h, sketches_.size());
-    for (const NamedSketch &s : sketches_) {
-        h = mixString(h, s.name);
-        h = mix(h, s.sketch.fingerprint());
-    }
     h = mix(h, total_bytes_);
     h = mix(h, total_deliveries_);
     return h;
@@ -154,14 +136,6 @@ AvailabilityReport::str() const
     for (const NamedCounter &c : counters_) {
         out += strprintf("%-24s %llu\n", c.name.c_str(),
                          static_cast<unsigned long long>(c.value));
-    }
-    for (const NamedSketch &s : sketches_) {
-        out += strprintf(
-            "%-24s n=%llu p50=%.0f p99=%.0f p99.9=%.0f max=%.0f (us)\n",
-            s.name.c_str(),
-            static_cast<unsigned long long>(s.sketch.count()),
-            s.sketch.percentile(50), s.sketch.percentile(99),
-            s.sketch.percentile(99.9), s.sketch.max());
     }
     out += strprintf("fingerprint              %016llx\n",
                      static_cast<unsigned long long>(fingerprint()));

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/stats.hh"
 #include "core/time.hh"
 
 namespace diablo {
@@ -45,22 +44,6 @@ class AvailabilityReport {
 
     /** Attach a named scalar counter (reroutes, retransmits, ...). */
     void setCounter(const std::string &name, uint64_t value);
-
-    /**
-     * Attach a named latency distribution as a fixed-memory quantile
-     * sketch (copied).  The sketch's own deterministic fingerprint is
-     * folded into this report's fingerprint(), so seq-vs-par identity
-     * assertions cover the latency tail, not just scalar counters; the
-     * phase table prints a percentile summary per attached sketch.
-     */
-    void attachLatencySketch(const std::string &name,
-                             const QuantileSketch &sketch);
-
-    size_t numPhases() const { return phases_.size(); }
-    const std::string &phaseName(size_t i) const
-    {
-        return phases_[i].name;
-    }
 
     /** Bytes delivered inside phase @p i's window. */
     uint64_t phaseBytes(size_t i) const { return phases_[i].bytes; }
@@ -95,14 +78,8 @@ class AvailabilityReport {
         uint64_t value = 0;
     };
 
-    struct NamedSketch {
-        std::string name;
-        QuantileSketch sketch;
-    };
-
     std::vector<Phase> phases_;
     std::vector<NamedCounter> counters_; ///< insertion-ordered
-    std::vector<NamedSketch> sketches_;  ///< insertion-ordered
     uint64_t total_bytes_ = 0;
     uint64_t total_deliveries_ = 0;
 };

@@ -26,7 +26,7 @@ EventQueue::growSlots()
 void
 EventQueue::popEmptyPanic()
 {
-    panic("EventQueue::popNext on empty queue");
+    panic("EventQueue::popNextInto on empty queue");
 }
 
 } // namespace diablo

@@ -104,24 +104,6 @@ class InlineFunction {
         }
     }
 
-    /**
-     * Dedicated coroutine-wakeup path: stores the raw handle address
-     * with a static resumer thunk.  Trivially relocatable and trivially
-     * destructible — cheaper than even an inline `[h]{ h.resume(); }`
-     * because no per-lambda code is instantiated at the call site.
-     * (The EventQueue wakeup fast path bypasses even this and keeps the
-     * handle in the heap entry; this exists for the popNext() wrapper.)
-     */
-    static InlineFunction
-    fromCoroutine(std::coroutine_handle<> h) noexcept
-    {
-        InlineFunction f;
-        void *addr = h.address();
-        std::memcpy(f.buf_, &addr, sizeof(addr));
-        f.ops_ = &kCoroOps;
-        return f;
-    }
-
     InlineFunction(InlineFunction &&o) noexcept : ops_(o.ops_)
     {
         if (ops_) {
@@ -245,14 +227,6 @@ class InlineFunction {
         delete p;
     }
 
-    static void
-    resumeCoro(void *b)
-    {
-        void *addr;
-        std::memcpy(&addr, b, sizeof(addr));
-        std::coroutine_handle<>::from_address(addr).resume();
-    }
-
     template <typename Fn>
     static constexpr bool kTrivialBuf =
         std::is_trivially_copyable_v<Fn> &&
@@ -268,8 +242,6 @@ class InlineFunction {
     template <typename Fn>
     static constexpr Ops kHeapOps{&invokeHeap<Fn>, nullptr,
                                   &destroyHeap<Fn>};
-
-    static constexpr Ops kCoroOps{&resumeCoro, nullptr, nullptr};
 
     void
     moveBuffer(InlineFunction &o) noexcept
@@ -315,7 +287,7 @@ inline constexpr int8_t kWakeup = 10;    ///< coroutine resumptions
 /**
  * Min-heap of timestamped callbacks with O(1) lazy cancellation.
  *
- * schedule/popNext are allocation-free after warmup: heap entries and
+ * schedule/popNextInto are allocation-free after warmup: heap entries and
  * callback slots are recycled through freelists and geometric vector
  * growth.  See the file comment for the layout.
  */
@@ -452,19 +424,6 @@ class EventQueue {
         ++s.gen; // late cancel() of this id is now a no-op
         freeSlot(slot);
         return top.when;
-    }
-
-    /** Pop and return the next live event.  Caller must check !empty(). */
-    std::pair<SimTime, EventFn>
-    popNext()
-    {
-        EventFn fn;
-        std::coroutine_handle<> coro{};
-        SimTime when = popNextInto(fn, coro);
-        if (coro) {
-            fn = EventFn::fromCoroutine(coro);
-        }
-        return {when, std::move(fn)};
     }
 
     /**

@@ -140,7 +140,6 @@ class Simulator {
     /** Request that run()/runUntil() return after the current event. */
     void stop() { stopped_ = true; }
     bool stopped() const { return stopped_; }
-    void clearStop() { stopped_ = false; }
 
     // --- stepping interface for the FAME partition runner ---
 

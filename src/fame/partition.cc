@@ -160,52 +160,9 @@ PartitionSet::makeChannel(size_t src, size_t dst, SimTime min_latency,
                     ? strprintf("ch%zu(%zu->%zu)", channels_.size(), src,
                                 dst)
                     : std::move(name);
+    min_channel_latency_ = std::min(min_channel_latency_, min_latency);
     channels_.push_back(std::move(ch));
-    quantum_cache_valid_ = false; // min channel latency may have dropped
     return *channels_.back();
-}
-
-void
-PartitionSet::setQuantum(SimTime q)
-{
-    if (q <= SimTime()) {
-        fatal("PartitionSet: quantum must be strictly positive (got %s)",
-              q.str().c_str());
-    }
-    quantum_override_ = q;
-    quantum_cache_valid_ = false;
-}
-
-SimTime
-PartitionSet::computeQuantum() const
-{
-    SimTime min_latency = SimTime::max();
-    for (const auto &ch : channels_) {
-        min_latency = std::min(min_latency, ch->min_latency_);
-    }
-    if (quantum_override_ > SimTime()) {
-        if (quantum_override_ > min_latency) {
-            fatal("PartitionSet: quantum override %s exceeds minimum "
-                  "channel latency %s (breaks conservative lookahead)",
-                  quantum_override_.str().c_str(),
-                  min_latency.str().c_str());
-        }
-        return quantum_override_;
-    }
-    if (min_latency == SimTime::max()) {
-        return kNoChannelQuantum; // no channels: partitions independent
-    }
-    return min_latency;
-}
-
-SimTime
-PartitionSet::quantum() const
-{
-    if (!quantum_cache_valid_) {
-        quantum_cache_ = computeQuantum();
-        quantum_cache_valid_ = true;
-    }
-    return quantum_cache_;
 }
 
 std::lock_guard<std::mutex>

@@ -151,8 +151,6 @@ class PartitionSet {
      * partitions have no lookahead constraint, so any positive quantum
      * is semantically valid; 1 ms keeps barrier overhead negligible
      * while bounding how far partitions drift from the horizon check.
-     * Override with setQuantum() when a different granularity matters
-     * (e.g. benchmarking barrier cost itself).
      */
     static constexpr SimTime kNoChannelQuantum = SimTime::ms(1);
 
@@ -271,21 +269,14 @@ class PartitionSet {
                          std::string name = std::string());
 
     /**
-     * Synchronization quantum (lookahead): the explicit override if one
-     * was set, else the minimum channel latency, else kNoChannelQuantum.
-     * The derived value is cached (run entry used to pay an O(channels)
-     * scan) and invalidated by makeChannel/setQuantum, so a channel
-     * added after an override is set is still validated.
+     * Synchronization quantum (lookahead): the minimum channel latency,
+     * kept current as makeChannel adds channels, or kNoChannelQuantum
+     * while there are none.
      */
-    SimTime quantum() const;
-
-    /**
-     * Override the synchronization quantum.  Must be strictly positive
-     * (rejected otherwise), and — to keep the engine conservative — no
-     * larger than the minimum channel latency at run time (checked in
-     * quantum(), so channels may be added after the override is set).
-     */
-    void setQuantum(SimTime q);
+    SimTime quantum() const
+    {
+        return channels_.empty() ? kNoChannelQuantum : min_channel_latency_;
+    }
 
     /**
      * Enable/disable empty-quantum skipping (default: enabled).  Only
@@ -293,7 +284,6 @@ class PartitionSet {
      * Disabling is useful for measuring raw barrier cost.
      */
     void setSkipIdleQuanta(bool skip) { skip_idle_ = skip; }
-    bool skipIdleQuanta() const { return skip_idle_; }
 
     /**
      * Cap the number of worker threads runParallel fuses partitions
@@ -367,10 +357,6 @@ class PartitionSet {
      */
     bool lastRunOversubscribed() const { return last_oversubscribed_; }
 
-    /** Layout introspection for the false-sharing tests. */
-    static size_t workerLaneStride() { return sizeof(WorkerLane); }
-    static size_t workerLaneAlignment() { return alignof(WorkerLane); }
-
     /**
      * Advance all partitions to @p until on `min(size(), parallelism())`
      * fused workers, each ending every quantum by publishing its share
@@ -431,7 +417,6 @@ class PartitionSet {
     void enableCoupled(const CoupledOptions &opts);
 
     bool coupled() const { return coupled_; }
-    uint32_t coupledSelfRank() const { return self_rank_; }
 
     /** True when this process owns partition @p i (always true uncoupled). */
     bool partitionOwned(size_t i) const
@@ -603,8 +588,6 @@ class PartitionSet {
                   "lanes must start on a cacheline");
     static_assert(sizeof(WorkerLane) % 64 == 0,
                   "adjacent lanes must not share a cacheline");
-
-    SimTime computeQuantum() const;
 
     /** Lock pool_mu_ for a setter; fatal while a run is live. */
     std::lock_guard<std::mutex> lockIdle(const char *what);
@@ -785,9 +768,7 @@ class PartitionSet {
     std::vector<std::unique_ptr<Simulator>> parts_;
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<double> weights_;
-    SimTime quantum_override_;
-    mutable SimTime quantum_cache_;
-    mutable bool quantum_cache_valid_ = false;
+    SimTime min_channel_latency_ = SimTime::max();
     bool skip_idle_ = true;
     uint64_t quanta_ = 0;
     size_t threads_ = 0; ///< setParallelism cap; 0 = one per allowed CPU

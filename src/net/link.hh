@@ -130,7 +130,6 @@ class Link {
      * benchmarks.
      */
     void setDeliveryCoalescing(bool on) { coalesce_ = on; }
-    bool deliveryCoalescing() const { return coalesce_; }
 
     /**
      * Deliveries that rode an already-armed train instead of paying

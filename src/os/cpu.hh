@@ -109,12 +109,6 @@ class Cpu {
     /** True when every core is occupied. */
     bool busy() const;
 
-    /** Runnable (queued, not running) work items in a class. */
-    size_t queuedIn(SchedClass cls) const
-    {
-        return q_[static_cast<size_t>(cls)].size();
-    }
-
     uint64_t contextSwitches() const { return ctx_switches_; }
     SimTime busyTime(SchedClass cls) const
     {
@@ -127,15 +121,6 @@ class Cpu {
 
     const CpuParams &params() const { return params_; }
     uint32_t cores() const { return static_cast<uint32_t>(slots_.size()); }
-
-    /** Retune scheduler constants (e.g. after a kernel profile change). */
-    void
-    setSchedulerCosts(uint64_t timeslice_cycles,
-                      uint64_t context_switch_cycles)
-    {
-        timeslice_cycles_ = timeslice_cycles;
-        context_switch_cycles_ = context_switch_cycles;
-    }
 
   private:
     struct Work {

@@ -159,7 +159,6 @@ class TcpConnection {
     uint64_t ssthreshBytes() const { return ssthresh_; }
     uint64_t retransmits() const { return retransmits_; }
     uint64_t timeouts() const { return rto_count_; }
-    SimTime currentRto() const { return rto_; }
     uint64_t sndNxt() const { return snd_nxt_; }
     uint64_t sndUna() const { return snd_una_; }
 

@@ -1,6 +1,6 @@
 #include "sim/fault.hh"
 
-#include <fstream>
+#include <set>
 
 #include "core/log.hh"
 #include "sim/cluster.hh"
@@ -170,101 +170,87 @@ FaultPlan::merge(const FaultPlan &other, bool take_seed)
 // ---------------------------------------------------------------------
 
 FaultPlan
-FaultPlan::fromConfig(const Config &cfg, const std::string &prefix)
+FaultPlan::fromConfig(const Config &cfg)
 {
     FaultPlan plan;
-    plan.seed_ = cfg.getUint(prefix + "seed", plan.seed_);
-
-    for (size_t i = 0;; ++i) {
-        const std::string p = prefix + std::to_string(i) + ".";
-        if (!cfg.has(p + "kind")) {
-            break;
+    plan.seed_ = cfg.getUint("fault.seed", plan.seed_);
+    // Every fault.* key must be read below; `key` records each one.
+    std::set<std::string> read{"fault.seed"};
+    auto key = [&read](const std::string &k) -> const std::string & {
+        return *read.insert(k).first;
+    };
+    constexpr int kLastKind = static_cast<int>(FaultKind::ServerReboot);
+    for (size_t i = 0; cfg.has(strprintf("fault.%zu.kind", i)); ++i) {
+        const std::string p = strprintf("fault.%zu.", i);
+        const std::string kind = cfg.getString(key(p + "kind"), "");
+        int k = 0;
+        while (k <= kLastKind &&
+               kind != faultKindName(static_cast<FaultKind>(k))) {
+            ++k;
         }
-        const std::string kind = cfg.getString(p + "kind", "");
-        const SimTime at = usToSimTime(cfg.getDouble(p + "at_us", 0.0));
-        const uint32_t rack =
-            static_cast<uint32_t>(cfg.getUint(p + "rack", 0));
-        const uint32_t plane =
-            static_cast<uint32_t>(cfg.getUint(p + "plane", 0));
-        const uint32_t array =
-            static_cast<uint32_t>(cfg.getUint(p + "array", 0));
-        const net::NodeId node =
-            static_cast<net::NodeId>(cfg.getUint(p + "node", 0));
-
-        if (kind == "trunk_down") {
-            plan.trunkDown(at, rack, plane);
-        } else if (kind == "trunk_up") {
-            plan.trunkUp(at, rack, plane);
-        } else if (kind == "trunk_brownout") {
-            plan.trunkBrownout(at, rack, plane,
-                               cfg.getDouble(p + "loss", 0.01),
-                               usToSimTime(
-                                   cfg.getDouble(p + "extra_us", 0.0)));
-        } else if (kind == "trunk_repair") {
-            plan.trunkRepair(at, rack, plane);
-        } else if (kind == "switch_crash") {
-            plan.switchCrash(at, array, plane);
-        } else if (kind == "switch_restart") {
-            plan.switchRestart(at, array, plane);
-        } else if (kind == "server_crash") {
-            plan.serverCrash(at, node);
-        } else if (kind == "server_reboot") {
-            plan.serverReboot(at, node);
-        } else {
+        if (k > kLastKind) {
             fatal("FaultPlan: unknown fault kind '%s' (%skind)",
                   kind.c_str(), p.c_str());
         }
+        FaultEvent e;
+        e.kind = static_cast<FaultKind>(k);
+        e.at = usToSimTime(cfg.getDouble(key(p + "at_us"), 0.0));
+        switch (e.kind) {
+        case FaultKind::TrunkBrownout:
+            e.loss_prob = cfg.getDouble(key(p + "loss"), 0.01);
+            e.extra_latency =
+                usToSimTime(cfg.getDouble(key(p + "extra_us"), 0.0));
+            [[fallthrough]];
+        case FaultKind::TrunkDown:
+        case FaultKind::TrunkUp:
+        case FaultKind::TrunkRepair:
+            e.rack = static_cast<uint32_t>(cfg.getUint(key(p + "rack"), 0));
+            e.plane =
+                static_cast<uint32_t>(cfg.getUint(key(p + "plane"), 0));
+            break;
+        case FaultKind::SwitchCrash:
+        case FaultKind::SwitchRestart:
+            e.array =
+                static_cast<uint32_t>(cfg.getUint(key(p + "array"), 0));
+            e.plane =
+                static_cast<uint32_t>(cfg.getUint(key(p + "plane"), 0));
+            break;
+        case FaultKind::ServerCrash:
+        case FaultKind::ServerReboot:
+            e.node =
+                static_cast<net::NodeId>(cfg.getUint(key(p + "node"), 0));
+            break;
+        }
+        plan.events_.push_back(e);
+    }
+    for (const std::string &k : cfg.keys()) {
+        if (k.rfind("fault.", 0) != 0 || read.count(k) != 0) {
+            continue;
+        }
+        const std::string kind = k.substr(0, k.find('.', 6)) + ".kind";
+        if (cfg.has(kind) && read.count(kind) == 0) {
+            fatal("FaultPlan: '%s' follows a gap: fault events are "
+                  "numbered from fault.0 up without one",
+                  kind.c_str());
+        }
+        fatal("FaultPlan: unknown key '%s' (neither fault.seed nor an "
+              "operand of its event's kind)",
+              k.c_str());
     }
     return plan;
 }
 
-namespace {
-
-std::string
-trimmed(const std::string &s)
-{
-    const size_t first = s.find_first_not_of(" \t\r\n");
-    if (first == std::string::npos) {
-        return "";
-    }
-    const size_t last = s.find_last_not_of(" \t\r\n");
-    return s.substr(first, last - first + 1);
-}
-
-} // namespace
-
 FaultPlan
 FaultPlan::fromFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in) {
-        fatal("FaultPlan: cannot read plan file '%s'", path.c_str());
-    }
-    Config cfg;
-    std::string line;
-    size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const size_t hash = line.find('#');
-        if (hash != std::string::npos) {
-            line.erase(hash);
-        }
-        if (trimmed(line).empty()) {
-            continue;
-        }
-        // Whitespace around '=' is allowed ("key = value"); Config keys
-        // are exact strings, so trim both sides before storing.
-        const size_t eq = line.find('=');
-        const std::string key =
-            eq == std::string::npos ? "" : trimmed(line.substr(0, eq));
-        if (key.empty() ||
-            !cfg.parseAssignment(key + "=" +
-                                 trimmed(line.substr(eq + 1)))) {
-            fatal("FaultPlan: %s:%zu: expected key=value, got '%s'",
-                  path.c_str(), lineno, trimmed(line).c_str());
+    const Config cfg = Config::fromFile(path);
+    for (const std::string &k : cfg.keys()) {
+        if (k.rfind("fault.", 0) != 0) {
+            fatal("FaultPlan: %s: key '%s' is not a fault.* key",
+                  path.c_str(), k.c_str());
         }
     }
-    return fromConfig(cfg, "fault.");
+    return fromConfig(cfg);
 }
 
 std::string
@@ -410,9 +396,6 @@ FaultController::installEvent(const FaultEvent &e, size_t idx)
                 dl->setUp(true);
             }
             k.reboot();
-            if (reboot_hook_) {
-                reboot_hook_(node);
-            }
         });
         break;
     }

@@ -19,7 +19,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -98,20 +97,22 @@ class FaultPlan {
     FaultPlan &merge(const FaultPlan &other, bool take_seed = false);
 
     /**
-     * Parse fault.<i>.* keys (i = 0, 1, ... until the first missing
-     * fault.<i>.kind) plus an optional fault.seed.  Keys per event:
+     * Parse the fault.* keys of @p cfg: an optional fault.seed and
+     * fault.<i>.* events numbered from 0 with no gap.  Keys per event:
      * kind (trunk_down/trunk_up/trunk_brownout/trunk_repair/
      * switch_crash/switch_restart/server_crash/server_reboot), at_us,
-     * and the kind's operands (rack, plane, array, node, loss,
-     * extra_us).  Fatal on an unknown kind.
+     * and the kind's operands: rack and plane for trunk faults (plus
+     * loss and extra_us for a brownout), array and plane for switch
+     * faults, node for server faults.  Fatal, naming the key, on an
+     * unknown kind, a gap in the numbering, or any other fault.* key.
      */
-    static FaultPlan fromConfig(const Config &cfg,
-                                const std::string &prefix = "fault.");
+    static FaultPlan fromConfig(const Config &cfg);
 
     /**
-     * Load a plan file: key=value assignment lines in the fromConfig
-     * schema, '#' comments and blank lines ignored.  Fatal if the file
-     * cannot be read or a line is malformed.
+     * Load a plan file (Config::fromFile's key=value format) holding
+     * only fault.* keys, read as fromConfig reads them.  Fatal if the
+     * file cannot be read, a line is malformed, a key repeats, or a key
+     * lies outside fault.*.
      */
     static FaultPlan fromFile(const std::string &path);
 
@@ -137,16 +138,6 @@ class FaultController {
   public:
     FaultController(Cluster &cluster, FaultPlan plan);
 
-    /**
-     * Called (in the server's rack partition) right after a node
-     * reboots — the place to respawn its serving processes.  Set before
-     * install().
-     */
-    void onServerReboot(std::function<void(net::NodeId)> fn)
-    {
-        reboot_hook_ = std::move(fn);
-    }
-
     /** Schedule every event in the plan; fatal on out-of-range refs. */
     void install();
 
@@ -158,7 +149,6 @@ class FaultController {
 
     Cluster &cluster_;
     FaultPlan plan_;
-    std::function<void(net::NodeId)> reboot_hook_;
     bool installed_ = false;
 };
 

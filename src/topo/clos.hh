@@ -249,7 +249,6 @@ class ClosNetwork {
     {
         return *array_switches_[i];
     }
-    switchm::Switch &dcSwitch() { return *dc_switch_; }
 
     /** Sum of dropped packets across every switch in the fabric. */
     uint64_t totalSwitchDrops() const;

@@ -193,32 +193,10 @@ TEST(PartitionSet, PostExactlyAtLookaheadIsAccepted)
     EXPECT_EQ(delivered, 1);
 }
 
-TEST(PartitionSet, NoChannelQuantumDefaultAndOverride)
+TEST(PartitionSet, NoChannelQuantumDefault)
 {
     PartitionSet ps(2); // no channels: explicit, documented default
     EXPECT_EQ(ps.quantum(), PartitionSet::kNoChannelQuantum);
-    ps.setQuantum(SimTime::us(10));
-    EXPECT_EQ(ps.quantum(), SimTime::us(10));
-}
-
-TEST(PartitionSet, NonPositiveQuantumIsRejected)
-{
-    // A zero quantum used to be silently indistinguishable from the
-    // pass-SimTime()-to-clear idiom; both non-positive cases now die.
-    PartitionSet ps(2);
-    EXPECT_DEATH(ps.setQuantum(SimTime()),
-                 "quantum must be strictly positive");
-    EXPECT_DEATH(ps.setQuantum(SimTime::us(-1)),
-                 "quantum must be strictly positive");
-}
-
-TEST(PartitionSet, QuantumOverrideExceedingLookaheadPanics)
-{
-    PartitionSet ps(2);
-    ps.makeChannel(0, 1, 2_us);
-    ps.setQuantum(5_us); // larger than the 2 us lookahead
-    EXPECT_DEATH(ps.runSequential(SimTime::us(100)),
-                 "exceeds minimum channel latency");
 }
 
 TEST(PartitionSet, QuantumSkippingPreservesDeterminism)
@@ -375,29 +353,15 @@ TEST(PartitionSet, FusionCapsWorkersAtPartitionCount)
     EXPECT_EQ(ps.lastRunWorkers(), 2u);
 }
 
-TEST(PartitionSet, QuantumCacheInvalidatedByLaterChannel)
-{
-    // Regression for the cached quantum: an override validated against
-    // the channels present at first quantum() call must be re-checked
-    // when a later channel tightens the minimum lookahead below it.
-    PartitionSet ps(3);
-    ps.makeChannel(0, 1, 10_us);
-    ps.setQuantum(8_us);
-    EXPECT_EQ(ps.quantum(), 8_us); // cache primed with override valid
-    ps.makeChannel(1, 2, 2_us);    // lookahead now below the override
-    EXPECT_DEATH(ps.runSequential(SimTime::us(100)),
-                 "exceeds minimum channel latency");
-}
-
-TEST(PartitionSet, QuantumCacheInvalidatedBySetAndClear)
+TEST(PartitionSet, LaterShorterChannelLowersQuantum)
 {
     PartitionSet ps(2);
     ps.makeChannel(0, 1, 10_us);
     EXPECT_EQ(ps.quantum(), 10_us);
     ps.makeChannel(1, 0, 3_us);
     EXPECT_EQ(ps.quantum(), 3_us);
-    ps.setQuantum(2_us);
-    EXPECT_EQ(ps.quantum(), 2_us);
+    ps.makeChannel(0, 1, 5_us); // a longer one leaves it alone
+    EXPECT_EQ(ps.quantum(), 3_us);
 }
 
 TEST(PartitionSet, RandomizedTopologyStressSeqParIdentical)
@@ -453,14 +417,6 @@ TEST(PartitionSet, RandomizedTopologyStressSeqParIdentical)
                 << ", threads=" << threads;
         }
     }
-}
-
-TEST(PartitionSet, WorkerLanesAreCacheLineIsolated)
-{
-    // Two workers' hot per-quantum state (publication slots, calendars,
-    // dirty lists, arenas) must never share a cacheline.
-    EXPECT_EQ(PartitionSet::workerLaneAlignment(), 64u);
-    EXPECT_EQ(PartitionSet::workerLaneStride() % 64u, 0u);
 }
 
 /**

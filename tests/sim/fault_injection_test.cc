@@ -311,13 +311,54 @@ TEST(FaultPlan, FromConfigParsesEveryKind)
     EXPECT_FALSE(plan.str().empty());
 }
 
-TEST(FaultPlan, FromConfigStopsAtFirstGap)
+// A fault key that no event reads used to be dropped silently: a plan
+// numbered from 1, or with a gap, ran fault-free; a misspelt operand
+// read as 0.  Each is now a fatal that names the key.
+TEST(FaultPlanDeathTest, GapInTheNumberingIsFatal)
 {
-    Config cfg;
-    cfg.set("fault.0.kind", "trunk_down");
-    cfg.set("fault.2.kind", "trunk_up"); // unreachable past the gap
-    FaultPlan plan = FaultPlan::fromConfig(cfg);
-    EXPECT_EQ(plan.size(), 1u);
+    Config from_one;
+    from_one.set("fault.1.kind", "trunk_down");
+    from_one.set("fault.1.at_us", 100);
+    from_one.set("fault.1.rack", 0);
+    EXPECT_DEATH(FaultPlan::fromConfig(from_one),
+                 "'fault.1.kind' follows a gap");
+
+    Config gap;
+    gap.set("fault.0.kind", "trunk_down");
+    gap.set("fault.2.kind", "trunk_up");
+    EXPECT_DEATH(FaultPlan::fromConfig(gap), "'fault.2.kind' follows a gap");
+}
+
+TEST(FaultPlanDeathTest, UnknownFieldIsFatal)
+{
+    Config misspelt;
+    misspelt.set("fault.0.kind", "trunk_down");
+    misspelt.set("fault.0.rak", 3);
+    EXPECT_DEATH(FaultPlan::fromConfig(misspelt),
+                 "unknown key 'fault.0.rak'");
+
+    // An operand of another kind is not read either.
+    Config foreign;
+    foreign.set("fault.0.kind", "trunk_down");
+    foreign.set("fault.0.node", 3);
+    EXPECT_DEATH(FaultPlan::fromConfig(foreign),
+                 "unknown key 'fault.0.node'");
+}
+
+TEST(FaultPlanDeathTest, PlanFileRejectsForeignAndRepeatedKeys)
+{
+    const std::string path =
+        ::testing::TempDir() + "fault_plan_hostile.conf";
+    auto write = [&path](const char *text) {
+        std::ofstream out(path);
+        out << text;
+    };
+    write("fault.0.kind = trunk_down\nrack = 1\n");
+    EXPECT_DEATH(FaultPlan::fromFile(path), "key 'rack' is not a fault");
+    write("fault.0.kind = trunk_down\nfault.0.kind = trunk_up\n");
+    EXPECT_DEATH(FaultPlan::fromFile(path),
+                 ":2: duplicate key 'fault.0.kind'");
+    std::remove(path.c_str());
 }
 
 TEST(FaultPlan, FromFileMatchesFromConfig)

@@ -333,4 +333,49 @@ TEST(SweepRobustness, RetriesPromoteFlakyJobsToGreen)
            " " + markers);
 }
 
+TEST(SweepRobustness, HostileInputsFailFastWithANamedError)
+{
+    const std::string spec = tmpPath("hostile.spec");
+    const std::string log = tmpPath("hostile.log");
+    const std::string dir = tmpPath("hostile");
+    struct Case {
+        const char *spec;  ///< the spec file's text
+        const char *flags; ///< appended to the command line
+        const char *name;  ///< the key or flag the error must name
+        int exit_code;
+    };
+    // `workload = bogus` fails every attempt, so an unbounded retry
+    // count would loop until killed; the other specs are healthy and
+    // only dry-run.  The external timeout bounds a hang.
+    const Case cases[] = {
+        {"workload = bogus\nsweep.retries = -1\nsweep.backoff = 0\n", "",
+         "sweep.retries", 1},
+        {"workload = incast\nsweep.jobs = four\n", " --dry-run",
+         "sweep.jobs", 1},
+        {"workload = incast\nsweep.timeout = 5x\n", " --dry-run",
+         "sweep.timeout", 1},
+        {"workload = incast\nsweep.jobs = 1,2\n", " --dry-run",
+         "sweep.jobs", 1},
+        {"workload = incast\n", " --dry-run --jobs four", "--jobs", 2},
+        {"workload = incast\n", " --dry-run --timeout abc", "--timeout", 2},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        {
+            std::ofstream out(spec);
+            out << c.spec;
+        }
+        runCmd("rm -rf " + dir);
+        const auto t0 = std::chrono::steady_clock::now();
+        const int rc = runCmd("timeout 10 " + std::string(DIABLO_SWEEP_BIN) +
+                              " " + spec + " --out " + dir + c.flags +
+                              " > " + log + " 2>&1");
+        EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+        EXPECT_EQ(rc, c.exit_code);
+        const std::string out = slurp(log);
+        EXPECT_NE(out.find(c.name), std::string::npos) << out;
+    }
+    runCmd("rm -rf " + dir + " " + spec + " " + log);
+}
+
 } // namespace

@@ -18,6 +18,10 @@
  * fault.<i>.* keys given directly on the command line work too, and
  * when both are present the file's timeline comes first with the
  * command-line events appended (and a command-line fault.seed winning).
+ * Unlike model keys, a fault.* key the plan does not read is fatal.
+ *
+ * Every --flag that takes a value is spelled "--flag value" or
+ * "--flag=value" (FlagReader); a malformed value exits 2.
  *
  * --engine <single|seq|par> selects the execution engine: `single`
  * (default) runs the whole array on one Simulator; `seq` and `par`
@@ -991,26 +995,12 @@ ProcessGroup::spawn(const RunOpts &opts, uint32_t rank,
         std::vector<std::string> args;
         args.push_back(opts.argv[0]);
         args.push_back("incast");
-        for (int i = 2; i < opts.argc; ++i) {
-            const char *a = opts.argv[i];
-            auto strips = [&](const char *flag) {
-                const size_t len = std::strlen(flag);
-                if (std::strncmp(a, flag, len) != 0) {
-                    return false;
-                }
-                if (a[len] == '=') {
-                    return true;
-                }
-                if (a[len] == '\0') {
-                    ++i; // skip the separate value argument
-                    return true;
-                }
-                return false;
-            };
-            if (strips("--json") || strips("--processes")) {
-                continue;
+        FlagReader f(opts.argc, opts.argv, 2);
+        while (f.more()) {
+            if (f.value("--json") == nullptr &&
+                f.value("--processes") == nullptr) {
+                args.push_back(f.next());
             }
-            args.push_back(a);
         }
         args.push_back("--proc-rank");
         args.push_back(std::to_string(rank));
@@ -1285,53 +1275,18 @@ main(int argc, char **argv)
     opts.argc = argc;
     opts.argv = argv;
     EngineOpts &eng = opts.eng;
-    // Strict non-negative integer parse shared by the count flags: an
-    // unchecked strtoull would silently accept garbage or wraparound.
-    auto parseCount = [](const char *flag, const char *v,
-                         unsigned long long *out) {
-        if (*v == '\0' ||
-            std::strspn(v, "0123456789") != std::strlen(v)) {
-            std::fprintf(stderr,
-                         "%s needs a non-negative integer (got '%s')\n",
-                         flag, v);
-            std::exit(2);
-        }
-        errno = 0;
-        *out = std::strtoull(v, nullptr, 10);
-        if (errno == ERANGE) {
-            std::fprintf(stderr, "%s value '%s' is out of range\n", flag,
-                         v);
-            std::exit(2);
-        }
-    };
-    for (int i = 2; i < argc; ++i) {
-        // Each --flag accepts both "--flag value" and "--flag=value".
-        auto flagValue = [&](const char *flag) -> const char * {
-            const size_t len = std::strlen(flag);
-            if (std::strncmp(argv[i], flag, len) != 0) {
-                return nullptr;
-            }
-            if (argv[i][len] == '=') {
-                return argv[i] + len + 1;
-            }
-            if (argv[i][len] == '\0') {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "%s needs a value\n", flag);
-                    std::exit(2);
-                }
-                return argv[++i];
-            }
-            return nullptr;
-        };
-        if (const char *v = flagValue("--fault-plan")) {
+    uint64_t n = 0;
+    FlagReader f(argc, argv, 2);
+    while (f.more()) {
+        if (const char *v = f.value("--fault-plan")) {
             opts.plan_file = v;
             continue;
         }
-        if (const char *v = flagValue("--json")) {
+        if (const char *v = f.value("--json")) {
             opts.json_path = v;
             continue;
         }
-        if (const char *v = flagValue("--engine")) {
+        if (const char *v = f.value("--engine")) {
             if (!eng.parseEngine(v)) {
                 std::fprintf(stderr,
                              "--engine must be single, seq, or par "
@@ -1340,57 +1295,44 @@ main(int argc, char **argv)
             }
             continue;
         }
-        if (const char *v = flagValue("--threads")) {
-            unsigned long long t = 0;
-            parseCount("--threads", v, &t);
-            eng.threads = static_cast<size_t>(t);
+        if (f.value("--threads", &n)) {
+            eng.threads = static_cast<size_t>(n);
             continue;
         }
-        if (const char *v = flagValue("--processes")) {
-            unsigned long long p = 0;
-            parseCount("--processes", v, &p);
-            if (p == 0) {
-                std::fprintf(stderr, "--processes must be >= 1\n");
-                return 2;
-            }
-            eng.processes = static_cast<size_t>(p);
+        if (f.value("--processes", &n, 1)) {
+            eng.processes = static_cast<size_t>(n);
             continue;
         }
         // Internal child-rank identity flags, set by the launcher's
         // re-exec; never given by hand.
-        if (const char *v = flagValue("--proc-rank")) {
-            unsigned long long r = 0;
-            parseCount("--proc-rank", v, &r);
-            opts.proc_rank = static_cast<uint32_t>(r);
+        if (f.value("--proc-rank", &n)) {
+            opts.proc_rank = static_cast<uint32_t>(n);
             continue;
         }
-        if (const char *v = flagValue("--proc-nprocs")) {
-            unsigned long long np = 0;
-            parseCount("--proc-nprocs", v, &np);
-            opts.proc_nprocs = static_cast<uint32_t>(np);
+        if (f.value("--proc-nprocs", &n)) {
+            opts.proc_nprocs = static_cast<uint32_t>(n);
             continue;
         }
-        if (const char *v = flagValue("--proc-shm")) {
+        if (const char *v = f.value("--proc-shm")) {
             opts.proc_shm = v;
             continue;
         }
-        if (const char *v = flagValue("--proc-result-fd")) {
-            unsigned long long fd = 0;
-            parseCount("--proc-result-fd", v, &fd);
-            opts.proc_result_fd = static_cast<int>(fd);
+        if (f.value("--proc-result-fd", &n)) {
+            opts.proc_result_fd = static_cast<int>(n);
             continue;
         }
-        if (std::strcmp(argv[i], "--no-pin") == 0) {
+        if (f.take("--no-pin")) {
             eng.pin = false;
             continue;
         }
-        if (std::strcmp(argv[i], "--mem-report") == 0) {
+        if (f.take("--mem-report")) {
             eng.mem_report = true;
             continue;
         }
-        if (!cfg.parseAssignment(argv[i])) {
+        const char *arg = f.next();
+        if (!cfg.parseAssignment(arg)) {
             std::fprintf(stderr, "not a key=value assignment: '%s'\n",
-                         argv[i]);
+                         arg);
             return 2;
         }
     }
