@@ -83,16 +83,6 @@ mcConfig(uint32_t nodes, bool udp, bool tengig)
     return p;
 }
 
-/** Run one experiment and return its aggregated result. */
-inline apps::McExperimentResult
-runMc(const apps::McExperimentParams &params)
-{
-    Simulator sim;
-    apps::McExperiment exp(sim, params);
-    exp.run();
-    return exp.result();
-}
-
 /** One TCP Incast run: n servers + 1 client on a single ToR. */
 inline apps::IncastResult
 runIncast(uint32_t num_servers, switchm::BufferPolicy policy,

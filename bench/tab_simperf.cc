@@ -131,7 +131,7 @@ main()
                         SimTime::us(k), [&ps, i, &ch] {
                         volatile double x = 0;
                         for (int j = 0; j < 20000; ++j) {
-                            x += j;
+                            x = x + j;
                         }
                         ch.post(ps.partition(i).now() + 5_us, [] {});
                     });

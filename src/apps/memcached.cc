@@ -346,8 +346,8 @@ installMemcachedServer(sim::Cluster &cluster, net::NodeId node,
         k.spawnProcess(mcUdpMain(k, params));
         return;
     }
-    // The server's rack simulator, not cluster.sim(): the latter is
-    // fatal on a sharded build, which TCP servers must support too.
+    // The server's own rack simulator: a sharded build, which TCP
+    // servers must support too, has no single one.
     auto sh = std::make_shared<ServerShared>(k.sim());
     sh->worker_epfd.resize(params.worker_threads, -1);
     for (uint32_t i = 0; i < params.worker_threads; ++i) {

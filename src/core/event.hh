@@ -450,9 +450,6 @@ class EventQueue {
         }
     }
 
-    /** Total events ever scheduled (for engine throughput reporting). */
-    uint64_t scheduledCount() const { return next_seq_; }
-
   private:
     /**
      * POD heap entry (24 bytes): relocated by plain assignment during

@@ -53,8 +53,7 @@ Simulator::sweepTasks()
 void
 Simulator::run()
 {
-    stopped_ = false;
-    while (!queue_.empty() && !stopped_) {
+    while (!queue_.empty()) {
         executeNext();
     }
 }
@@ -62,12 +61,7 @@ Simulator::run()
 void
 Simulator::runUntil(SimTime t)
 {
-    stopped_ = false;
-    while (!stopped_) {
-        SimTime next = queue_.nextTime();
-        if (next > t) {
-            break;
-        }
+    while (queue_.nextTime() <= t) {
         executeNext();
     }
     if (now_ < t) {
@@ -78,8 +72,7 @@ Simulator::runUntil(SimTime t)
 void
 Simulator::runBefore(SimTime t)
 {
-    stopped_ = false;
-    while (!stopped_ && queue_.nextTime() < t) {
+    while (queue_.nextTime() < t) {
         executeNext();
     }
 }

@@ -120,7 +120,7 @@ class Simulator {
 
     SleepAwaiter sleep(SimTime delay) { return SleepAwaiter{*this, delay}; }
 
-    /** Run until the queue drains or stop() is called. */
+    /** Run until the queue drains. */
     void run();
 
     /**
@@ -136,10 +136,6 @@ class Simulator {
      * after cross-partition messages for that instant have arrived.
      */
     void runBefore(SimTime t);
-
-    /** Request that run()/runUntil() return after the current event. */
-    void stop() { stopped_ = true; }
-    bool stopped() const { return stopped_; }
 
     // --- stepping interface for the FAME partition runner ---
 
@@ -168,7 +164,6 @@ class Simulator {
     bool idle() { return queue_.empty(); }
 
     uint64_t executedEvents() const { return executed_; }
-    uint64_t scheduledEvents() const { return queue_.scheduledCount(); }
 
     /**
      * Partition-local attachment slot: one opaque object owned by this
@@ -209,7 +204,6 @@ class Simulator {
 
     EventQueue queue_;
     SimTime now_;
-    bool stopped_ = false;
     uint64_t executed_ = 0;
     std::vector<Task<>> tasks_;
 };

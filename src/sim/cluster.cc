@@ -124,7 +124,7 @@ Cluster::partitionsRequired(const ClusterParams &params)
 }
 
 Cluster::Cluster(Simulator &sim, const ClusterParams &params)
-    : sim_(&sim), params_(params), rng_(params.seed)
+    : parts_{&sim}, params_(params), rng_(params.seed)
 {
     network_ = std::make_unique<topo::ClosNetwork>(sim, params_.topo);
     buildServers();
@@ -140,6 +140,9 @@ Cluster::Cluster(fame::PartitionSet &ps, const ClusterParams &params)
               "(one per rack%s), got %zu",
               racks, need, racks > 1 ? " + 1 for the switch levels" : "",
               ps.size());
+    }
+    for (size_t i = 0; i < ps.size(); ++i) {
+        parts_.push_back(&ps.partition(i));
     }
 
     // Rack r -> partition r; array/datacenter switches -> partition
@@ -257,7 +260,7 @@ Cluster::engineStep(bool parallel)
 {
     return [this, parallel](SimTime t) {
         if (ps_ == nullptr) {
-            sim_->runUntil(t);
+            parts_[0]->runUntil(t);
         } else if (parallel) {
             ps_->runParallel(t);
         } else {
@@ -286,7 +289,7 @@ Cluster::drive(SimTime window, SimTime cap, const Step &step,
         }
         // A coupled leader cannot see its peers' pending work.
         if (!done() &&
-            (ps_ == nullptr ? sim_->idle()
+            (ps_ == nullptr ? parts_[0]->idle()
                             : !ps_->coupled() &&
                                   ps_->nextPendingTime() == SimTime::max())) {
             return {DriveEnd::Idle, t};
@@ -296,20 +299,9 @@ Cluster::drive(SimTime window, SimTime cap, const Step &step,
 }
 
 Simulator &
-Cluster::sim()
-{
-    if (sim_ == nullptr) {
-        fatal("Cluster::sim(): a sharded cluster has no single "
-              "simulator; use kernel(node).sim() or drive the "
-              "PartitionSet");
-    }
-    return *sim_;
-}
-
-Simulator &
 Cluster::simForRack(uint32_t rack)
 {
-    return ps_ != nullptr ? ps_->partition(rack) : *sim_;
+    return *parts_[ps_ != nullptr ? rack : 0];
 }
 
 void
@@ -427,108 +419,75 @@ Cluster::arenaStats() const
     return out;
 }
 
+template <typename Fn>
 uint64_t
-Cluster::totalTcpRetransmits() const
+Cluster::sumServers(Fn stat) const
 {
     uint64_t n = 0;
     for (const ServerState *s : nodes_) {
-        if (s == nullptr) {
-            continue;
+        if (s != nullptr) {
+            n += stat(*s);
         }
-        n += s->kernel.stats().tcp_retransmits;
     }
     return n;
+}
+
+uint64_t
+Cluster::totalTcpRetransmits() const
+{
+    return sumServers(
+        [](const ServerState &s) { return s.kernel.stats().tcp_retransmits; });
 }
 
 uint64_t
 Cluster::totalTcpRtos() const
 {
-    uint64_t n = 0;
-    for (const ServerState *s : nodes_) {
-        if (s == nullptr) {
-            continue;
-        }
-        n += s->kernel.stats().tcp_rtos;
-    }
-    return n;
+    return sumServers(
+        [](const ServerState &s) { return s.kernel.stats().tcp_rtos; });
 }
 
 uint64_t
 Cluster::totalTcpAborts() const
 {
-    uint64_t n = 0;
-    for (const ServerState *s : nodes_) {
-        if (s == nullptr) {
-            continue;
-        }
-        n += s->kernel.stats().tcp_aborts;
-    }
-    return n;
+    return sumServers(
+        [](const ServerState &s) { return s.kernel.stats().tcp_aborts; });
 }
 
 uint64_t
 Cluster::totalTcpRecovered() const
 {
-    uint64_t n = 0;
-    for (const ServerState *s : nodes_) {
-        if (s == nullptr) {
-            continue;
-        }
-        n += s->kernel.stats().tcp_recovered;
-    }
-    return n;
+    return sumServers(
+        [](const ServerState &s) { return s.kernel.stats().tcp_recovered; });
 }
 
 uint64_t
 Cluster::totalCrashRxDiscards() const
 {
-    uint64_t n = 0;
-    for (const ServerState *s : nodes_) {
-        if (s == nullptr) {
-            continue;
-        }
-        n += s->kernel.stats().crash_rx_discards;
-    }
-    return n;
+    return sumServers([](const ServerState &s) {
+        return s.kernel.stats().crash_rx_discards;
+    });
 }
 
 uint64_t
 Cluster::totalUdpSocketDrops() const
 {
-    uint64_t n = 0;
-    for (const ServerState *s : nodes_) {
-        if (s == nullptr) {
-            continue;
-        }
-        n += s->kernel.stats().udp_rx_overflow_drops;
-    }
-    return n;
+    return sumServers([](const ServerState &s) {
+        return s.kernel.stats().udp_rx_overflow_drops;
+    });
 }
 
 uint64_t
 Cluster::totalNicRxDrops() const
 {
-    uint64_t n = 0;
-    for (const ServerState *s : nodes_) {
-        if (s == nullptr) {
-            continue;
-        }
-        n += s->nic.rxRingDrops();
-    }
-    return n;
+    return sumServers(
+        [](const ServerState &s) { return s.nic.rxRingDrops(); });
 }
 
 uint64_t
 Cluster::totalNicTxRingDrops() const
 {
-    uint64_t n = 0;
-    for (const ServerState *s : nodes_) {
-        if (s == nullptr) {
-            continue;
-        }
-        n += s->nic.txRingDrops();
-    }
-    return n;
+    return sumServers(
+        [](const ServerState &s) { return s.nic.txRingDrops(); });
 }
 
 std::vector<Cluster::PoolStats>
@@ -546,13 +505,9 @@ Cluster::poolStats() const
         return ps;
     };
     std::vector<PoolStats> out;
-    if (ps_ != nullptr) {
-        out.reserve(ps_->size());
-        for (size_t i = 0; i < ps_->size(); ++i) {
-            out.push_back(snapshot(ps_->partition(i)));
-        }
-    } else {
-        out.push_back(snapshot(*sim_));
+    out.reserve(parts_.size());
+    for (Simulator *p : parts_) {
+        out.push_back(snapshot(*p));
     }
     return out;
 }
@@ -560,27 +515,18 @@ Cluster::poolStats() const
 uint64_t
 Cluster::totalDeliveriesCoalesced() const
 {
-    uint64_t n = network_->totalDeliveriesCoalesced();
-    for (const ServerState *s : nodes_) {
-        if (s == nullptr) {
-            continue;
-        }
-        n += s->uplink.deliveriesCoalesced();
-    }
-    return n;
+    return network_->totalDeliveriesCoalesced() +
+           sumServers([](const ServerState &s) {
+               return s.uplink.deliveriesCoalesced();
+           });
 }
 
 uint64_t
 Cluster::totalDeliveryTrains() const
 {
-    uint64_t n = network_->totalDeliveryTrains();
-    for (const ServerState *s : nodes_) {
-        if (s == nullptr) {
-            continue;
-        }
-        n += s->uplink.deliveryTrains();
-    }
-    return n;
+    return network_->totalDeliveryTrains() +
+           sumServers(
+               [](const ServerState &s) { return s.uplink.deliveryTrains(); });
 }
 
 } // namespace sim

@@ -131,11 +131,10 @@ class Cluster {
     static size_t partitionsRequired(const ClusterParams &params);
 
     /**
-     * The single simulator of a non-sharded cluster.  Fatal on a
-     * sharded cluster — there is no single engine; use
-     * kernel(node).sim(), or drive the PartitionSet.
+     * The engine's partitions in PartitionSet order: one per partition
+     * of a sharded build, the one Simulator of a single build.
      */
-    Simulator &sim();
+    const std::vector<Simulator *> &partitions() const { return parts_; }
 
     /** Non-null iff this cluster is sharded over a PartitionSet. */
     fame::PartitionSet *partitionSet() { return ps_; }
@@ -278,8 +277,11 @@ class Cluster {
 
     Simulator &simForRack(uint32_t rack);
 
-    Simulator *sim_ = nullptr;       ///< non-null iff single-partition
+    /** Sum @p stat over every materialized server. */
+    template <typename Fn> uint64_t sumServers(Fn stat) const;
+
     fame::PartitionSet *ps_ = nullptr; ///< non-null iff sharded
+    std::vector<Simulator *> parts_;   ///< see partitions()
     ClusterParams params_;
     std::unique_ptr<topo::ClosNetwork> network_;
 

@@ -65,11 +65,8 @@ TelemetryProbe::sample(SimTime t)
     }
 
     uint64_t events = 0;
-    fame::PartitionSet *ps = cluster_.partitionSet();
-    if (ps != nullptr) {
-        events = ps->totalExecutedEvents();
-    } else {
-        events = cluster_.sim().executedEvents();
+    for (const Simulator *p : cluster_.partitions()) {
+        events += p->executedEvents();
     }
 
     uint64_t pool_makes = 0, pool_returns = 0;

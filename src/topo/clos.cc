@@ -587,89 +587,72 @@ ClosNetwork::hopClass(net::NodeId src, net::NodeId dst) const
     return HopClass::TwoHop;
 }
 
-uint64_t
-ClosNetwork::totalSwitchDrops() const
-{
-    uint64_t n = 0;
-    for (const auto &s : rack_switches_) {
-        n += s->stats().dropped_pkts;
-    }
-    for (const auto &s : array_switches_) {
-        n += s->stats().dropped_pkts;
-    }
-    if (dc_switch_) {
-        n += dc_switch_->stats().dropped_pkts;
-    }
-    return n;
-}
-
-uint64_t
-ClosNetwork::totalForwarded() const
-{
-    uint64_t n = 0;
-    for (const auto &s : rack_switches_) {
-        n += s->stats().forwarded_pkts;
-    }
-    for (const auto &s : array_switches_) {
-        n += s->stats().forwarded_pkts;
-    }
-    if (dc_switch_) {
-        n += dc_switch_->stats().forwarded_pkts;
-    }
-    return n;
-}
-
-namespace {
-
 template <typename Fn>
 uint64_t
-sumLinks(const std::vector<std::unique_ptr<net::Link>> &links, Fn fn)
+ClosNetwork::sumSwitches(Fn stat) const
 {
-    uint64_t n = 0;
-    for (const auto &l : links) {
-        if (l) {
-            n += fn(*l);
+    uint64_t n = dc_switch_ ? stat(*dc_switch_) : 0;
+    for (const auto *level : {&rack_switches_, &array_switches_}) {
+        for (const auto &s : *level) {
+            n += stat(*s);
         }
     }
     return n;
 }
 
-} // namespace
+template <typename Fn>
+uint64_t
+ClosNetwork::sumLinks(Fn stat) const
+{
+    uint64_t n = 0;
+    for (const auto *links : {&tor_up_links_, &arr_down_links_, &arr_up_links_,
+                              &dc_down_links_, &server_links_}) {
+        for (const auto &l : *links) {
+            if (l) {
+                n += stat(*l);
+            }
+        }
+    }
+    return n;
+}
+
+uint64_t
+ClosNetwork::totalSwitchDrops() const
+{
+    return sumSwitches(
+        [](const switchm::Switch &s) { return s.stats().dropped_pkts; });
+}
+
+uint64_t
+ClosNetwork::totalForwarded() const
+{
+    return sumSwitches(
+        [](const switchm::Switch &s) { return s.stats().forwarded_pkts; });
+}
 
 uint64_t
 ClosNetwork::totalLinkDownDrops() const
 {
-    auto drops = [](const net::Link &l) { return l.downDrops(); };
-    return sumLinks(tor_up_links_, drops) + sumLinks(arr_down_links_, drops) +
-           sumLinks(arr_up_links_, drops) + sumLinks(dc_down_links_, drops) +
-           sumLinks(server_links_, drops);
+    return sumLinks([](const net::Link &l) { return l.downDrops(); });
 }
 
 uint64_t
 ClosNetwork::totalLinkDegradeDrops() const
 {
-    auto drops = [](const net::Link &l) { return l.degradeDrops(); };
-    return sumLinks(tor_up_links_, drops) + sumLinks(arr_down_links_, drops) +
-           sumLinks(arr_up_links_, drops) + sumLinks(dc_down_links_, drops) +
-           sumLinks(server_links_, drops);
+    return sumLinks([](const net::Link &l) { return l.degradeDrops(); });
 }
 
 uint64_t
 ClosNetwork::totalDeliveriesCoalesced() const
 {
-    auto c = [](const net::Link &l) { return l.deliveriesCoalesced(); };
-    return sumLinks(tor_up_links_, c) + sumLinks(arr_down_links_, c) +
-           sumLinks(arr_up_links_, c) + sumLinks(dc_down_links_, c) +
-           sumLinks(server_links_, c);
+    return sumLinks(
+        [](const net::Link &l) { return l.deliveriesCoalesced(); });
 }
 
 uint64_t
 ClosNetwork::totalDeliveryTrains() const
 {
-    auto c = [](const net::Link &l) { return l.deliveryTrains(); };
-    return sumLinks(tor_up_links_, c) + sumLinks(arr_down_links_, c) +
-           sumLinks(arr_up_links_, c) + sumLinks(dc_down_links_, c) +
-           sumLinks(server_links_, c);
+    return sumLinks([](const net::Link &l) { return l.deliveryTrains(); });
 }
 
 } // namespace topo

@@ -278,6 +278,11 @@ class ClosNetwork {
     void checkNode(net::NodeId node) const;
     void checkTrunk(uint32_t rack, uint32_t plane) const;
 
+    /** Sum @p stat over every switch of the fabric. */
+    template <typename Fn> uint64_t sumSwitches(Fn stat) const;
+    /** Sum @p stat over every link of the fabric. */
+    template <typename Fn> uint64_t sumLinks(Fn stat) const;
+
     /** Apply @p fn to every rack's view replica at time @p at. */
     void scheduleViewUpdate(SimTime at,
                             const std::function<void(FabricView &)> &fn);

@@ -99,19 +99,6 @@ TEST(Simulator, RunUntilAdvancesClockToBound)
     EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, StopHaltsRun)
-{
-    Simulator sim;
-    int fired = 0;
-    sim.schedule(1_ns, [&] { ++fired; sim.stop(); });
-    sim.schedule(2_ns, [&] { ++fired; });
-    sim.run();
-    EXPECT_EQ(fired, 1);
-    // A second run resumes with the remaining events.
-    sim.run();
-    EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, ScheduleAtAbsolute)
 {
     Simulator sim;
@@ -144,7 +131,6 @@ TEST(Simulator, ExecutedEventCount)
     }
     sim.run();
     EXPECT_EQ(sim.executedEvents(), 7u);
-    EXPECT_GE(sim.scheduledEvents(), 7u);
 }
 
 TEST(Simulator, CancelledEventsDontBlockNextTime)

@@ -296,18 +296,6 @@ TEST(ClusterShardedDeathTest, WrongPartitionCountIsFatal)
         "needs 5 partitions");
 }
 
-TEST(ClusterShardedDeathTest, SimAccessorOnShardedClusterIsFatal)
-{
-    ClusterParams p = fourRackParams();
-    EXPECT_DEATH(
-        {
-            fame::PartitionSet ps(Cluster::partitionsRequired(p));
-            Cluster cluster(ps, p);
-            cluster.sim();
-        },
-        "sharded cluster has no single simulator");
-}
-
 } // namespace
 } // namespace sim
 } // namespace diablo

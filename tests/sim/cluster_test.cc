@@ -177,6 +177,21 @@ forEachEngine(const std::function<void(Cluster &, const char *)> &body)
     body(cluster, "sharded");
 }
 
+TEST(ClusterEngine, PartitionsAreTheEngineSimulators)
+{
+    Simulator sim;
+    Cluster single(sim, tinyCluster());
+    ASSERT_EQ(single.partitions().size(), 1u);
+    EXPECT_EQ(single.partitions()[0], &sim);
+
+    fame::PartitionSet ps(Cluster::partitionsRequired(tinyCluster()));
+    Cluster sharded(ps, tinyCluster());
+    ASSERT_EQ(sharded.partitions().size(), ps.size());
+    for (size_t i = 0; i < ps.size(); ++i) {
+        EXPECT_EQ(sharded.partitions()[i], &ps.partition(i));
+    }
+}
+
 const auto kNeverDone = [] { return false; };
 
 TEST(ClusterDrive, EndsWhenTheWorkloadIsDone)
@@ -228,11 +243,9 @@ TEST(ClusterDrive, FirstPulseStopsBeforeAnyEvent)
             [&r] { return r.done; }, [] { return true; }, nullptr);
         EXPECT_EQ(end.reason, Cluster::DriveEnd::Stopped) << engine;
         EXPECT_EQ(end.reached, SimTime()) << engine;
-        EXPECT_EQ(cluster.sharded()
-                      ? cluster.partitionSet()->totalExecutedEvents()
-                      : cluster.sim().executedEvents(),
-                  0u)
-            << engine;
+        for (const Simulator *p : cluster.partitions()) {
+            EXPECT_EQ(p->executedEvents(), 0u) << engine;
+        }
     });
 }
 
@@ -246,9 +259,7 @@ struct Forever {
 TEST(ClusterDrive, EndlessWorkStopsAtTheCap)
 {
     forEachEngine([](Cluster &cluster, const char *engine) {
-        Simulator &s = cluster.sharded()
-                           ? cluster.partitionSet()->partition(0)
-                           : cluster.sim();
+        Simulator &s = *cluster.partitions()[0];
         s.schedule(1_ms, Forever{&s});
         const Cluster::DriveEnd end =
             cluster.drive(10_ms, 50_ms, cluster.engineStep(false),

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <vector>
 
 #include "apps/app_util.hh"
@@ -38,6 +40,67 @@ doubleBits(double d)
     return u;
 }
 
+/** Every server outside rack 0, the incast client's rack. */
+std::vector<net::NodeId>
+remoteServers(Cluster &cluster)
+{
+    std::vector<net::NodeId> servers;
+    for (net::NodeId n = cluster.params().topo.servers_per_rack;
+         n < cluster.size(); ++n) {
+        servers.push_back(n);
+    }
+    return servers;
+}
+
+/**
+ * The uplink plane carrying the most server->client response flows into
+ * rack 0: cutting it is guaranteed to strand traffic and force reroutes.
+ */
+uint32_t
+busiestPlane(topo::ClosNetwork &net, const std::vector<net::NodeId> &servers)
+{
+    std::vector<uint32_t> per_plane(net.planes(), 0);
+    for (net::NodeId s : servers) {
+        ++per_plane[net.preferredPlane(s, 0)];
+    }
+    return static_cast<uint32_t>(
+        std::max_element(per_plane.begin(), per_plane.end()) -
+        per_plane.begin());
+}
+
+/**
+ * Everything event-driven a faulted incast run leaves behind: the
+ * app's result, the TCP/NIC/fabric fault counters and the engine's
+ * per-partition event counts.  Two engines that ran the same faulted
+ * timeline give equal fingerprints.
+ */
+std::vector<uint64_t>
+runFingerprint(const apps::IncastResult &r, Cluster &cluster,
+               fame::PartitionSet &ps)
+{
+    topo::ClosNetwork &net = cluster.network();
+    std::vector<uint64_t> fp;
+    fp.push_back(r.total_bytes);
+    fp.push_back(static_cast<uint64_t>(r.elapsed.toPs()));
+    for (double s : r.iteration_us.raw()) {
+        fp.push_back(doubleBits(s));
+    }
+    fp.push_back(cluster.totalTcpRetransmits());
+    fp.push_back(cluster.totalTcpRtos());
+    fp.push_back(cluster.totalTcpAborts());
+    fp.push_back(cluster.totalNicRxDrops());
+    fp.push_back(net.totalSwitchDrops());
+    fp.push_back(net.totalForwarded());
+    fp.push_back(net.rerouteCount());
+    fp.push_back(net.totalLinkDownDrops());
+    fp.push_back(net.totalLinkDegradeDrops());
+    fp.push_back(ps.quantaExecuted());
+    for (size_t i = 0; i < ps.size(); ++i) {
+        fp.push_back(ps.partition(i).executedEvents());
+    }
+    return fp;
+}
+
 struct FaultedOutcome {
     std::vector<uint64_t> fingerprint;
     uint64_t reroutes = 0;
@@ -64,23 +127,12 @@ runFaultedIncast(bool parallel, size_t threads = 0)
     ip.block_bytes = 32 * 1024;
     ip.iterations = 3;
     ip.warmup_iterations = 1;
-    std::vector<net::NodeId> servers;
-    for (net::NodeId n = 3; n < cluster.size(); ++n) {
-        servers.push_back(n);
-    }
+    const std::vector<net::NodeId> servers = remoteServers(cluster);
     apps::IncastApp app(cluster, ip, /*client=*/0, servers);
     app.install();
 
-    // Cut the plane carrying the most server->client response flows so
-    // the outage is guaranteed to strand traffic and force reroutes.
     topo::ClosNetwork &net = cluster.network();
-    std::vector<uint32_t> per_plane(net.planes(), 0);
-    for (net::NodeId s : servers) {
-        ++per_plane[net.preferredPlane(s, 0)];
-    }
-    const uint32_t victim =
-        per_plane[1] > per_plane[0] ? 1u : 0u;
-
+    const uint32_t victim = busiestPlane(net, servers);
     FaultPlan plan(params.seed);
     plan.trunkDown(2_ms, /*rack=*/0, victim);
     plan.trunkBrownout(3_ms, /*rack=*/1, 0, /*loss=*/0.2, 2_us);
@@ -98,31 +150,11 @@ runFaultedIncast(bool parallel, size_t threads = 0)
         ps.runSequential(10_sec);
     }
 
-    const apps::IncastResult &r = app.result();
     FaultedOutcome out;
-    out.done = r.done;
+    out.done = app.result().done;
     out.reroutes = net.rerouteCount();
     out.degrade_drops = net.totalLinkDegradeDrops();
-
-    std::vector<uint64_t> &fp = out.fingerprint;
-    fp.push_back(r.total_bytes);
-    fp.push_back(static_cast<uint64_t>(r.elapsed.toPs()));
-    for (double s : r.iteration_us.raw()) {
-        fp.push_back(doubleBits(s));
-    }
-    fp.push_back(cluster.totalTcpRetransmits());
-    fp.push_back(cluster.totalTcpRtos());
-    fp.push_back(cluster.totalTcpAborts());
-    fp.push_back(cluster.totalNicRxDrops());
-    fp.push_back(net.totalSwitchDrops());
-    fp.push_back(net.totalForwarded());
-    fp.push_back(net.rerouteCount());
-    fp.push_back(net.totalLinkDownDrops());
-    fp.push_back(net.totalLinkDegradeDrops());
-    fp.push_back(ps.quantaExecuted());
-    for (size_t i = 0; i < ps.size(); ++i) {
-        fp.push_back(ps.partition(i).executedEvents());
-    }
+    out.fingerprint = runFingerprint(app.result(), cluster, ps);
     return out;
 }
 
@@ -149,6 +181,109 @@ TEST(FaultInjection, FaultsActuallyBite)
     EXPECT_TRUE(out.done); // degraded, but the workload still completes
     EXPECT_GT(out.reroutes, 0u);
     EXPECT_GT(out.degrade_drops, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Goodput through a trunk outage
+// ---------------------------------------------------------------------
+
+/**
+ * The edges of the outage run's three phases: the warm-up end, the
+ * trunk cut, its repair and the horizon.  Healthy is [20, 60) ms,
+ * degraded [60, 320) ms and recovered [320, 400) ms.
+ */
+constexpr SimTime kPhaseEdges[] = {20_ms, 60_ms, 320_ms, 400_ms};
+
+struct OutageOutcome {
+    /** Application goodput per phase: healthy, degraded, recovered. */
+    double mbps[3] = {};
+    uint64_t reroutes = 0;
+    uint64_t down_drops = 0;
+    uint64_t retransmits = 0;
+    uint64_t rtos = 0;
+    std::vector<uint64_t> fingerprint;
+};
+
+/**
+ * A continuous 32 KB incast from the nine servers of racks 1-3 into
+ * rack 0 while the plan cuts rack 0's busiest uplink plane at 60 ms and
+ * restores it at 320 ms.  The rack layer and the hosts run at 10 Gbps
+ * over 1 Gbps array trunks, so with both planes live the client sinks
+ * about 2 Gbps and losing one plane halves its capacity instead of
+ * hiding behind the access link.  The engine is stepped to each phase
+ * edge; a phase's goodput is its completed iterations x block bytes x
+ * servers over its length, as diablo_run's telemetry computes it.
+ */
+OutageOutcome
+runTrunkOutage(bool parallel)
+{
+    ClusterParams params = planedFourRackParams();
+    params.topo.rack_sw.port_bw = Bandwidth::gbps(10);
+    params.topo.host_bw = Bandwidth::gbps(10);
+    fame::PartitionSet ps(Cluster::partitionsRequired(params));
+    Cluster cluster(ps, params);
+
+    apps::IncastParams ip;
+    ip.block_bytes = 32 * 1024;
+    ip.iterations = 1000000; // the horizon ends the run, never the app
+    const std::vector<net::NodeId> servers = remoteServers(cluster);
+    apps::IncastApp app(cluster, ip, /*client=*/0, servers);
+    app.install();
+
+    topo::ClosNetwork &net = cluster.network();
+    const uint32_t victim = busiestPlane(net, servers);
+    FaultPlan plan(params.seed);
+    plan.trunkDown(kPhaseEdges[1], /*rack=*/0, victim);
+    plan.trunkUp(kPhaseEdges[2], /*rack=*/0, victim);
+    FaultController fc(cluster, plan);
+    fc.install();
+
+    OutageOutcome out;
+    uint64_t iters[std::size(kPhaseEdges)];
+    for (size_t e = 0; e < std::size(kPhaseEdges); ++e) {
+        if (parallel) {
+            ps.runParallel(kPhaseEdges[e]);
+        } else {
+            ps.runSequential(kPhaseEdges[e]);
+        }
+        iters[e] = app.result().iteration_us.count();
+        out.fingerprint.push_back(iters[e]);
+    }
+    for (size_t p = 0; p + 1 < std::size(kPhaseEdges); ++p) {
+        const double bits = static_cast<double>(iters[p + 1] - iters[p]) *
+                            static_cast<double>(ip.block_bytes) *
+                            static_cast<double>(servers.size()) * 8.0;
+        out.mbps[p] = bits /
+                      (kPhaseEdges[p + 1] - kPhaseEdges[p]).asSeconds() /
+                      1e6;
+    }
+    out.reroutes = net.rerouteCount();
+    out.down_drops = net.totalLinkDownDrops();
+    out.retransmits = cluster.totalTcpRetransmits();
+    out.rtos = cluster.totalTcpRtos();
+    const std::vector<uint64_t> fp = runFingerprint(app.result(), cluster, ps);
+    out.fingerprint.insert(out.fingerprint.end(), fp.begin(), fp.end());
+    return out;
+}
+
+TEST(FaultInjection, TrunkOutageDipsGoodputUntilRepair)
+{
+    // Flows on the cut plane stall for an RTO and are then rerouted to
+    // the surviving plane; the fabric counts the frames the dead trunk
+    // held, TCP retransmits with backoff, and the repair restores the
+    // second plane's capacity.  Both engines must tell the same story.
+    const OutageOutcome seq = runTrunkOutage(false);
+    const OutageOutcome par = runTrunkOutage(true);
+    for (const OutageOutcome *o : {&seq, &par}) {
+        const char *engine = o == &seq ? "seq" : "par";
+        EXPECT_LT(o->mbps[1], o->mbps[0]) << engine;
+        EXPECT_GT(o->mbps[2], o->mbps[1]) << engine;
+        EXPECT_GT(o->reroutes, 0u) << engine;
+        EXPECT_GT(o->down_drops, 0u) << engine;
+        EXPECT_GT(o->retransmits, 0u) << engine;
+        EXPECT_GT(o->rtos, 0u) << engine;
+    }
+    EXPECT_EQ(seq.fingerprint, par.fingerprint);
 }
 
 // ---------------------------------------------------------------------

@@ -106,6 +106,9 @@ TEST(DiabloSweepCli, TwoPointEngineGridCrossChecks)
 {
     const std::string dir = tmpPath("sweep");
     const std::string spec = tmpPath("sweep.spec");
+    // diablo_sweep resumes into an existing --out directory, so a run
+    // directory left behind could satisfy the checks below.
+    runCmd("rm -rf " + dir);
     {
         std::ofstream out(spec);
         out << "sweep.name = cli_smoke\n"
@@ -134,6 +137,7 @@ TEST(DiabloSweepCli, TwoPointEngineGridCrossChecks)
     struct stat st;
     EXPECT_EQ(stat((dir + "/run000_engine_seq.json").c_str(), &st), 0);
     EXPECT_EQ(stat((dir + "/run001_engine_par.json").c_str(), &st), 0);
+    runCmd("rm -rf " + dir + " " + dir + ".log " + spec);
 }
 
 TEST(DiabloSweepCli, SpecWithoutWorkloadFails)
@@ -143,10 +147,11 @@ TEST(DiabloSweepCli, SpecWithoutWorkloadFails)
         std::ofstream out(spec);
         out << "engine = seq\n";
     }
+    const std::string out = tmpPath("bad_out");
     const std::string cmd = std::string(DIABLO_SWEEP_BIN) + " " + spec +
-                            " --out " + tmpPath("bad_out") +
-                            " > /dev/null 2>&1";
+                            " --out " + out + " > /dev/null 2>&1";
     EXPECT_NE(runCmd(cmd), 0);
+    runCmd("rm -rf " + out + " " + spec);
 }
 
 } // namespace

@@ -98,6 +98,28 @@ const char kFaultPlan[] =
     " fault.0.plane=0 fault.1.kind=trunk_up fault.1.at_us=900000"
     " fault.1.rack=1 fault.1.plane=0";
 
+/** Counter @p key of the artifact's counter group @p group; -1 if absent. */
+long long
+groupCounter(const std::string &doc, const std::string &group,
+             const std::string &key)
+{
+    const size_t at = doc.find("\"" + group + "\": {");
+    if (at == std::string::npos) {
+        return -1;
+    }
+    const std::string field = "\"" + key + "\": ";
+    const size_t k = doc.find(field, at);
+    if (k == std::string::npos || k > doc.find('}', at)) {
+        return -1;
+    }
+    return std::strtoll(doc.c_str() + k + field.size(), nullptr, 10);
+}
+
+/**
+ * Run @p extra (a CLI fault plan, or nothing) on the sequential engine
+ * and on @p processes engine processes, and expect equal fingerprints.
+ * A plan must bite: a plan both runs dropped would still match.
+ */
 void
 expectCrossProcessFingerprintMatch(const std::string &tag,
                                    const std::string &extra,
@@ -128,6 +150,10 @@ expectCrossProcessFingerprintMatch(const std::string &tag,
     const std::string seq_fp = fingerprintOf(seq_doc);
     ASSERT_FALSE(seq_fp.empty());
     EXPECT_EQ(seq_fp, fingerprintOf(mp_doc));
+    if (!extra.empty()) {
+        EXPECT_EQ(groupCounter(seq_doc, "faults", "plan_events"), 2);
+        EXPECT_GT(groupCounter(seq_doc, "faults", "link_down_drops"), 0);
+    }
 
     // The merged artifact names the engine and records the transport
     // ledger in its own (non-folded) counter group.

@@ -187,12 +187,10 @@ makeFaultPlan(const Config &cfg, const char *plan_file)
 std::vector<analysis::RunArtifact::PartitionRow>
 partitionRows(sim::Cluster &cluster)
 {
-    fame::PartitionSet *ps = cluster.partitionSet();
     const auto pools = cluster.poolStats();
     std::vector<analysis::RunArtifact::PartitionRow> rows(pools.size());
     for (size_t i = 0; i < pools.size(); ++i) {
-        rows[i].events = ps != nullptr ? ps->partition(i).executedEvents()
-                                       : cluster.sim().executedEvents();
+        rows[i].events = cluster.partitions()[i]->executedEvents();
         rows[i].pool_makes = pools[i].makes;
         rows[i].pool_recycles = pools[i].recycles;
         rows[i].pool_heap_allocs = pools[i].heap_allocs;
@@ -359,25 +357,19 @@ makeWatchdog(const Config &cfg, sim::Cluster &cluster)
     auto diag = [&cluster](const char *reason) {
         std::fprintf(stderr, "watchdog: engine state at %s trip "
                      "(best effort):\n", reason);
-        fame::PartitionSet *ps = cluster.partitionSet();
-        if (ps != nullptr) {
+        if (fame::PartitionSet *ps = cluster.partitionSet()) {
             std::fprintf(stderr,
                          "  quanta=%llu total_events=%llu\n",
                          static_cast<unsigned long long>(
                              ps->quantaExecuted()),
                          static_cast<unsigned long long>(
                              ps->totalExecutedEvents()));
-            for (size_t i = 0; i < ps->size(); ++i) {
-                Simulator &p = ps->partition(i);
-                std::fprintf(stderr, "  part %zu: now=%s next_event=%s\n",
-                             i, p.now().str().c_str(),
-                             p.nextEventTime().str().c_str());
-            }
-        } else {
-            Simulator &s = cluster.sim();
-            std::fprintf(stderr, "  now=%s next_event=%s\n",
-                         s.now().str().c_str(),
-                         s.nextEventTime().str().c_str());
+        }
+        const std::vector<Simulator *> &parts = cluster.partitions();
+        for (size_t i = 0; i < parts.size(); ++i) {
+            std::fprintf(stderr, "  part %zu: now=%s next_event=%s\n", i,
+                         parts[i]->now().str().c_str(),
+                         parts[i]->nextEventTime().str().c_str());
         }
         printPartitionRows(stderr, partitionRows(cluster));
     };
@@ -492,10 +484,11 @@ void
 fillMeasured(analysis::RunArtifact &a, sim::Cluster &cluster,
              const sim::FaultPlan &plan)
 {
-    fame::PartitionSet *ps = cluster.partitionSet();
-    a.executed_events = ps != nullptr ? ps->totalExecutedEvents()
-                                      : cluster.sim().executedEvents();
     a.partition_rows = partitionRows(cluster);
+    a.executed_events = 0;
+    for (const analysis::RunArtifact::PartitionRow &row : a.partition_rows) {
+        a.executed_events += row.events;
+    }
 
     auto &net = a.addGroup("network");
     net.counters = {
@@ -531,6 +524,7 @@ fillMeasured(analysis::RunArtifact &a, sim::Cluster &cluster,
         a.arena_bytes_reserved += ar.bytes_reserved;
     }
 
+    fame::PartitionSet *ps = cluster.partitionSet();
     if (ps != nullptr && ps->coupled()) {
         // Wall-clock-dependent transport counters: reported for the
         // bench tooling, deliberately excluded from the fingerprint
@@ -570,7 +564,7 @@ fillCommonArtifact(analysis::RunArtifact &a,
     a.nodes = cluster.size();
 
     fame::PartitionSet *ps = cluster.partitionSet();
-    a.partitions = ps != nullptr ? ps->size() : 1;
+    a.partitions = cluster.partitions().size();
     a.workers = (ps != nullptr && opts.eng.engine == Engine::Par)
                     ? ps->lastRunWorkers()
                     : 1;
