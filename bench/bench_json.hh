@@ -37,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "core/cpu_topology.hh"
+
 namespace diablo {
 namespace bench_json {
 
@@ -218,6 +220,27 @@ class TeeReporter : public benchmark::BenchmarkReporter {
     benchmark::BenchmarkReporter &a_;
     benchmark::BenchmarkReporter &b_;
 };
+
+/**
+ * Stamp every entry with the cores the benchmark may use (its affinity
+ * mask, so a taskset'd run reports what it got) and whether this row
+ * ran more workers than cores.  Trajectory comparisons (bench_guard, and
+ * anyone eyeballing BENCH_fame.json) must not mix a threads:2 row from
+ * a 1-core runner — where both workers timeshare one core and the
+ * barrier parks immediately — with the same row from a real 2-core
+ * host.  The counters ride into the JSON via TrajectoryReporter.
+ */
+inline void
+annotate_multicore(benchmark::State &state, size_t workers)
+{
+    const size_t cores = allowedCpus().size();
+    state.counters["workers"] =
+        benchmark::Counter(static_cast<double>(workers));
+    state.counters["cores"] =
+        benchmark::Counter(static_cast<double>(cores));
+    state.counters["oversubscribed"] =
+        benchmark::Counter(workers > cores ? 1.0 : 0.0);
+}
 
 /**
  * The microbenchmarks' shared main: run the selected benchmarks with

@@ -88,7 +88,7 @@ inline apps::IncastResult
 runIncast(uint32_t num_servers, switchm::BufferPolicy policy,
           uint64_t buffer_bytes, bool use_epoll, double cpu_ghz,
           bool tengig, uint32_t iterations,
-          topo::SwitchModelKind model = topo::SwitchModelKind::Voq)
+          switchm::SwitchModelKind model = switchm::SwitchModelKind::Voq)
 {
     Simulator sim;
     sim::ClusterParams cp = tengig ? sim::ClusterParams::tengig100ns()

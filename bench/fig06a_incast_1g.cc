@@ -45,7 +45,7 @@ main()
                                 49152, false, 4.0, false, iters);
         auto oq = runIncast(n, switchm::BufferPolicy::Partitioned, 4096,
                             false, 4.0, false, iters,
-                            topo::SwitchModelKind::OutputQueue);
+                            switchm::SwitchModelKind::OutputQueue);
         t.addRow({Table::cell("%u", n),
                   Table::cell("%.1f", voq.goodputMbps()),
                   Table::cell("%.1f", shared.goodputMbps()),

@@ -17,7 +17,7 @@
 #include "core/stats.hh"
 #include "fame/partition.hh"
 #include "net/link.hh"
-#include "switchm/voq_switch.hh"
+#include "switchm/packet_switch.hh"
 
 using namespace diablo;
 using namespace diablo::time_literals;
@@ -211,7 +211,7 @@ BM_SwitchForwarding(benchmark::State &state)
     params.num_ports = 16;
     params.buffer_per_port_bytes = 1 << 20;
     params.port_latency = 1_us;
-    switchm::VoqSwitch sw(sim, params);
+    switchm::PacketSwitch sw(sim, params);
 
     struct NullSink : net::PacketSink {
         void receive(net::PacketPtr) override {}

@@ -35,34 +35,12 @@
 #include <vector>
 
 #include "bench/bench_json.hh"
-#include "core/cpu_topology.hh"
 #include "fame/partition.hh"
 
 using namespace diablo;
 using namespace diablo::time_literals;
 
 namespace {
-
-/**
- * Stamp every entry with the cores the benchmark may use (its affinity
- * mask, so a taskset'd run reports what it got) and whether this row
- * ran more workers than cores.  Trajectory comparisons (bench_guard, and
- * anyone eyeballing BENCH_fame.json) must not mix a threads:2 row from
- * a 1-core runner — where both workers timeshare one core and the
- * barrier parks immediately — with the same row from a real 2-core
- * host.  The counters ride into the JSON via TrajectoryReporter.
- */
-void
-annotate_multicore(benchmark::State &state, size_t workers)
-{
-    const size_t cores = allowedCpus().size();
-    state.counters["workers"] =
-        benchmark::Counter(static_cast<double>(workers));
-    state.counters["cores"] =
-        benchmark::Counter(static_cast<double>(cores));
-    state.counters["oversubscribed"] =
-        benchmark::Counter(workers > cores ? 1.0 : 0.0);
-}
 
 void
 BM_FameBarrierRoundTrip(benchmark::State &state)
@@ -86,7 +64,7 @@ BM_FameBarrierRoundTrip(benchmark::State &state)
         quanta += ps.lastRunQuanta();
         workers = ps.lastRunWorkers();
     }
-    annotate_multicore(state, workers);
+    bench_json::annotate_multicore(state, workers);
     state.SetItemsProcessed(static_cast<int64_t>(quanta));
 }
 
@@ -157,7 +135,7 @@ BM_FameFusedThroughput(benchmark::State &state)
         events += ps.lastRunTotalExecutedEvents();
         workers = ps.lastRunWorkers();
     }
-    annotate_multicore(state, workers);
+    bench_json::annotate_multicore(state, workers);
     state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 
@@ -201,7 +179,7 @@ BM_FameSkipRate(benchmark::State &state)
             ? 100.0 * static_cast<double>(grid_windows - quanta) /
                   static_cast<double>(grid_windows)
             : 0.0);
-    annotate_multicore(state, workers);
+    bench_json::annotate_multicore(state, workers);
     state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 

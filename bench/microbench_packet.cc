@@ -28,7 +28,7 @@
 #include "net/link.hh"
 #include "net/packet.hh"
 #include "nic/nic_model.hh"
-#include "switchm/voq_switch.hh"
+#include "switchm/packet_switch.hh"
 
 using namespace diablo;
 using namespace diablo::time_literals;
@@ -140,7 +140,7 @@ struct Datapath {
     Simulator sim;
     nic::NicModel tx_nic;
     nic::NicModel rx_nic;
-    switchm::VoqSwitch sw;
+    switchm::PacketSwitch sw;
     net::Link up;    ///< tx NIC -> switch port 0
     net::Link down;  ///< switch port 1 -> rx NIC
 

@@ -36,7 +36,6 @@
 
 #include "apps/incast.hh"
 #include "bench/bench_json.hh"
-#include "core/cpu_topology.hh"
 #include "fame/partition.hh"
 #include "fame/transport.hh"
 #include "sim/cluster.hh"
@@ -45,19 +44,6 @@ using namespace diablo;
 using namespace diablo::time_literals;
 
 namespace {
-
-/** Stamp a row with the worker/core shape (see microbench_fame.cc). */
-void
-annotate_multicore(benchmark::State &state, size_t workers)
-{
-    const size_t cores = allowedCpus().size();
-    state.counters["workers"] =
-        benchmark::Counter(static_cast<double>(workers));
-    state.counters["cores"] =
-        benchmark::Counter(static_cast<double>(cores));
-    state.counters["oversubscribed"] =
-        benchmark::Counter(workers > cores ? 1.0 : 0.0);
-}
 
 void
 BM_ShmRingRoundTrip(benchmark::State &state)
@@ -107,7 +93,7 @@ BM_ShmRingRoundTrip(benchmark::State &state)
     while (!ping->trySend(&kStop, sizeof(kStop))) {
     }
     echo.join();
-    annotate_multicore(state, 2);
+    bench_json::annotate_multicore(state, 2);
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 
@@ -150,7 +136,7 @@ BM_CoupledSyncRate(benchmark::State &state)
         syncs += set_a.coupledStats().sync_sent +
                  set_a.coupledStats().sync_recv;
     }
-    annotate_multicore(state, 2);
+    bench_json::annotate_multicore(state, 2);
     state.SetItemsProcessed(static_cast<int64_t>(syncs));
 }
 
@@ -201,7 +187,7 @@ BM_CoupledIncastSeq(benchmark::State &state)
         m->ps.runSequential(10_sec);
         events += m->ps.lastRunTotalExecutedEvents();
     }
-    annotate_multicore(state, 1);
+    bench_json::annotate_multicore(state, 1);
     state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 
@@ -241,7 +227,7 @@ BM_CoupledIncastPair(benchmark::State &state)
         events += a->ps.lastRunTotalExecutedEvents() +
                   b->ps.lastRunTotalExecutedEvents();
     }
-    annotate_multicore(state, 2);
+    bench_json::annotate_multicore(state, 2);
     state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 

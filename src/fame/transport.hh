@@ -204,7 +204,6 @@ struct alignas(64) ShmGroupControl {
     std::atomic<uint32_t> command{kRun};
     std::atomic<int64_t> until_ps{0};
     std::atomic<uint32_t> interrupted_mask{0};
-    std::atomic<uint32_t> attached{0}; ///< ranks that mapped the segment
 
     /** Leader: publish the next command and wake every follower. */
     void publish(Command cmd, int64_t until);

@@ -5,33 +5,45 @@
 namespace diablo {
 namespace switchm {
 
-std::unique_ptr<BufferManager>
-BufferManager::create(const SwitchParams &p)
+BufferManager::BufferManager(const SwitchParams &p)
+    : policy_(p.buffer_policy),
+      cap_(p.buffer_policy == BufferPolicy::Partitioned
+               ? p.buffer_per_port_bytes
+               : p.buffer_total_bytes),
+      alpha_(p.dynamic_alpha), used_(p.num_ports, 0)
 {
-    switch (p.buffer_policy) {
+    if (policy_ == BufferPolicy::SharedDynamic && alpha_ <= 0) {
+        fatal("switch '%s': dynamic_alpha must be positive",
+              p.name.c_str());
+    }
+}
+
+bool
+BufferManager::tryAdmit(uint32_t port, uint32_t bytes)
+{
+    switch (policy_) {
       case BufferPolicy::Partitioned:
-        return std::make_unique<PartitionedBuffer>(
-            p.num_ports, p.buffer_per_port_bytes);
+        if (used_[port] + bytes > cap_) {
+            return false;
+        }
+        break;
       case BufferPolicy::Shared:
-        return std::make_unique<SharedBuffer>(p.num_ports,
-                                              p.buffer_total_bytes);
-      case BufferPolicy::SharedDynamic:
-        return std::make_unique<SharedDynamicBuffer>(
-            p.num_ports, p.buffer_total_bytes, p.dynamic_alpha);
-    }
-    panic("unreachable buffer policy");
-}
-
-PartitionedBuffer::PartitionedBuffer(uint32_t ports, uint64_t per_port_bytes)
-    : cap_(per_port_bytes), used_(ports, 0)
-{
-}
-
-bool
-PartitionedBuffer::tryAdmit(uint32_t port, uint32_t bytes)
-{
-    if (used_[port] + bytes > cap_) {
-        return false;
+        if (total_used_ + bytes > cap_) {
+            return false;
+        }
+        break;
+      case BufferPolicy::SharedDynamic: {
+        if (total_used_ + bytes > cap_) {
+            return false;
+        }
+        const uint64_t free_bytes = cap_ - total_used_;
+        const auto threshold =
+            static_cast<uint64_t>(alpha_ * static_cast<double>(free_bytes));
+        if (used_[port] + bytes > threshold) {
+            return false;
+        }
+        break;
+      }
     }
     used_[port] += bytes;
     total_used_ += bytes;
@@ -39,72 +51,10 @@ PartitionedBuffer::tryAdmit(uint32_t port, uint32_t bytes)
 }
 
 void
-PartitionedBuffer::release(uint32_t port, uint32_t bytes)
+BufferManager::release(uint32_t port, uint32_t bytes)
 {
     if (used_[port] < bytes) {
-        panic("PartitionedBuffer: release underflow on port %u", port);
-    }
-    used_[port] -= bytes;
-    total_used_ -= bytes;
-}
-
-SharedBuffer::SharedBuffer(uint32_t ports, uint64_t total_bytes)
-    : cap_(total_bytes), used_(ports, 0)
-{
-}
-
-bool
-SharedBuffer::tryAdmit(uint32_t port, uint32_t bytes)
-{
-    if (total_used_ + bytes > cap_) {
-        return false;
-    }
-    used_[port] += bytes;
-    total_used_ += bytes;
-    return true;
-}
-
-void
-SharedBuffer::release(uint32_t port, uint32_t bytes)
-{
-    if (used_[port] < bytes) {
-        panic("SharedBuffer: release underflow on port %u", port);
-    }
-    used_[port] -= bytes;
-    total_used_ -= bytes;
-}
-
-SharedDynamicBuffer::SharedDynamicBuffer(uint32_t ports,
-                                         uint64_t total_bytes, double alpha)
-    : cap_(total_bytes), alpha_(alpha), used_(ports, 0)
-{
-    if (alpha <= 0) {
-        fatal("SharedDynamicBuffer: alpha must be positive");
-    }
-}
-
-bool
-SharedDynamicBuffer::tryAdmit(uint32_t port, uint32_t bytes)
-{
-    if (total_used_ + bytes > cap_) {
-        return false;
-    }
-    const uint64_t free_bytes = cap_ - total_used_;
-    const auto threshold =
-        static_cast<uint64_t>(alpha_ * static_cast<double>(free_bytes));
-    if (used_[port] + bytes > threshold) {
-        return false;
-    }
-    used_[port] += bytes;
-    total_used_ += bytes;
-    return true;
-}
-
-void
-SharedDynamicBuffer::release(uint32_t port, uint32_t bytes)
-{
-    if (used_[port] < bytes) {
-        panic("SharedDynamicBuffer: release underflow on port %u", port);
+        panic("BufferManager: release underflow on port %u", port);
     }
     used_[port] -= bytes;
     total_used_ -= bytes;

@@ -3,18 +3,17 @@
 
 /**
  * @file
- * Switch packet-buffer accounting policies.
+ * Switch packet-buffer accounting.
  *
  * The paper bases its packet buffer models "after that of the Cisco Nexus
  * 5000 switch, with configurable parameters selected according to a
  * Broadcom switch design [42]"; the validation hardware (Asante IC35516)
- * uses a shared pool.  The three policies here cover that space:
+ * uses a shared pool.  The three BufferPolicy values cover that space:
  * per-port partitioned, fully shared, and shared with dynamic per-queue
- * thresholds.
+ * thresholds.  They differ only in the admission test.
  */
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "switchm/switch_params.hh"
@@ -22,76 +21,38 @@
 namespace diablo {
 namespace switchm {
 
-/** Admission control and accounting for a switch's packet memory. */
+/**
+ * Admission control and accounting for a switch's packet memory.  A
+ * "port" is whichever port the switch charges a packet to: the input
+ * for a VOQ switch, the output for an output-queued one.
+ */
 class BufferManager {
   public:
-    virtual ~BufferManager() = default;
+    /** The policy, port count and sizes of @p params. */
+    explicit BufferManager(const SwitchParams &params);
 
     /**
-     * Try to admit @p bytes destined for output @p port.  On success the
-     * bytes are charged and true is returned; on failure nothing is
-     * charged (the packet must be dropped).
+     * Try to admit @p bytes charged to @p port.  On success the bytes
+     * are charged and true is returned; on failure nothing is charged
+     * (the packet must be dropped).
      */
-    virtual bool tryAdmit(uint32_t port, uint32_t bytes) = 0;
+    bool tryAdmit(uint32_t port, uint32_t bytes);
 
     /** Return bytes previously admitted for @p port. */
-    virtual void release(uint32_t port, uint32_t bytes) = 0;
+    void release(uint32_t port, uint32_t bytes);
 
-    virtual uint64_t used() const = 0;
-    virtual uint64_t usedAt(uint32_t port) const = 0;
-
-    /** Construct the policy selected by @p params. */
-    static std::unique_ptr<BufferManager> create(const SwitchParams &params);
-};
-
-/** Fixed private byte budget per output port. */
-class PartitionedBuffer : public BufferManager {
-  public:
-    PartitionedBuffer(uint32_t ports, uint64_t per_port_bytes);
-
-    bool tryAdmit(uint32_t port, uint32_t bytes) override;
-    void release(uint32_t port, uint32_t bytes) override;
-    uint64_t used() const override { return total_used_; }
-    uint64_t usedAt(uint32_t port) const override { return used_[port]; }
+    uint64_t used() const { return total_used_; }
+    uint64_t usedAt(uint32_t port) const { return used_[port]; }
 
   private:
+    BufferPolicy policy_;
+    /** Per-port budget (Partitioned) or pool size (shared policies). */
     uint64_t cap_;
-    uint64_t total_used_ = 0;
-    std::vector<uint64_t> used_;
-};
-
-/** One pool shared by all ports, first come first served. */
-class SharedBuffer : public BufferManager {
-  public:
-    SharedBuffer(uint32_t ports, uint64_t total_bytes);
-
-    bool tryAdmit(uint32_t port, uint32_t bytes) override;
-    void release(uint32_t port, uint32_t bytes) override;
-    uint64_t used() const override { return total_used_; }
-    uint64_t usedAt(uint32_t port) const override { return used_[port]; }
-
-  private:
-    uint64_t cap_;
-    uint64_t total_used_ = 0;
-    std::vector<uint64_t> used_;
-};
-
-/**
- * Shared pool with a dynamic per-queue threshold: a port may occupy at
- * most alpha * (free pool bytes), which adapts per-port limits to load
- * (Broadcom-style flexible buffer allocation).
- */
-class SharedDynamicBuffer : public BufferManager {
-  public:
-    SharedDynamicBuffer(uint32_t ports, uint64_t total_bytes, double alpha);
-
-    bool tryAdmit(uint32_t port, uint32_t bytes) override;
-    void release(uint32_t port, uint32_t bytes) override;
-    uint64_t used() const override { return total_used_; }
-    uint64_t usedAt(uint32_t port) const override { return used_[port]; }
-
-  private:
-    uint64_t cap_;
+    /**
+     * SharedDynamic: a port may occupy at most alpha * (free pool
+     * bytes), which adapts per-port limits to load (Broadcom-style
+     * flexible buffer allocation).
+     */
     double alpha_;
     uint64_t total_used_ = 0;
     std::vector<uint64_t> used_;

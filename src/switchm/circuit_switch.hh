@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "core/simulator.hh"
-#include "switchm/switch.hh"
+#include "net/link.hh"
+#include "net/packet.hh"
+#include "switchm/switch_params.hh"
 
 namespace diablo {
 namespace switchm {
@@ -33,16 +35,16 @@ struct CircuitId {
 };
 
 /** Virtual-circuit switch with per-circuit bandwidth reservation. */
-class CircuitSwitch : public Switch {
+class CircuitSwitch {
   public:
     CircuitSwitch(Simulator &sim, const SwitchParams &params);
 
-    net::PacketSink &inPort(uint32_t i) override;
-    void attachOutLink(uint32_t i, net::Link &link) override;
+    net::PacketSink &inPort(uint32_t i);
+    void attachOutLink(uint32_t i, net::Link &link);
 
-    const SwitchParams &params() const override { return params_; }
-    const SwitchStats &stats() const override { return stats_; }
-    uint64_t dropsAt(uint32_t port) const override;
+    const SwitchParams &params() const { return params_; }
+    const SwitchStats &stats() const { return stats_; }
+    uint64_t dropsAt(uint32_t port) const;
 
     /**
      * Establish a circuit from @p in_port to @p out_port reserving

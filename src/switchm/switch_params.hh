@@ -3,7 +3,8 @@
 
 /**
  * @file
- * Runtime-configurable switch model parameters.
+ * Runtime-configurable switch model parameters, and the statistics
+ * every switch model keeps.
  *
  * Mirrors DIABLO's design where "switch models in different layers of the
  * network hierarchy differ only in their link latency, bandwidth, and
@@ -22,9 +23,17 @@
 namespace diablo {
 namespace switchm {
 
+/** Queueing discipline of a packet switch. */
+enum class SwitchModelKind {
+    /** The paper's abstract VOQ model: per-(output, input) queues. */
+    Voq,
+    /** ns2-like drop-tail baseline: one FIFO per output. */
+    OutputQueue,
+};
+
 /** How packet-buffer space is organized. */
 enum class BufferPolicy {
-    /** Fixed private budget per output port (e.g. Nortel 5500, 4 KB). */
+    /** Fixed private budget per port (e.g. Nortel 5500, 4 KB). */
     Partitioned,
     /** One shared pool, first-come first-served (e.g. Asante IC35516). */
     Shared,
@@ -37,6 +46,15 @@ enum class BufferPolicy {
 
 const char *bufferPolicyName(BufferPolicy p);
 BufferPolicy bufferPolicyFromString(const std::string &s);
+
+/** Aggregate statistics every switch model maintains. */
+struct SwitchStats {
+    uint64_t forwarded_pkts = 0;
+    uint64_t forwarded_bytes = 0;
+    uint64_t dropped_pkts = 0;
+    uint64_t dropped_bytes = 0;
+    uint64_t max_buffer_used = 0;
+};
 
 /** Complete parameter set for one switch instance. */
 struct SwitchParams {
@@ -54,7 +72,7 @@ struct SwitchParams {
 
     BufferPolicy buffer_policy = BufferPolicy::Partitioned;
 
-    /** Per-output budget for Partitioned policy. */
+    /** Per-port budget for Partitioned policy. */
     uint64_t buffer_per_port_bytes = 4096;
 
     /** Pool size for Shared/SharedDynamic policies. */

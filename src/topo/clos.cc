@@ -1,8 +1,6 @@
 #include "topo/clos.hh"
 
 #include "core/log.hh"
-#include "switchm/output_queue_switch.hh"
-#include "switchm/voq_switch.hh"
 
 namespace diablo {
 namespace topo {
@@ -20,6 +18,7 @@ ClosParams::fromConfig(const Config &cfg, const std::string &prefix,
         cfg.getUint(prefix + "num_arrays", p.num_arrays));
     p.uplink_planes = static_cast<uint32_t>(
         cfg.getUint(prefix + "uplink_planes", p.uplink_planes));
+    using switchm::SwitchModelKind;
     const std::string model = cfg.getString(
         prefix + "switch_model",
         p.switch_model == SwitchModelKind::Voq ? "voq" : "output_queue");
@@ -151,10 +150,10 @@ ClosNetwork::build()
         arr_down_links_.resize(static_cast<size_t>(num_racks) * P);
         for (uint32_t a = 0; a < A; ++a) {
             for (uint32_t p = 0; p < P; ++p) {
-                switchm::Switch &arr = *array_switches_[a * P + p];
+                switchm::PacketSwitch &arr = *array_switches_[a * P + p];
                 for (uint32_t r = 0; r < R; ++r) {
                     const uint32_t rack = a * R + r;
-                    switchm::Switch &tor = *rack_switches_[rack];
+                    switchm::PacketSwitch &tor = *rack_switches_[rack];
                     // Up: ToR port S+p -> array(a, p) ingress r.
                     auto up = makeTrunk(
                         rack, true,
@@ -187,7 +186,7 @@ ClosNetwork::build()
         dc_down_links_.resize(static_cast<size_t>(A) * P);
         for (uint32_t a = 0; a < A; ++a) {
             for (uint32_t p = 0; p < P; ++p) {
-                switchm::Switch &arr = *array_switches_[a * P + p];
+                switchm::PacketSwitch &arr = *array_switches_[a * P + p];
                 auto up = std::make_unique<net::Link>(
                     ssim,
                     P > 1 ? strprintf("arr%u.%u.up", a, p)
@@ -223,20 +222,15 @@ ClosNetwork::makeTrunk(uint32_t rack, bool up, const std::string &name,
                                   params_.trunk_link_prop);
 }
 
-std::unique_ptr<switchm::Switch>
+std::unique_ptr<switchm::PacketSwitch>
 ClosNetwork::makeSwitch(Simulator &sim, const switchm::SwitchParams &base,
                         uint32_t ports, const std::string &name)
 {
     switchm::SwitchParams p = base;
     p.num_ports = ports;
     p.name = name;
-    switch (params_.switch_model) {
-      case SwitchModelKind::Voq:
-        return std::make_unique<switchm::VoqSwitch>(sim, p);
-      case SwitchModelKind::OutputQueue:
-        return std::make_unique<switchm::OutputQueueSwitch>(sim, p);
-    }
-    panic("unreachable switch model kind");
+    return std::make_unique<switchm::PacketSwitch>(sim, p,
+                                                   params_.switch_model);
 }
 
 void
@@ -620,14 +614,14 @@ uint64_t
 ClosNetwork::totalSwitchDrops() const
 {
     return sumSwitches(
-        [](const switchm::Switch &s) { return s.stats().dropped_pkts; });
+        [](const auto &s) { return s.stats().dropped_pkts; });
 }
 
 uint64_t
 ClosNetwork::totalForwarded() const
 {
     return sumSwitches(
-        [](const switchm::Switch &s) { return s.stats().forwarded_pkts; });
+        [](const auto &s) { return s.stats().forwarded_pkts; });
 }
 
 uint64_t

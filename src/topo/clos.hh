@@ -36,16 +36,10 @@
 #include "core/config.hh"
 #include "core/simulator.hh"
 #include "net/link.hh"
-#include "switchm/switch.hh"
+#include "switchm/packet_switch.hh"
 
 namespace diablo {
 namespace topo {
-
-/** Which switch microarchitecture model to instantiate. */
-enum class SwitchModelKind {
-    Voq,         ///< the paper's abstract VOQ model
-    OutputQueue, ///< ns2-like drop-tail baseline
-};
 
 /** Topology shape and per-level switch parameters. */
 struct ClosParams {
@@ -61,7 +55,8 @@ struct ClosParams {
      */
     uint32_t uplink_planes = 1;
 
-    SwitchModelKind switch_model = SwitchModelKind::Voq;
+    /** Queueing discipline of every switch in the fabric. */
+    switchm::SwitchModelKind switch_model = switchm::SwitchModelKind::Voq;
 
     /** Per-level switch parameters (num_ports fields are overwritten). */
     switchm::SwitchParams rack_sw;
@@ -244,8 +239,8 @@ class ClosNetwork {
     size_t numArraySwitches() const { return array_switches_.size(); }
     bool hasDcSwitch() const { return dc_switch_ != nullptr; }
 
-    switchm::Switch &rackSwitch(uint32_t i) { return *rack_switches_[i]; }
-    switchm::Switch &arraySwitch(uint32_t i)
+    switchm::PacketSwitch &rackSwitch(uint32_t i) { return *rack_switches_[i]; }
+    switchm::PacketSwitch &arraySwitch(uint32_t i)
     {
         return *array_switches_[i];
     }
@@ -268,7 +263,7 @@ class ClosNetwork {
         mutable uint64_t reroutes = 0; ///< counted by route()
     };
 
-    std::unique_ptr<switchm::Switch> makeSwitch(
+    std::unique_ptr<switchm::PacketSwitch> makeSwitch(
         Simulator &sim, const switchm::SwitchParams &base, uint32_t ports,
         const std::string &name);
     std::unique_ptr<net::Link> makeTrunk(uint32_t rack, bool up,
@@ -296,10 +291,10 @@ class ClosNetwork {
     ClosParams params_;
     std::function<void(net::NodeId)> server_attach_hook_;
 
-    std::vector<std::unique_ptr<switchm::Switch>> rack_switches_;
+    std::vector<std::unique_ptr<switchm::PacketSwitch>> rack_switches_;
     /** Array switches, indexed [array * planes + plane]. */
-    std::vector<std::unique_ptr<switchm::Switch>> array_switches_;
-    std::unique_ptr<switchm::Switch> dc_switch_;
+    std::vector<std::unique_ptr<switchm::PacketSwitch>> array_switches_;
+    std::unique_ptr<switchm::PacketSwitch> dc_switch_;
     std::vector<std::unique_ptr<net::Link>> tor_up_links_;   ///< [rack*P+p]
     std::vector<std::unique_ptr<net::Link>> arr_down_links_; ///< [rack*P+p]
     std::vector<std::unique_ptr<net::Link>> arr_up_links_;   ///< [a*P+p]

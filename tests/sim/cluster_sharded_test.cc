@@ -50,11 +50,22 @@ struct ShardedOutcome {
     uint64_t switch_drops = 0;
 };
 
-ShardedOutcome
-runShardedIncast(bool parallel, size_t threads = 0,
-                 bool with_faults = false)
+/** Both queueing disciplines, for the tests that run on each. */
+constexpr switchm::SwitchModelKind kSwitchModels[] = {
+    switchm::SwitchModelKind::Voq, switchm::SwitchModelKind::OutputQueue};
+
+const char *
+modelName(switchm::SwitchModelKind model)
 {
-    const ClusterParams params = fourRackParams();
+    return model == switchm::SwitchModelKind::Voq ? "voq" : "output_queue";
+}
+
+ShardedOutcome
+runShardedIncast(switchm::SwitchModelKind model, bool parallel,
+                 size_t threads = 0, bool with_faults = false)
+{
+    ClusterParams params = fourRackParams();
+    params.topo.switch_model = model;
     fame::PartitionSet ps(Cluster::partitionsRequired(params));
     ps.setParallelism(threads);
     Cluster cluster(ps, params);
@@ -147,14 +158,18 @@ TEST(ClusterSharded, PartitionsRequired)
 // the pooled parallel engine — at every fusion width (1 = degenerate
 // solo worker, 2 = partitions sharing workers, 5 = one worker per
 // partition, 0 = one per allowed CPU) — under a workload with real TCP
-// loss recovery (incast over 4 KB ToR buffers).
+// loss recovery (incast over 4 KB ToR buffers), on both queueing
+// disciplines.
 TEST(ClusterSharded, SequentialAndParallelAreBitIdentical)
 {
-    ShardedOutcome seq = runShardedIncast(false);
-    for (size_t threads : {1u, 2u, 5u, 0u}) {
-        ShardedOutcome par = runShardedIncast(true, threads);
-        EXPECT_EQ(seq.fingerprint, par.fingerprint)
-            << "threads=" << threads;
+    for (switchm::SwitchModelKind model : kSwitchModels) {
+        SCOPED_TRACE(modelName(model));
+        ShardedOutcome seq = runShardedIncast(model, false);
+        for (size_t threads : {1u, 2u, 5u, 0u}) {
+            ShardedOutcome par = runShardedIncast(model, true, threads);
+            EXPECT_EQ(seq.fingerprint, par.fingerprint)
+                << "threads=" << threads;
+        }
     }
 }
 
@@ -164,11 +179,12 @@ TEST(ClusterSharded, SequentialAndParallelAreBitIdentical)
 // ledgers must still be bit-identical between engines.
 TEST(ClusterSharded, PoolLedgersBitIdenticalUnderFaultPlan)
 {
+    const switchm::SwitchModelKind voq = switchm::SwitchModelKind::Voq;
     ShardedOutcome seq =
-        runShardedIncast(false, 0, /*with_faults=*/true);
+        runShardedIncast(voq, false, 0, /*with_faults=*/true);
     for (size_t threads : {1u, 0u}) {
         ShardedOutcome par =
-            runShardedIncast(true, threads, /*with_faults=*/true);
+            runShardedIncast(voq, true, threads, /*with_faults=*/true);
         EXPECT_EQ(seq.fingerprint, par.fingerprint)
             << "threads=" << threads;
     }
@@ -215,10 +231,13 @@ TEST(ClusterSharded, IncastActuallyStressesTheFabric)
 {
     // Guard against the determinism test passing vacuously on an idle
     // network: 9 concurrent 32 KB responses into one 4 KB-buffered ToR
-    // port must overflow it.
-    ShardedOutcome out = runShardedIncast(false);
-    EXPECT_GT(out.switch_drops, 0u);
-    EXPECT_GT(out.tcp_retransmits, 0u);
+    // port must overflow it, on either queueing discipline.
+    for (switchm::SwitchModelKind model : kSwitchModels) {
+        SCOPED_TRACE(modelName(model));
+        ShardedOutcome out = runShardedIncast(model, false);
+        EXPECT_GT(out.switch_drops, 0u);
+        EXPECT_GT(out.tcp_retransmits, 0u);
+    }
 }
 
 TEST(ClusterSharded, CrossRackEchoMatchesSingleSimulator)

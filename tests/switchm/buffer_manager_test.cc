@@ -6,9 +6,24 @@ namespace diablo {
 namespace switchm {
 namespace {
 
+/** A @p ports-port buffer of @p bytes per port (Partitioned) or in
+ *  the pool (Shared, SharedDynamic). */
+BufferManager
+makeBuffer(BufferPolicy policy, uint32_t ports, uint64_t bytes,
+           double alpha = 0.5)
+{
+    SwitchParams p;
+    p.num_ports = ports;
+    p.buffer_policy = policy;
+    p.buffer_per_port_bytes = bytes;
+    p.buffer_total_bytes = bytes;
+    p.dynamic_alpha = alpha;
+    return BufferManager(p);
+}
+
 TEST(PartitionedBuffer, PerPortIsolation)
 {
-    PartitionedBuffer b(4, 4096);
+    BufferManager b = makeBuffer(BufferPolicy::Partitioned, 4, 4096);
     EXPECT_TRUE(b.tryAdmit(0, 3000));
     EXPECT_TRUE(b.tryAdmit(0, 1000));
     EXPECT_FALSE(b.tryAdmit(0, 200)); // port 0 full
@@ -21,7 +36,7 @@ TEST(PartitionedBuffer, PerPortIsolation)
 
 TEST(PartitionedBuffer, ReleaseRestoresCapacity)
 {
-    PartitionedBuffer b(2, 1000);
+    BufferManager b = makeBuffer(BufferPolicy::Partitioned, 2, 1000);
     EXPECT_TRUE(b.tryAdmit(0, 800));
     EXPECT_FALSE(b.tryAdmit(0, 300));
     b.release(0, 800);
@@ -31,14 +46,14 @@ TEST(PartitionedBuffer, ReleaseRestoresCapacity)
 
 TEST(PartitionedBuffer, ExactFit)
 {
-    PartitionedBuffer b(1, 1500);
+    BufferManager b = makeBuffer(BufferPolicy::Partitioned, 1, 1500);
     EXPECT_TRUE(b.tryAdmit(0, 1500));
     EXPECT_FALSE(b.tryAdmit(0, 1));
 }
 
 TEST(SharedBuffer, OnePortCanHogPool)
 {
-    SharedBuffer b(4, 10000);
+    BufferManager b = makeBuffer(BufferPolicy::Shared, 4, 10000);
     EXPECT_TRUE(b.tryAdmit(0, 9000));
     EXPECT_FALSE(b.tryAdmit(1, 2000)); // pool nearly full
     EXPECT_TRUE(b.tryAdmit(1, 1000));
@@ -52,7 +67,7 @@ TEST(SharedDynamicBuffer, ThresholdLimitsSingleQueue)
     // alpha=1: a single queue may use at most the free pool, i.e. at
     // most half the pool once it has taken half (threshold shrinks as
     // occupancy grows).
-    SharedDynamicBuffer b(4, 8000, 1.0);
+    BufferManager b = makeBuffer(BufferPolicy::SharedDynamic, 4, 8000, 1.0);
     uint64_t admitted = 0;
     while (b.tryAdmit(0, 500)) {
         admitted += 500;
@@ -65,7 +80,8 @@ TEST(SharedDynamicBuffer, ThresholdLimitsSingleQueue)
 
 TEST(SharedDynamicBuffer, SmallAlphaIsStingy)
 {
-    SharedDynamicBuffer b(4, 8000, 0.25);
+    BufferManager b =
+        makeBuffer(BufferPolicy::SharedDynamic, 4, 8000, 0.25);
     uint64_t admitted = 0;
     while (b.tryAdmit(0, 100)) {
         admitted += 100;
@@ -76,7 +92,7 @@ TEST(SharedDynamicBuffer, SmallAlphaIsStingy)
 
 TEST(SharedDynamicBuffer, ReleaseReopensThreshold)
 {
-    SharedDynamicBuffer b(2, 8000, 1.0);
+    BufferManager b = makeBuffer(BufferPolicy::SharedDynamic, 2, 8000, 1.0);
     while (b.tryAdmit(0, 500)) {
     }
     EXPECT_FALSE(b.tryAdmit(0, 500));
@@ -90,23 +106,23 @@ TEST(BufferManager, FactorySelectsPolicy)
     p.num_ports = 2;
     p.buffer_policy = BufferPolicy::Partitioned;
     p.buffer_per_port_bytes = 100;
-    auto part = BufferManager::create(p);
-    EXPECT_TRUE(part->tryAdmit(0, 100));
-    EXPECT_FALSE(part->tryAdmit(0, 1));
-    EXPECT_TRUE(part->tryAdmit(1, 100));
+    BufferManager part(p);
+    EXPECT_TRUE(part.tryAdmit(0, 100));
+    EXPECT_FALSE(part.tryAdmit(0, 1));
+    EXPECT_TRUE(part.tryAdmit(1, 100));
 
     p.buffer_policy = BufferPolicy::Shared;
     p.buffer_total_bytes = 150;
-    auto shared = BufferManager::create(p);
-    EXPECT_TRUE(shared->tryAdmit(0, 100));
-    EXPECT_FALSE(shared->tryAdmit(1, 100));
+    BufferManager shared(p);
+    EXPECT_TRUE(shared.tryAdmit(0, 100));
+    EXPECT_FALSE(shared.tryAdmit(1, 100));
 
     p.buffer_policy = BufferPolicy::SharedDynamic;
     p.buffer_total_bytes = 1000;
     p.dynamic_alpha = 1.0;
-    auto dyn = BufferManager::create(p);
-    EXPECT_TRUE(dyn->tryAdmit(0, 500));
-    EXPECT_FALSE(dyn->tryAdmit(0, 500));
+    BufferManager dyn(p);
+    EXPECT_TRUE(dyn.tryAdmit(0, 500));
+    EXPECT_FALSE(dyn.tryAdmit(0, 500));
 }
 
 TEST(SwitchParams, FromConfigOverrides)

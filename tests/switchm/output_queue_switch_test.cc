@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "switchm/output_queue_switch.hh"
+#include "switchm/packet_switch.hh"
 #include "switchm/switch_test_util.hh"
 
 namespace diablo {
@@ -28,8 +28,8 @@ baselineParams()
 TEST(OutputQueueSwitch, AlwaysStoreAndForward)
 {
     Simulator sim;
-    SwitchHarness<OutputQueueSwitch> h(sim, baselineParams(),
-                                       Bandwidth::gbps(1), 0_ns);
+    SwitchHarness<PacketSwitch> h(sim, baselineParams(), Bandwidth::gbps(1),
+                                  0_ns, SwitchModelKind::OutputQueue);
 
     auto p = routedPacket(1, 1462);
     const uint32_t wire = p->wireBytes();
@@ -48,8 +48,8 @@ TEST(OutputQueueSwitch, FifoArrivalOrderNotRoundRobin)
     SwitchParams params = baselineParams();
     params.port_latency = 0_ns;
     params.buffer_per_port_bytes = 1 << 20;
-    SwitchHarness<OutputQueueSwitch> h(sim, params, Bandwidth::gbps(10),
-                                       0_ns);
+    SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(10), 0_ns,
+                                  SwitchModelKind::OutputQueue);
 
     // Input 0 injects three packets, then input 1 injects three; FIFO
     // keeps arrival order (no interleaving).
@@ -81,8 +81,8 @@ TEST(OutputQueueSwitch, DropTailOnFullQueue)
     Simulator sim;
     SwitchParams params = baselineParams();
     params.port_latency = 0_ns;
-    SwitchHarness<OutputQueueSwitch> h(sim, params, Bandwidth::gbps(1),
-                                       0_ns);
+    SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns,
+                                  SwitchModelKind::OutputQueue);
 
     sim.schedule(0_ns, [&h] {
         for (int k = 0; k < 6; ++k) {
@@ -93,6 +93,33 @@ TEST(OutputQueueSwitch, DropTailOnFullQueue)
 
     EXPECT_EQ(h.sw.stats().forwarded_pkts, 2u);
     EXPECT_EQ(h.sw.stats().dropped_pkts, 4u);
+}
+
+// The disciplines differ in which port pays for a packet: three frames
+// from each of two inputs to one output fill the output's one 4 KB
+// budget on the output queue (2 of 6 forwarded), one budget per input
+// on VOQ (4 of 6).
+TEST(OutputQueueSwitch, BufferChargedToOutputPort)
+{
+    for (SwitchModelKind kind :
+         {SwitchModelKind::OutputQueue, SwitchModelKind::Voq}) {
+        Simulator sim;
+        SwitchParams params = baselineParams();
+        params.port_latency = 0_ns;
+        SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns,
+                                      kind);
+        sim.schedule(0_ns, [&h] {
+            for (uint32_t in : {0u, 2u}) {
+                for (int k = 0; k < 3; ++k) {
+                    h.sw.inPort(in).receive(routedPacket(1, 1462));
+                }
+            }
+        });
+        sim.run();
+        const uint64_t fits = kind == SwitchModelKind::Voq ? 4 : 2;
+        EXPECT_EQ(h.sw.stats().forwarded_pkts, fits);
+        EXPECT_EQ(h.sw.stats().dropped_pkts, 6 - fits);
+    }
 }
 
 } // namespace

@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/random.hh"
-#include "switchm/output_queue_switch.hh"
+#include "switchm/packet_switch.hh"
 #include "switchm/switch_test_util.hh"
-#include "switchm/voq_switch.hh"
 
 namespace diablo {
 namespace switchm {
@@ -56,20 +55,12 @@ TEST_P(SwitchProperties, ConservationOrderingAndDrain)
     params.buffer_per_port_bytes = c.buffer_bytes;
     params.buffer_total_bytes = c.buffer_bytes * 6;
 
-    const bool is_voq = std::string(c.model) == "voq";
-    std::unique_ptr<SwitchHarness<VoqSwitch>> voq;
-    std::unique_ptr<SwitchHarness<OutputQueueSwitch>> oq;
-    Switch *sw = nullptr;
-    if (is_voq) {
-        voq = std::make_unique<SwitchHarness<VoqSwitch>>(
-            sim, params, Bandwidth::gbps(1), 0_ns);
-        sw = &voq->sw;
-    } else {
-        oq = std::make_unique<SwitchHarness<OutputQueueSwitch>>(
-            sim, params, Bandwidth::gbps(1), 0_ns);
-        sw = &oq->sw;
-    }
-    auto &sinks = is_voq ? voq->sinks : oq->sinks;
+    SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns,
+                                  std::string(c.model) == "voq"
+                                      ? SwitchModelKind::Voq
+                                      : SwitchModelKind::OutputQueue);
+    PacketSwitch *sw = &h.sw;
+    auto &sinks = h.sinks;
 
     // Inject a random pattern: bursts from random inputs to random
     // outputs with random sizes, with a per-(in,out) sequence number
@@ -133,9 +124,7 @@ TEST_P(SwitchProperties, ConservationOrderingAndDrain)
     }
 
     // Buffer accounting fully drained.
-    if (is_voq) {
-        EXPECT_EQ(voq->sw.bufferUsed(), 0u);
-    }
+    EXPECT_EQ(sw->bufferUsed(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

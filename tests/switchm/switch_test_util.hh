@@ -13,7 +13,7 @@
 
 #include "core/simulator.hh"
 #include "net/link.hh"
-#include "switchm/switch.hh"
+#include "switchm/switch_params.hh"
 
 namespace diablo {
 namespace switchm {
@@ -36,12 +36,17 @@ class CollectSink : public net::PacketSink {
     Simulator *sim_;
 };
 
-/** A switch wired with input links and sink-terminated output links. */
+/**
+ * A switch wired with input links and sink-terminated output links;
+ * @p extra follows the params into the switch's constructor (e.g. a
+ * PacketSwitch's queueing discipline).
+ */
 template <typename SwitchT>
 struct SwitchHarness {
+    template <typename... Extra>
     SwitchHarness(Simulator &sim, const SwitchParams &params,
-                  Bandwidth host_bw, SimTime prop)
-        : sw(sim, params)
+                  Bandwidth host_bw, SimTime prop, Extra... extra)
+        : sw(sim, params, extra...)
     {
         for (uint32_t i = 0; i < params.num_ports; ++i) {
             in_links.push_back(std::make_unique<net::Link>(

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "switchm/voq_switch.hh"
+#include "switchm/packet_switch.hh"
 #include "switchm/switch_test_util.hh"
 
 namespace diablo {
@@ -29,7 +29,7 @@ gigeParams(uint32_t ports = 4)
 TEST(VoqSwitch, CutThroughForwardingLatency)
 {
     Simulator sim;
-    SwitchHarness<VoqSwitch> h(sim, gigeParams(), Bandwidth::gbps(1), 0_ns);
+    SwitchHarness<PacketSwitch> h(sim, gigeParams(), Bandwidth::gbps(1), 0_ns);
 
     auto p = routedPacket(1, 1462);
     const uint32_t wire = p->wireBytes(); // 1529 (route header adds 1)
@@ -51,7 +51,7 @@ TEST(VoqSwitch, StoreAndForwardLatency)
     Simulator sim;
     SwitchParams params = gigeParams();
     params.cut_through = false;
-    SwitchHarness<VoqSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
+    SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
 
     auto p = routedPacket(1, 1462);
     const uint32_t wire = p->wireBytes();
@@ -72,7 +72,7 @@ TEST(VoqSwitch, CutThroughNeverOutrunsIngressBits)
     SwitchParams params = gigeParams();
     params.port_bw = Bandwidth::gbps(10);
     params.port_latency = 100_ns;
-    SwitchHarness<VoqSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
+    SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
 
     auto p = routedPacket(1, 1462);
     const uint32_t wire = p->wireBytes();
@@ -91,7 +91,7 @@ TEST(VoqSwitch, RoundRobinAcrossInputs)
     params.cut_through = false;
     params.port_latency = 0_ns;
     params.buffer_per_port_bytes = 1 << 20; // no drops
-    SwitchHarness<VoqSwitch> h(sim, params, Bandwidth::gbps(10), 0_ns);
+    SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(10), 0_ns);
 
     // Three packets from input 0 and three from input 1, all to output 3,
     // arriving fast (10 Gbps hosts) relative to the 1 Gbps egress.
@@ -122,7 +122,7 @@ TEST(VoqSwitch, ShallowBufferTailDrop)
     Simulator sim;
     SwitchParams params = gigeParams();
     params.port_latency = 0_ns;
-    SwitchHarness<VoqSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
+    SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
 
     // Inject 6 full frames directly at t=0; buffer charge per frame is
     // l3 (1462+8+20+1=1491) + 18 = 1509 bytes; 4096-byte budget holds
@@ -145,7 +145,7 @@ TEST(VoqSwitch, BufferFreedAfterTransmit)
     Simulator sim;
     SwitchParams params = gigeParams();
     params.port_latency = 0_ns;
-    SwitchHarness<VoqSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
+    SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
 
     // Two packets fit; after they drain, two more fit.
     sim.schedule(0_ns, [&h] {
@@ -167,7 +167,7 @@ TEST(VoqSwitch, DistinctOutputsDontInterfere)
     Simulator sim;
     SwitchParams params = gigeParams();
     params.port_latency = 0_ns;
-    SwitchHarness<VoqSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
+    SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
 
     sim.schedule(0_ns, [&h] {
         h.sw.inPort(0).receive(routedPacket(1, 1000));
@@ -191,8 +191,8 @@ TEST(VoqSwitch, MultiHopRoute)
     params.port_latency = 1_us;
 
     // Two switches chained: sw1 port 2 egress feeds sw2 port 0 ingress.
-    SwitchHarness<VoqSwitch> h1(sim, params, Bandwidth::gbps(1), 0_ns);
-    SwitchHarness<VoqSwitch> h2(sim, params, Bandwidth::gbps(1), 0_ns);
+    SwitchHarness<PacketSwitch> h1(sim, params, Bandwidth::gbps(1), 0_ns);
+    SwitchHarness<PacketSwitch> h2(sim, params, Bandwidth::gbps(1), 0_ns);
     h1.out_links[2]->connectTo(h2.sw.inPort(0));
 
     auto p = routedPacket(0, 500); // route rewritten below
@@ -211,7 +211,7 @@ TEST(VoqSwitch, MultiHopRoute)
 TEST(VoqSwitch, PanicsOnExhaustedRoute)
 {
     Simulator sim;
-    SwitchHarness<VoqSwitch> h(sim, gigeParams(), Bandwidth::gbps(1), 0_ns);
+    SwitchHarness<PacketSwitch> h(sim, gigeParams(), Bandwidth::gbps(1), 0_ns);
 
     auto p = net::makePacket();
     p->flow.proto = net::Proto::Udp;

@@ -12,36 +12,19 @@
 #include <sys/types.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 
+#include "tools/tool_test_util.hh"
+
 namespace {
+
+using diablo::test::runCmd;
+using diablo::test::slurp;
 
 std::string
 tmpPath(const std::string &name)
 {
-    return testing::TempDir() + "diablo_cli_" + name;
-}
-
-/** Run a shell command, returning its exit code (-1 on system error). */
-int
-runCmd(const std::string &cmd)
-{
-    const int status = std::system(cmd.c_str());
-    if (status < 0) {
-        return -1;
-    }
-    return WIFEXITED(status) ? WEXITSTATUS(status) : 128;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << path;
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+    return diablo::test::tmpPath("diablo_cli_", name);
 }
 
 /** Tiny incast scenario shared by the artifact tests (fast: <1 s). */

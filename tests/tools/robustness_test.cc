@@ -16,49 +16,30 @@
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "analysis/artifact.hh"
 #include "core/interrupt.hh"
+#include "tools/tool_test_util.hh"
 
 namespace {
 
 using namespace std::chrono_literals;
 
+using diablo::test::runCmd;
+using diablo::test::slurp;
+using diablo::test::spawnRun;
+using diablo::test::waitExit;
+
 std::string
 tmpPath(const std::string &name)
 {
-    return testing::TempDir() + "diablo_robust_" + name;
-}
-
-int
-runCmd(const std::string &cmd)
-{
-    const int status = std::system(cmd.c_str());
-    if (status < 0) {
-        return -1;
-    }
-    return WIFEXITED(status) ? WEXITSTATUS(status) : 128;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << path;
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+    return diablo::test::tmpPath("diablo_robust_", name);
 }
 
 /** A run that takes ~2 s wall — long enough to interrupt reliably;
@@ -68,60 +49,6 @@ const char kSlowIncastRun[] =
     " incast.block_bytes=262144";
 const std::string kSlowIncast = std::string(kSlowIncastRun) +
                                 " --engine seq";
-
-/** Spawn diablo_run (args appended after the binary) with output to
- *  @p log; returns the child pid. */
-pid_t
-spawnRun(const std::string &args, const std::string &log)
-{
-    const pid_t pid = fork();
-    if (pid != 0) {
-        return pid;
-    }
-    if (std::freopen(log.c_str(), "w", stdout) == nullptr ||
-        dup2(fileno(stdout), fileno(stderr)) < 0) {
-        std::_Exit(127);
-    }
-    std::vector<std::string> argv_s;
-    argv_s.push_back(DIABLO_RUN_BIN);
-    size_t pos = 0;
-    while (pos < args.size()) {
-        const size_t sp = args.find(' ', pos);
-        const std::string tok =
-            args.substr(pos, sp == std::string::npos ? std::string::npos
-                                                     : sp - pos);
-        if (!tok.empty()) {
-            argv_s.push_back(tok);
-        }
-        if (sp == std::string::npos) {
-            break;
-        }
-        pos = sp + 1;
-    }
-    std::vector<char *> argv;
-    for (const std::string &a : argv_s) {
-        argv.push_back(const_cast<char *>(a.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(argv[0], argv.data());
-    std::_Exit(127);
-}
-
-/** waitpid with EINTR retry; returns the exit code (128+sig if
- *  signalled). */
-int
-waitExit(pid_t pid)
-{
-    int status = 0;
-    while (waitpid(pid, &status, 0) < 0) {
-        if (errno != EINTR) {
-            ADD_FAILURE() << "waitpid: " << std::strerror(errno);
-            return -1;
-        }
-    }
-    return WIFEXITED(status) ? WEXITSTATUS(status)
-                             : 128 + WTERMSIG(status);
-}
 
 TEST(RunInterrupt, SigtermFinalizesAValidPartialArtifact)
 {

@@ -135,7 +135,7 @@ TEST(ClosParams, FromConfig)
     cfg.set("topo.rack.port_gbps", 10.0);
     ClosParams p = ClosParams::fromConfig(cfg, "topo.");
     EXPECT_EQ(p.totalServers(), 1984u);
-    EXPECT_EQ(p.switch_model, SwitchModelKind::OutputQueue);
+    EXPECT_EQ(p.switch_model, switchm::SwitchModelKind::OutputQueue);
     EXPECT_DOUBLE_EQ(p.rack_sw.port_bw.asGbps(), 10.0);
 }
 

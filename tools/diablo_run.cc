@@ -849,7 +849,6 @@ class ProcessGroup {
         seg_ = ShmSegment::create(shm_path, layout_.totalBytes());
         fame::initGroupSegment(seg_.data(), layout_);
         ctl_ = fame::groupControl(seg_.data(), layout_);
-        ctl_->attached.fetch_add(1, std::memory_order_seq_cst);
         for (uint32_t r = 1; r < nprocs_; ++r) {
             spawn(opts, r, shm_path);
         }
@@ -870,7 +869,6 @@ class ProcessGroup {
                   rank_, opts.proc_shm, seg_.size(), layout_.totalBytes());
         }
         ctl_ = fame::groupControl(seg_.data(), layout_);
-        ctl_->attached.fetch_add(1, std::memory_order_seq_cst);
     }
 
     /** Couple @p cluster's engine to every other rank. */
