@@ -15,7 +15,10 @@
  * The link does NOT queue: callers (NIC TX engines, switch egress ports)
  * own their queues so that buffer management policies are modeled where
  * they live in the real hardware.  Callers check busy()/nextFreeTime() and
- * use the tx-done callback to drain.
+ * drain either from the tx-done callback or from the serialization-complete
+ * time transmit() returns; a caller that schedules its own event there
+ * (the packet switch, folding its buffer release into it) leaves the
+ * callback unset and saves the link's event.
  *
  * Fault model: a link can be administratively *down* (transmits are
  * dropped and counted, never a panic — degradation is the contract) or
@@ -87,11 +90,12 @@ class Link {
 
     /**
      * Administratively raise or lower the link.  A transmit on a downed
-     * link is accounted in downDrops() and completes immediately: the
-     * tx-done callback still fires (at the current instant), so egress
-     * queues upstream drain into counted drops instead of wedging on a
-     * transmitter that never frees.  Deliveries already in flight still
-     * arrive — only the cable is cut, not causality.
+     * link is accounted in downDrops() and completes immediately: it
+     * returns the current instant and the tx-done callback, if set,
+     * still fires then, so egress queues upstream drain into counted
+     * drops instead of wedging on a transmitter that never frees.
+     * Deliveries already in flight still arrive — only the cable is
+     * cut, not causality.
      */
     void setUp(bool up);
 

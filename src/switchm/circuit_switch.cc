@@ -129,7 +129,6 @@ CircuitSwitch::handleIngress(uint32_t in_port, net::PacketPtr p)
         ++no_circuit_drops_;
         ++drops_[out];
         ++stats_.dropped_pkts;
-        stats_.dropped_bytes += p->l3Bytes();
         return;
     }
     Circuit &c = circuits_[*circuit];
@@ -160,7 +159,6 @@ CircuitSwitch::drainCircuit(uint32_t index)
     net::PacketPtr p = std::move(c.fifo.front());
     c.fifo.pop_front();
     ++stats_.forwarded_pkts;
-    stats_.forwarded_bytes += p->l3Bytes();
 
     // Pace this circuit at its reserved rate: the gap between successive
     // departures is the serialization time at (share * line rate).

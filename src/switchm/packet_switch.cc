@@ -1,11 +1,48 @@
 #include "switchm/packet_switch.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/log.hh"
 
 namespace diablo {
 namespace switchm {
+
+void
+PacketSwitch::QueueTable::push(uint32_t i, Queued q)
+{
+    rings[i].push_back(std::move(q));
+    nonempty[i / 64] |= uint64_t{1} << (i % 64);
+}
+
+PacketSwitch::Queued
+PacketSwitch::QueueTable::pop(uint32_t i)
+{
+    Queued q = std::move(rings[i].front());
+    rings[i].pop_front();
+    if (rings[i].empty()) {
+        nonempty[i / 64] &= ~(uint64_t{1} << (i % 64));
+    }
+    return q;
+}
+
+uint32_t
+PacketSwitch::QueueTable::firstNonEmpty(uint32_t from, uint32_t to) const
+{
+    if (from >= to) {
+        return to;
+    }
+    uint32_t w = from / 64;
+    uint64_t bits = nonempty[w] & (~uint64_t{0} << (from % 64));
+    while (bits == 0) {
+        if (++w * 64 >= to) {
+            return to;
+        }
+        bits = nonempty[w];
+    }
+    return std::min(w * 64 + static_cast<uint32_t>(std::countr_zero(bits)),
+                    to);
+}
 
 PacketSwitch::PacketSwitch(Simulator &sim, const SwitchParams &params,
                            SwitchModelKind kind)
@@ -16,7 +53,6 @@ PacketSwitch::PacketSwitch(Simulator &sim, const SwitchParams &params,
     for (uint32_t i = 0; i < params.num_ports; ++i) {
         ingress_[i].sw = this;
         ingress_[i].port = i;
-        outputs_[i].queues.resize(voq_ ? params.num_ports : 1);
     }
 }
 
@@ -36,7 +72,6 @@ PacketSwitch::attachOutLink(uint32_t i, net::Link &link)
         panic("%s: attachOutLink %u out of range", params_.name.c_str(), i);
     }
     outputs_[i].link = &link;
-    link.setTxDoneCallback([this, i] { kickOutput(i); });
 }
 
 uint64_t
@@ -80,11 +115,8 @@ PacketSwitch::handleIngress(uint32_t in_port, net::PacketPtr p)
     if (!buffer_.tryAdmit(buf_port, buf_bytes)) {
         ++o.drops;
         ++stats_.dropped_pkts;
-        stats_.dropped_bytes += buf_bytes;
         return; // packet destroyed: tail drop
     }
-    stats_.max_buffer_used =
-        std::max(stats_.max_buffer_used, buffer_.used());
 
     // Earliest egress start: forwarding latency after delivery, and (for
     // cut-through) never so early that egress transmission would finish
@@ -102,7 +134,10 @@ PacketSwitch::handleIngress(uint32_t in_port, net::PacketPtr p)
     q.buf_bytes = buf_bytes;
     q.buf_port = buf_port;
     q.pkt = std::move(p);
-    o.queues[voq_ ? in_port : 0].push_back(std::move(q));
+    if (!o.table) {
+        o.table = std::make_unique<QueueTable>(voq_ ? params_.num_ports : 1);
+    }
+    o.table->push(voq_ ? in_port : 0, std::move(q));
     ++o.queued_pkts;
     kickOutput(out);
 }
@@ -115,45 +150,55 @@ PacketSwitch::kickOutput(uint32_t out_port)
         return;
     }
     const SimTime now = sim_.now();
-    const uint32_t n = static_cast<uint32_t>(o.queues.size());
+    QueueTable &t = *o.table;
+    const uint32_t n = static_cast<uint32_t>(t.rings.size());
 
-    // Round-robin across queues with an eligible head-of-queue packet.
+    // Round robin across queues with an eligible head-of-queue packet,
+    // visiting the non-empty ones in (rr + k) % n order: [rr, n), then
+    // [0, rr).
     SimTime min_eligible = SimTime::max();
-    for (uint32_t k = 0; k < n; ++k) {
-        const uint32_t in = (o.rr + k) % n;
-        auto &q = o.queues[in];
-        if (q.empty()) {
-            continue;
+    uint32_t pick = n;
+    auto scan = [&](uint32_t from, uint32_t to) {
+        for (uint32_t i = t.firstNonEmpty(from, to); i < to;
+             i = t.firstNonEmpty(i + 1, to)) {
+            const SimTime eligible = t.rings[i].front().eligible;
+            if (eligible <= now) {
+                pick = i;
+                return true;
+            }
+            min_eligible = std::min(min_eligible, eligible);
         }
-        if (q.front().eligible <= now) {
-            Queued item = std::move(q.front());
-            q.pop_front();
-            --o.queued_pkts;
-            o.rr = (in + 1) % n;
-
-            ++stats_.forwarded_pkts;
-            stats_.forwarded_bytes += item.pkt->l3Bytes();
-
-            const uint32_t buf_bytes = item.buf_bytes;
-            const uint32_t buf_port = item.buf_port;
-            const SimTime tx_done = o.link->transmit(std::move(item.pkt));
-            // Buffer space frees when the frame has fully left.
-            sim_.scheduleAt(tx_done, [this, buf_port, buf_bytes] {
-                buffer_.release(buf_port, buf_bytes);
-            });
-            // The link tx-done callback re-kicks this output.
-            return;
+        return false;
+    };
+    if (!scan(o.rr, n) && !scan(0, o.rr)) {
+        // Nothing eligible yet: wake up when the earliest head becomes
+        // so.
+        if (min_eligible != SimTime::max()) {
+            sim_.cancel(o.pending_kick);
+            o.pending_kick = sim_.scheduleAt(min_eligible,
+                                             [this, out_port] {
+                                                 kickOutput(out_port);
+                                             });
         }
-        min_eligible = std::min(min_eligible, q.front().eligible);
+        return;
     }
 
-    // Nothing eligible yet: wake up when the earliest head becomes so.
-    if (min_eligible != SimTime::max()) {
-        sim_.cancel(o.pending_kick);
-        o.pending_kick = sim_.scheduleAt(min_eligible, [this, out_port] {
-            kickOutput(out_port);
-        });
-    }
+    Queued item = t.pop(pick);
+    --o.queued_pkts;
+    o.rr = pick + 1;
+    ++stats_.forwarded_pkts;
+
+    const uint32_t buf_bytes = item.buf_bytes;
+    const uint32_t buf_port = item.buf_port;
+    const SimTime tx_done = o.link->transmit(std::move(item.pkt));
+    // One completion event per frame: when the line frees, serve this
+    // output again, then free the frame's buffer space (it has fully
+    // left).  On a downed link tx_done is now and the queue drains into
+    // the link's counted drops.
+    sim_.scheduleAt(tx_done, [this, out_port, buf_port, buf_bytes] {
+        kickOutput(out_port);
+        buffer_.release(buf_port, buf_bytes);
+    });
 }
 
 } // namespace switchm

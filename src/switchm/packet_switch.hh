@@ -27,9 +27,16 @@
  *   Figure 6(a): one FIFO per output shared by all inputs (round robin
  *   over one queue is arrival order), the packet charged to its output
  *   port, and always store-and-forward whatever cut_through says.
+ *
+ * Host cost follows traffic, not ports²: an output's queue table is
+ * allocated on its first enqueue (an output that never queues is one
+ * null pointer), round robin walks a bitmap of non-empty queues, and a
+ * forwarded frame costs one completion event at its tx-done.
  */
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -57,8 +64,9 @@ class PacketSwitch {
     net::PacketSink &inPort(uint32_t i);
 
     /**
-     * Attach the egress link of port @p i.  The switch takes over the
-     * link's tx-done callback to drain its queues.
+     * Attach the egress link of port @p i.  The switch drains its queues
+     * from the serialization-complete time transmit() returns, so it
+     * leaves the link's tx-done callback unset.
      */
     void attachOutLink(uint32_t i, net::Link &link);
 
@@ -112,12 +120,31 @@ class PacketSwitch {
         uint32_t buf_port;    ///< port whose budget holds the bytes
     };
 
+    /**
+     * An output's queues: one per input (VOQ) or a single FIFO
+     * (OutputQueue), plus a bitmap of the non-empty ones.  Grow-only
+     * rings, so a busy queue cycling at steady state never touches the
+     * allocator.
+     */
+    struct QueueTable {
+        explicit QueueTable(uint32_t n) : rings(n), nonempty((n + 63) / 64)
+        {}
+
+        void push(uint32_t i, Queued q);
+        Queued pop(uint32_t i);
+
+        /** Lowest non-empty ring in [from, to), or @p to if none. */
+        uint32_t firstNonEmpty(uint32_t from, uint32_t to) const;
+
+        std::vector<RingBuffer<Queued>> rings;
+        std::vector<uint64_t> nonempty;
+    };
+
     struct Output {
         net::Link *link = nullptr;
-        /** One queue per input (VOQ) or a single FIFO (OutputQueue);
-         *  grow-only rings, so a busy queue cycling at steady state
-         *  never touches the allocator. */
-        std::vector<RingBuffer<Queued>> queues;
+        /** Allocated on the first enqueue, kept for the switch's life. */
+        std::unique_ptr<QueueTable> table;
+        /** One past the ring last served; round robin starts here. */
         uint32_t rr = 0;
         uint32_t queued_pkts = 0;
         EventId pending_kick;

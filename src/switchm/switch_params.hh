@@ -50,10 +50,7 @@ BufferPolicy bufferPolicyFromString(const std::string &s);
 /** Aggregate statistics every switch model maintains. */
 struct SwitchStats {
     uint64_t forwarded_pkts = 0;
-    uint64_t forwarded_bytes = 0;
     uint64_t dropped_pkts = 0;
-    uint64_t dropped_bytes = 0;
-    uint64_t max_buffer_used = 0;
 };
 
 /** Complete parameter set for one switch instance. */

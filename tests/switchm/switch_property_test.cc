@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/random.hh"
 #include "switchm/packet_switch.hh"
 #include "switchm/switch_test_util.hh"
@@ -14,6 +17,7 @@ using test::SwitchHarness;
 /** One point in the switch design space. */
 struct SwitchCase {
     const char *model;   // "voq" | "oq"
+    uint32_t ports;
     BufferPolicy policy;
     uint64_t buffer_bytes;
     bool cut_through;
@@ -24,7 +28,8 @@ std::string
 caseName(const testing::TestParamInfo<SwitchCase> &info)
 {
     const SwitchCase &c = info.param;
-    return std::string(c.model) + "_" + bufferPolicyName(c.policy) + "_" +
+    return std::string(c.model) + "_" + std::to_string(c.ports) + "p_" +
+           bufferPolicyName(c.policy) + "_" +
            std::to_string(c.buffer_bytes) + "_" +
            (c.cut_through ? "ct" : "sf") + "_s" +
            std::to_string(c.seed);
@@ -44,16 +49,17 @@ class SwitchProperties : public testing::TestWithParam<SwitchCase> {};
 TEST_P(SwitchProperties, ConservationOrderingAndDrain)
 {
     const SwitchCase &c = GetParam();
+    const uint32_t ports = c.ports;
     Simulator sim;
 
     SwitchParams params;
-    params.num_ports = 6;
+    params.num_ports = ports;
     params.port_bw = Bandwidth::gbps(1);
     params.port_latency = 500_ns;
     params.cut_through = c.cut_through;
     params.buffer_policy = c.policy;
     params.buffer_per_port_bytes = c.buffer_bytes;
-    params.buffer_total_bytes = c.buffer_bytes * 6;
+    params.buffer_total_bytes = c.buffer_bytes * ports;
 
     SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns,
                                   std::string(c.model) == "voq"
@@ -67,10 +73,11 @@ TEST_P(SwitchProperties, ConservationOrderingAndDrain)
     // stamped in the flow source port.
     Rng rng(c.seed);
     const int kPackets = 400;
-    uint64_t next_seq[6][6] = {};
+    std::vector<std::vector<uint64_t>> next_seq(
+        ports, std::vector<uint64_t>(ports, 0));
     for (int i = 0; i < kPackets; ++i) {
-        const auto in = static_cast<uint32_t>(rng.uniformInt(0, 5));
-        const auto out = static_cast<uint32_t>(rng.uniformInt(0, 5));
+        const auto in = static_cast<uint32_t>(rng.uniformInt(0, ports - 1));
+        const auto out = static_cast<uint32_t>(rng.uniformInt(0, ports - 1));
         const auto bytes =
             static_cast<uint32_t>(rng.uniformInt(1, 1400));
         // Injection times increase with creation order (jitter smaller
@@ -105,12 +112,9 @@ TEST_P(SwitchProperties, ConservationOrderingAndDrain)
     EXPECT_EQ(sw->stats().forwarded_pkts, delivered);
 
     // Per-(input, output) FIFO ordering among survivors.
-    for (uint32_t out = 0; out < 6; ++out) {
-        uint64_t last_seen[6];
-        for (auto &v : last_seen) {
-            v = 0;
-        }
-        bool first[6] = {false, false, false, false, false, false};
+    for (uint32_t out = 0; out < ports; ++out) {
+        std::vector<uint64_t> last_seen(ports, 0);
+        std::vector<bool> first(ports, false);
         for (auto &[t, pkt] : sinks[out]->arrivals) {
             const uint32_t in = pkt->flow.src;
             const uint64_t seq = pkt->flow.sport;
@@ -130,16 +134,18 @@ TEST_P(SwitchProperties, ConservationOrderingAndDrain)
 INSTANTIATE_TEST_SUITE_P(
     DesignSpace, SwitchProperties,
     testing::Values(
-        SwitchCase{"voq", BufferPolicy::Partitioned, 4096, true, 1},
-        SwitchCase{"voq", BufferPolicy::Partitioned, 4096, false, 2},
-        SwitchCase{"voq", BufferPolicy::Partitioned, 65536, true, 3},
-        SwitchCase{"voq", BufferPolicy::Shared, 16384, true, 4},
-        SwitchCase{"voq", BufferPolicy::Shared, 262144, false, 5},
-        SwitchCase{"voq", BufferPolicy::SharedDynamic, 16384, true, 6},
-        SwitchCase{"voq", BufferPolicy::SharedDynamic, 262144, true, 7},
-        SwitchCase{"oq", BufferPolicy::Partitioned, 4096, false, 8},
-        SwitchCase{"oq", BufferPolicy::Partitioned, 65536, true, 9},
-        SwitchCase{"oq", BufferPolicy::Shared, 65536, false, 10}),
+        SwitchCase{"voq", 6, BufferPolicy::Partitioned, 4096, true, 1},
+        SwitchCase{"voq", 6, BufferPolicy::Partitioned, 4096, false, 2},
+        SwitchCase{"voq", 6, BufferPolicy::Partitioned, 65536, true, 3},
+        SwitchCase{"voq", 6, BufferPolicy::Shared, 16384, true, 4},
+        SwitchCase{"voq", 6, BufferPolicy::Shared, 262144, false, 5},
+        SwitchCase{"voq", 6, BufferPolicy::SharedDynamic, 16384, true, 6},
+        SwitchCase{"voq", 6, BufferPolicy::SharedDynamic, 262144, true, 7},
+        SwitchCase{"oq", 6, BufferPolicy::Partitioned, 4096, false, 8},
+        SwitchCase{"oq", 6, BufferPolicy::Partitioned, 65536, true, 9},
+        SwitchCase{"oq", 6, BufferPolicy::Shared, 65536, false, 10},
+        // Queue bitmaps three 64-bit words wide.
+        SwitchCase{"voq", 130, BufferPolicy::Partitioned, 65536, true, 11}),
     caseName);
 
 } // namespace

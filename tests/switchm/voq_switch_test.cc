@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "switchm/packet_switch.hh"
 #include "switchm/switch_test_util.hh"
 
@@ -84,38 +87,66 @@ TEST(VoqSwitch, CutThroughNeverOutrunsIngressBits)
     EXPECT_GE(h.sinks[1]->arrivals[0].first, ingress_last);
 }
 
-TEST(VoqSwitch, RoundRobinAcrossInputs)
+/** Inputs feeding one output, and the order their frames depart in. */
+struct RoundRobinCase {
+    const char *name;
+    uint32_t ports;
+    uint32_t out;
+    /** Injection order within each of the three rounds. */
+    std::vector<uint32_t> inputs;
+    /** Source input of each departure. */
+    std::vector<uint32_t> departures;
+};
+
+class VoqRoundRobin : public testing::TestWithParam<RoundRobinCase> {};
+
+TEST_P(VoqRoundRobin, AcrossInputs)
 {
+    const RoundRobinCase &c = GetParam();
     Simulator sim;
-    SwitchParams params = gigeParams();
+    SwitchParams params = gigeParams(c.ports);
     params.cut_through = false;
     params.port_latency = 0_ns;
     params.buffer_per_port_bytes = 1 << 20; // no drops
     SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(10), 0_ns);
 
-    // Three packets from input 0 and three from input 1, all to output 3,
-    // arriving fast (10 Gbps hosts) relative to the 1 Gbps egress.
-    sim.schedule(0_ns, [&h] {
+    // Three packets from each input, all to one output, injected at
+    // once.  The first departs at once; the rest queue behind it and
+    // leave in round-robin order from one past its input.
+    sim.schedule(0_ns, [&h, &c] {
         for (int k = 0; k < 3; ++k) {
-            auto a = routedPacket(3, 1000);
-            a->flow.src = 100; // tag by source for checking
-            h.sw.inPort(0).receive(std::move(a));
-            auto b = routedPacket(3, 1000);
-            b->flow.src = 200;
-            h.sw.inPort(1).receive(std::move(b));
+            for (uint32_t in : c.inputs) {
+                auto p = routedPacket(c.out, 1000);
+                p->flow.src = in; // tag by source for checking
+                h.sw.inPort(in).receive(std::move(p));
+            }
         }
     });
     sim.run();
 
-    ASSERT_EQ(h.sinks[3]->arrivals.size(), 6u);
-    // Round robin alternates sources.
-    std::vector<net::NodeId> srcs;
-    for (auto &[t, pkt] : h.sinks[3]->arrivals) {
+    std::vector<uint32_t> srcs;
+    for (auto &[t, pkt] : h.sinks[c.out]->arrivals) {
         srcs.push_back(pkt->flow.src);
     }
-    EXPECT_EQ(srcs, (std::vector<net::NodeId>{100, 200, 100, 200, 100,
-                                              200}));
+    EXPECT_EQ(srcs, c.departures);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Ports, VoqRoundRobin,
+    testing::Values(
+        // Round robin alternates sources.
+        RoundRobinCase{"four_ports", 4, 3, {0, 1}, {0, 1, 0, 1, 0, 1}},
+        // Three 64-bit words of queues.  Input 129 is injected first,
+        // so it departs first and every later scan wraps past the last
+        // port to input 1 and crosses the 63/64 word boundary.
+        RoundRobinCase{"wide_130_ports",
+                       130,
+                       0,
+                       {129, 1, 63, 64},
+                       {129, 1, 63, 64, 129, 1, 63, 64, 129, 1, 63, 64}}),
+    [](const testing::TestParamInfo<RoundRobinCase> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(VoqSwitch, ShallowBufferTailDrop)
 {
@@ -159,6 +190,40 @@ TEST(VoqSwitch, BufferFreedAfterTransmit)
     sim.run();
     EXPECT_EQ(h.sw.stats().forwarded_pkts, 4u);
     EXPECT_EQ(h.sw.stats().dropped_pkts, 0u);
+    EXPECT_EQ(h.sw.bufferUsed(), 0u);
+}
+
+TEST(VoqSwitch, DownedOutputLinkDrainsIntoDrops)
+{
+    Simulator sim;
+    SwitchParams params = gigeParams();
+    params.buffer_per_port_bytes = 1 << 20; // no tail drops
+    SwitchHarness<PacketSwitch> h(sim, params, Bandwidth::gbps(1), 0_ns);
+    net::Link &out = *h.out_links[1];
+    out.setUp(false);
+
+    // Three frames queue for the forwarding latency, then drain one per
+    // completion event onto the cut cable, each freeing its buffer.
+    sim.schedule(0_ns, [&h] {
+        for (int k = 0; k < 3; ++k) {
+            h.sw.inPort(0).receive(routedPacket(1, 1462));
+        }
+    });
+    sim.run();
+    EXPECT_EQ(out.downDrops(), 3u);
+    EXPECT_EQ(h.sw.stats().forwarded_pkts, 3u);
+    EXPECT_EQ(h.sw.stats().dropped_pkts, 0u);
+    EXPECT_TRUE(h.sinks[1]->arrivals.empty());
+    EXPECT_EQ(h.sw.bufferUsed(), 0u);
+
+    out.setUp(true);
+    sim.schedule(0_ns, [&h] {
+        h.sw.inPort(0).receive(routedPacket(1, 1462));
+    });
+    sim.run();
+    EXPECT_EQ(out.downDrops(), 3u);
+    EXPECT_EQ(h.sw.stats().forwarded_pkts, 4u);
+    EXPECT_EQ(h.sinks[1]->arrivals.size(), 1u);
     EXPECT_EQ(h.sw.bufferUsed(), 0u);
 }
 
