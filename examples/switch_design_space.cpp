@@ -7,9 +7,8 @@
  * This example sweeps a 2x2x2 design space for the ToR switch under a
  * mixed workload (a latency-sensitive UDP echo sharing the rack with a
  * TCP bulk transfer):
- *   - packet switch (VOQ) vs virtual-circuit switch philosophy is
- *     explored in the latency numbers (cut-through vs store-and-forward
- *     stands in for the fabric-latency axis);
+ *   - cut-through vs store-and-forward forwarding (the fabric-latency
+ *     axis);
  *   - per-port partitioned vs shared-dynamic buffering;
  *   - shallow vs deep packet memory.
  *

@@ -1,5 +1,6 @@
 #include "core/log.hh"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -7,66 +8,16 @@
 namespace diablo {
 namespace log {
 
-namespace {
-
-Level g_level = Level::Warn;
-
-const char *
-levelName(Level lvl)
-{
-    switch (lvl) {
-      case Level::Trace: return "TRACE";
-      case Level::Debug: return "DEBUG";
-      case Level::Info:  return "INFO";
-      case Level::Warn:  return "WARN";
-      case Level::Error: return "ERROR";
-      case Level::Off:   return "OFF";
-    }
-    return "?";
-}
-
 void
-vlogf(Level lvl, const char *fmt, va_list ap)
+warn(const char *fmt, ...)
 {
-    if (lvl < g_level) {
-        return;
-    }
-    std::fprintf(stderr, "[%s] ", levelName(lvl));
-    std::vfprintf(stderr, fmt, ap);
-    std::fputc('\n', stderr);
-}
-
-} // namespace
-
-void setLevel(Level lvl) { g_level = lvl; }
-Level level() { return g_level; }
-
-void
-logf(Level lvl, const char *fmt, ...)
-{
+    std::fprintf(stderr, "[WARN] ");
     va_list ap;
     va_start(ap, fmt);
-    vlogf(lvl, fmt, ap);
+    std::vfprintf(stderr, fmt, ap);
     va_end(ap);
+    std::fputc('\n', stderr);
 }
-
-#define DIABLO_LOG_FN(name, lvl)                                            \
-    void                                                                    \
-    name(const char *fmt, ...)                                              \
-    {                                                                       \
-        va_list ap;                                                         \
-        va_start(ap, fmt);                                                  \
-        vlogf(lvl, fmt, ap);                                                \
-        va_end(ap);                                                         \
-    }
-
-DIABLO_LOG_FN(trace, Level::Trace)
-DIABLO_LOG_FN(debug, Level::Debug)
-DIABLO_LOG_FN(inform, Level::Info)
-DIABLO_LOG_FN(warn, Level::Warn)
-DIABLO_LOG_FN(error, Level::Error)
-
-#undef DIABLO_LOG_FN
 
 } // namespace log
 

@@ -10,30 +10,16 @@
  *              regardless of user input.  Calls abort().
  *  - fatal():  a user error (bad configuration, impossible parameter
  *              combination).  Exits with status 1.
- *  - warn()/inform(): non-fatal status messages.
+ *  - log::warn(): a non-fatal status message on stderr.
  */
 
-#include <cstdarg>
 #include <string>
 
 namespace diablo {
 namespace log {
 
-enum class Level { Trace = 0, Debug, Info, Warn, Error, Off };
-
-/** Set the global threshold; messages below it are dropped. */
-void setLevel(Level lvl);
-Level level();
-
-/** printf-style message emission at the given level. */
-void logf(Level lvl, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void trace(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+/** printf-style warning, printed to stderr as "[WARN] <message>". */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-void error(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace log
 

@@ -66,8 +66,8 @@ class Simulator {
     /**
      * Emplace overload of scheduleAt: same slot-direct construction as
      * the relative-time schedule() template.  The absolute-time path is
-     * just as hot — per-frame tx-done callbacks and switch egress kicks
-     * land here — so it gets the same fast path.
+     * just as hot — every transmitter's per-frame completion event
+     * lands here — so it gets the same fast path.
      */
     template <typename F,
               typename = std::enable_if_t<

@@ -24,14 +24,12 @@ class Bandwidth {
     constexpr Bandwidth() : bps_(0) {}
 
     static constexpr Bandwidth bps(double v) { return Bandwidth(v); }
-    static constexpr Bandwidth kbps(double v) { return Bandwidth(v * 1e3); }
     static constexpr Bandwidth mbps(double v) { return Bandwidth(v * 1e6); }
     static constexpr Bandwidth gbps(double v) { return Bandwidth(v * 1e9); }
 
     constexpr double bitsPerSec() const { return bps_; }
     constexpr double bytesPerSec() const { return bps_ / 8.0; }
     constexpr double asGbps() const { return bps_ / 1e9; }
-    constexpr double asMbps() const { return bps_ / 1e6; }
 
     constexpr bool isZero() const { return bps_ == 0; }
 

@@ -8,8 +8,8 @@
  * DIABLO carries rack-to-switch traffic between FPGAs over time-shared
  * multi-gigabit serial transceivers, synchronized at fine granularity
  * (§3.2).  ChannelLink is that boundary in software: the transmit side
- * (serialization occupancy, tx-done callbacks, byte counters) runs in
- * the source partition exactly like a plain Link, but the delivery
+ * (serialization occupancy and the completion time transmit() returns)
+ * runs in the source partition exactly like a plain Link, but the delivery
  * event is posted through a caller-supplied remote-post hook — in
  * practice a fame::PartitionSet::Channel — so the packet surfaces in
  * the destination partition's event queue at the correct simulated

@@ -27,28 +27,17 @@ Link::transmit(PacketPtr p)
 
     if (!up_) {
         // Degradation is the contract: a downed link accounts the drop
-        // and releases the transmitter immediately so upstream egress
-        // queues drain (into further counted drops) rather than wedge.
+        // and frees the transmitter at once, so upstream egress queues
+        // drain (into further counted drops) rather than wedge.
         down_drops_.inc();
-        if (tx_done_) {
-            sim_.schedule(SimTime(), [this] {
-                if (tx_done_) {
-                    tx_done_();
-                }
-            });
-        }
         return sim_.now();
     }
 
-    const SimTime ser = bw_.transferTime(p->wireBytes());
-    const SimTime tx_done = sim_.now() + ser;
+    const SimTime tx_done = sim_.now() + bw_.transferTime(p->wireBytes());
     const SimTime arrive_first = sim_.now() + prop_;
     const SimTime arrive_last = tx_done + prop_;
 
     free_at_ = tx_done;
-    busy_time_ += ser;
-    packets_.inc();
-    wire_bytes_.inc(p->wireBytes());
 
     p->first_bit = arrive_first;
     p->last_bit = arrive_last;
@@ -75,15 +64,6 @@ Link::transmit(PacketPtr p)
     }
     if (!lost) {
         scheduleDelivery(deliver_at, std::move(p));
-    }
-
-    // Notify the transmitter owner when the line frees up.
-    if (tx_done_) {
-        sim_.scheduleAt(tx_done, [this] {
-            if (tx_done_) {
-                tx_done_();
-            }
-        });
     }
     return tx_done;
 }
@@ -180,15 +160,6 @@ Link::walkDeliveries()
     } else {
         walker_armed_ = false;
     }
-}
-
-double
-Link::utilization() const
-{
-    if (sim_.now().isZero()) {
-        return 0.0;
-    }
-    return busy_time_.asSeconds() / sim_.now().asSeconds();
 }
 
 } // namespace net

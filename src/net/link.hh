@@ -14,11 +14,11 @@
  *
  * The link does NOT queue: callers (NIC TX engines, switch egress ports)
  * own their queues so that buffer management policies are modeled where
- * they live in the real hardware.  Callers check busy()/nextFreeTime() and
- * drain either from the tx-done callback or from the serialization-complete
- * time transmit() returns; a caller that schedules its own event there
- * (the packet switch, folding its buffer release into it) leaves the
- * callback unset and saves the link's event.
+ * they live in the real hardware.  transmit() returns the
+ * serialization-complete time, and that is the link's only completion
+ * contract: each transmitter checks busy() and schedules its own drain
+ * event there (the packet switch folds its buffer release into it, the
+ * NIC its TX-completion refill).
  *
  * Fault model: a link can be administratively *down* (transmits are
  * dropped and counted, never a panic — degradation is the contract) or
@@ -29,7 +29,6 @@
  * partition boundaries (a downed ChannelLink simply posts nothing).
  */
 
-#include <functional>
 #include <string>
 
 #include "core/random.hh"
@@ -58,31 +57,19 @@ class Link {
     /** Attach the receiving endpoint; must be called before transmit. */
     void connectTo(PacketSink &sink) { sink_ = &sink; }
 
-    /** Invoked when the transmitter becomes free again. */
-    void setTxDoneCallback(std::function<void()> cb)
-    {
-        tx_done_ = std::move(cb);
-    }
-
     bool busy() const { return sim_.now() < free_at_; }
-
-    /** Time at which the transmitter can accept the next packet. */
-    SimTime nextFreeTime() const { return free_at_; }
 
     /**
      * Begin transmitting @p p now.  Panics if the transmitter is busy or
-     * no sink is attached.  Returns the serialization-complete time.
-     * Sets the packet's first_bit/last_bit times (arrival side), which
-     * cut-through switch models use.
+     * no sink is attached.  Returns the serialization-complete time, when
+     * the transmitter is free again; the caller schedules its own drain
+     * there.  Sets the packet's first_bit/last_bit times (arrival side),
+     * which cut-through switch models use.
      */
     SimTime transmit(PacketPtr p);
 
     Bandwidth bandwidth() const { return bw_; }
-    SimTime propagationDelay() const { return prop_; }
     const std::string &name() const { return name_; }
-
-    uint64_t packetsSent() const { return packets_.value(); }
-    uint64_t bytesSent() const { return wire_bytes_.value(); }
 
     // ---- fault surface -------------------------------------------------
 
@@ -91,11 +78,10 @@ class Link {
     /**
      * Administratively raise or lower the link.  A transmit on a downed
      * link is accounted in downDrops() and completes immediately: it
-     * returns the current instant and the tx-done callback, if set,
-     * still fires then, so egress queues upstream drain into counted
-     * drops instead of wedging on a transmitter that never frees.
-     * Deliveries already in flight still arrive — only the cable is
-     * cut, not causality.
+     * returns the current instant, so a transmitter draining from that
+     * time empties its queue into counted drops instead of wedging on a
+     * line that never frees.  Deliveries already in flight still
+     * arrive — only the cable is cut, not causality.
      */
     void setUp(bool up);
 
@@ -120,9 +106,6 @@ class Link {
 
     /** Frames lost to brownout while degraded. */
     uint64_t degradeDrops() const { return degrade_drops_.value(); }
-
-    /** Fraction of elapsed sim time the transmitter was busy. */
-    double utilization() const;
 
     // ---- delivery coalescing -------------------------------------------
 
@@ -151,7 +134,7 @@ class Link {
      * time @p when.  The default implementation stays inside the
      * transmitter's own simulation partition; ChannelLink overrides it
      * to carry the delivery across a partition boundary.  Transmit-side
-     * bookkeeping (serialization occupancy, tx-done) never crosses.
+     * bookkeeping (serialization occupancy) never crosses.
      */
     virtual void scheduleDelivery(SimTime when, PacketPtr p);
 
@@ -183,11 +166,7 @@ class Link {
     Bandwidth bw_;
     SimTime prop_;
     PacketSink *sink_ = nullptr;
-    std::function<void()> tx_done_;
     SimTime free_at_;
-    SimTime busy_time_;
-    Counter packets_;
-    Counter wire_bytes_;
 
     bool up_ = true;
     bool degraded_ = false;

@@ -35,12 +35,6 @@ void
 NicModel::attachTxLink(net::Link &link)
 {
     tx_link_ = &link;
-    link.setTxDoneCallback([this] {
-        txPump();
-        if (kernel_ != nullptr) {
-            kernel_->txRingSpace(); // TX-completion: refill from qdisc
-        }
-    });
 }
 
 void
@@ -79,8 +73,17 @@ NicModel::txPump()
         return;
     }
     tx_packets_.inc();
-    tx_link_->transmit(std::move(tx_ring_.front()));
+    const SimTime tx_done = tx_link_->transmit(std::move(tx_ring_.front()));
     tx_ring_.pop_front();
+    // TX completion: when the line frees (at once on a downed link),
+    // send the next descriptor, then let the kernel refill the ring
+    // from its qdisc.
+    sim_.scheduleAt(tx_done, [this] {
+        txPump();
+        if (kernel_ != nullptr) {
+            kernel_->txRingSpace();
+        }
+    });
 }
 
 // ---------------------------------------------------------------------

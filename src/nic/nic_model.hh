@@ -12,8 +12,9 @@
  * This class is that device: the kernel model is its driver.
  *
  *  - TX: the kernel enqueues into a bounded TX descriptor ring; the NIC
- *    drains it onto the attached link at line rate and raises TX
- *    completions (modeled as the kernel's qdisc pump callback).
+ *    drains it onto the attached link at line rate and raises a TX
+ *    completion (the kernel's qdisc pump) at the end of each frame's
+ *    serialization.
  *  - RX: arriving packets DMA into a bounded RX ring after a fixed DMA
  *    latency; overflow is dropped (no flow control).  Interrupts follow
  *    an e1000-style throttle (ITR): at most one interrupt per mitigation
@@ -68,7 +69,10 @@ class NicModel : public os::NicDevice, public net::PacketSink {
   public:
     NicModel(Simulator &sim, std::string name, const NicParams &params);
 
-    /** Wire the NIC's transmitter to @p link (takes its tx-done hook). */
+    /**
+     * Wire the NIC's transmitter to @p link.  The NIC drains its TX ring
+     * from the serialization-complete time transmit() returns.
+     */
     void attachTxLink(net::Link &link);
 
     /** Bind to the owning kernel (also registers as the kernel's NIC). */

@@ -89,9 +89,6 @@ class Cpu {
     void submit(SchedClass cls, uint64_t cycles, uint64_t thread_tag,
                 CompletionFn done);
 
-    /** Duration of one (CPI-adjusted) cycle. */
-    SimTime cycleTime() const { return SimTime::fromPs(ps_per_cycle_); }
-
     SimTime
     cyclesToTime(uint64_t cycles) const
     {

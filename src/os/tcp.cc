@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/log.hh"
 #include "os/kernel.hh"
 
 namespace diablo {
@@ -317,10 +316,6 @@ TcpConnection::onAck(uint64_t ack, uint64_t wnd)
 
     if (ack == snd_una_ && flightSize() > 0 && !window_changed) {
         ++dupacks_;
-        log::trace("%.3fus %s dupack #%u una=%llu flight=%llu",
-                   kernel_.sim().now().asMicros(), flow_.str().c_str(),
-                   dupacks_, static_cast<unsigned long long>(snd_una_),
-                   static_cast<unsigned long long>(flightSize()));
         if (!in_fast_recovery_ && dupacks_ == params_.dupack_thresh) {
             ssthresh_ = std::max<uint64_t>(flightSize() / 2,
                                            2ULL * params_.mss);
@@ -682,15 +677,6 @@ TcpConnection::onRtoExpired()
     rto_armed_ = false;
     ++rto_count_;
     kernel_.noteTcpRto();
-    log::trace("%.3fus %s RTO state=%d una=%llu nxt=%llu queued=%llu "
-               "cwnd=%llu rto=%s backoff=%u dupacks=%u",
-               kernel_.sim().now().asMicros(), flow_.str().c_str(),
-               static_cast<int>(state_),
-               static_cast<unsigned long long>(snd_una_),
-               static_cast<unsigned long long>(snd_nxt_),
-               static_cast<unsigned long long>(app_queued_end_),
-               static_cast<unsigned long long>(cwnd_),
-               rto_.str().c_str(), backoff_, dupacks_);
     if (backoff_ < 12) {
         ++backoff_;
     }

@@ -71,7 +71,6 @@ class FaultPlan {
     explicit FaultPlan(uint64_t seed) : seed_(seed) {}
 
     uint64_t seed() const { return seed_; }
-    void setSeed(uint64_t s) { seed_ = s; }
 
     FaultPlan &trunkDown(SimTime at, uint32_t rack, uint32_t plane);
     FaultPlan &trunkUp(SimTime at, uint32_t rack, uint32_t plane);

@@ -65,8 +65,7 @@ class PacketSwitch {
 
     /**
      * Attach the egress link of port @p i.  The switch drains its queues
-     * from the serialization-complete time transmit() returns, so it
-     * leaves the link's tx-done callback unset.
+     * from the serialization-complete time transmit() returns.
      */
     void attachOutLink(uint32_t i, net::Link &link);
 

@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Runtime-configurable switch model parameters, and the statistics
- * every switch model keeps.
+ * Runtime-configurable packet switch parameters, and the statistics
+ * the switch keeps.
  *
  * Mirrors DIABLO's design where "switch models in different layers of the
  * network hierarchy differ only in their link latency, bandwidth, and
@@ -47,7 +47,7 @@ enum class BufferPolicy {
 const char *bufferPolicyName(BufferPolicy p);
 BufferPolicy bufferPolicyFromString(const std::string &s);
 
-/** Aggregate statistics every switch model maintains. */
+/** Aggregate statistics a packet switch maintains. */
 struct SwitchStats {
     uint64_t forwarded_pkts = 0;
     uint64_t dropped_pkts = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -51,8 +52,9 @@ udpPacket(uint32_t payload)
 }
 
 /**
- * Drive a back-to-back burst: each tx-done immediately transmits the
- * next frame, exactly as a saturated NIC or switch egress would.
+ * Drive a back-to-back burst: each frame is sent at the time the
+ * previous transmit() returned, exactly as a saturated NIC or switch
+ * egress would.
  * Returns every delivery the sink observed.
  */
 std::vector<RecordSink::Arrival>
@@ -65,15 +67,15 @@ runBurst(bool coalesce, uint32_t n_pkts, SimTime propagation)
     link.connectTo(sink);
 
     uint32_t sent = 0;
-    auto sendNext = [&] {
+    std::function<void()> sendNext = [&] {
         if (sent < n_pkts) {
             // Distinct sizes so a reordered or merged delivery would
             // change the observed (time, payload) pairs.
-            link.transmit(udpPacket(100 + 10 * sent));
+            const SimTime done = link.transmit(udpPacket(100 + 10 * sent));
             ++sent;
+            sim.scheduleAt(done, sendNext);
         }
     };
-    link.setTxDoneCallback(sendNext);
     sim.schedule(0_ns, sendNext);
     sim.run();
 
@@ -149,13 +151,13 @@ TEST(LinkBurst, FaultedDeliveriesMatchUncoalesced)
         // extra latency path is what's under test.
         sim.schedule(0_ns, [&] { link.setDegraded(0.0, 3_us, 1); });
         uint32_t sent = 0;
-        auto sendNext = [&] {
+        std::function<void()> sendNext = [&] {
             if (sent < 8) {
-                link.transmit(udpPacket(400 + 10 * sent));
+                const SimTime done = link.transmit(udpPacket(400 + 10 * sent));
                 ++sent;
+                sim.scheduleAt(done, sendNext);
             }
         };
-        link.setTxDoneCallback(sendNext);
         sim.schedule(1_us, sendNext);
         sim.run();
         return sink.arrivals;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nic/nic_model.hh"
 #include "os/node_test_util.hh"
 
@@ -17,6 +19,19 @@ smallPacket()
     p->payload_bytes = 100;
     return p;
 }
+
+/** Records the arrival time of every frame the wire delivers. */
+class ArrivalSink : public net::PacketSink {
+  public:
+    explicit ArrivalSink(Simulator &sim) : sim_(sim) {}
+
+    void receive(net::PacketPtr) override { arrivals.push_back(sim_.now()); }
+
+    std::vector<SimTime> arrivals;
+
+  private:
+    Simulator &sim_;
+};
 
 TEST(NicModel, RxRingHoldsAndDequeues)
 {
@@ -76,6 +91,86 @@ TEST(NicModel, TxRingOverflowIsACountedDrop)
     sim.run();
     EXPECT_EQ(nic.txRingDrops(), 2u);
     EXPECT_EQ(nic.txPackets(), 5u);
+}
+
+TEST(NicModel, TxRingDrainsBackToBackAtLineRate)
+{
+    // The NIC sends its next descriptor from the completion of the
+    // previous frame, so a burst leaves back to back at line rate.
+    Simulator sim;
+    ArrivalSink sink(sim);
+    NicModel nic(sim, "n", NicParams());
+    net::Link link(sim, "l", Bandwidth::gbps(1), 2_us);
+    link.connectTo(sink);
+    nic.attachTxLink(link);
+    sim.schedule(0_ns, [&] {
+        for (int i = 0; i < 5; ++i) {
+            nic.txEnqueue(smallPacket());
+        }
+    });
+    sim.run();
+
+    const SimTime ser =
+        Bandwidth::gbps(1).transferTime(smallPacket()->wireBytes());
+    ASSERT_EQ(sink.arrivals.size(), 5u);
+    for (int k = 1; k <= 5; ++k) {
+        EXPECT_EQ(sink.arrivals[k - 1], 2_us + ser * k) << "frame " << k;
+    }
+    EXPECT_EQ(nic.txPackets(), 5u);
+}
+
+TEST(NicModel, DownedUplinkDrainsRingIntoDrops)
+{
+    // A downed uplink completes every transmit at once, so the TX ring
+    // drains into the link's counted drops instead of wedging.
+    Simulator sim;
+    ArrivalSink sink(sim);
+    NicParams params;
+    params.tx_ring_entries = 2;
+    NicModel nic(sim, "n", params);
+    net::Link link(sim, "l", Bandwidth::gbps(1), 1_us);
+    link.connectTo(sink);
+    nic.attachTxLink(link);
+    const SimTime ser =
+        Bandwidth::gbps(1).transferTime(smallPacket()->wireBytes());
+
+    // One frame on the wire and a full ring when the cable is cut: the
+    // ring drains into drops when that frame's serialization ends.
+    sim.schedule(0_ns, [&] {
+        for (int i = 0; i < 3; ++i) {
+            nic.txEnqueue(smallPacket());
+        }
+        EXPECT_TRUE(nic.txRingFull());
+    });
+    sim.schedule(1_ns, [&] { link.setUp(false); });
+    sim.runUntil(ser);
+    EXPECT_EQ(link.downDrops(), 2u);
+    EXPECT_FALSE(nic.txRingFull());
+
+    // Twice the ring depth in one event: each frame is dropped at its
+    // enqueue instant, so the ring never fills.
+    sim.scheduleAt(5_us, [&] {
+        for (int i = 0; i < 4; ++i) {
+            nic.txEnqueue(smallPacket());
+            EXPECT_FALSE(nic.txRingFull());
+        }
+    });
+    sim.runUntil(5_us);
+    EXPECT_EQ(link.downDrops(), 6u);
+    EXPECT_EQ(nic.txPackets(), 7u);
+    EXPECT_EQ(nic.txRingDrops(), 0u);
+    // Only the frame already on the wire arrived.
+    ASSERT_EQ(sink.arrivals.size(), 1u);
+    EXPECT_EQ(sink.arrivals[0], ser + 1_us);
+
+    sim.scheduleAt(10_us, [&] {
+        link.setUp(true);
+        nic.txEnqueue(smallPacket());
+    });
+    sim.run();
+    ASSERT_EQ(sink.arrivals.size(), 2u);
+    EXPECT_EQ(sink.arrivals[1], 10_us + ser + 1_us);
+    EXPECT_EQ(link.downDrops(), 6u);
 }
 
 TEST(NicModel, DmaLatencyDelaysVisibility)

@@ -12,12 +12,14 @@
 #include <sys/types.h>
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "tools/tool_test_util.hh"
 
 namespace {
 
+using diablo::test::fingerprintOf;
 using diablo::test::runCmd;
 using diablo::test::slurp;
 
@@ -70,6 +72,81 @@ TEST(DiabloRunCli, TelemetryStreamsAndIsRecordedInTheArtifact)
     std::remove(json.c_str());
     std::remove(stream.c_str());
 }
+
+/** A diablo_run point whose fingerprints are pinned. */
+struct ReferencePoint {
+    const char *name;
+    const char *args;
+    const char *single_fp; ///< the default single-Simulator engine
+    const char *seq_fp;    ///< the partitioned engines (seq == par == mp)
+};
+
+/** Failure messages name the point, not its bytes. */
+void
+PrintTo(const ReferencePoint &pt, std::ostream *os)
+{
+    *os << pt.name;
+}
+
+/**
+ * Reference fingerprints.  A change meant to alter simulated results
+ * updates these constants in its own diff; every other change must
+ * leave them as they are.
+ */
+const ReferencePoint kReferencePoints[] = {
+    {"incast4", " incast incast.servers=8 incast.racks=4 incast.iterations=5",
+     "0x5ef1389274f1a4d6", "0xf5990eb8bbbaa6db"},
+    {"incast4_trunk_fault",
+     " incast incast.servers=8 incast.racks=4 incast.iterations=5"
+     " fault.0.kind=trunk_down fault.0.at_us=200000 fault.0.rack=1"
+     " fault.0.plane=0 fault.1.kind=trunk_up fault.1.at_us=900000"
+     " fault.1.rack=1 fault.1.plane=0",
+     "0x9c742a0d184c6dd5", "0xbfb2f5d35e5d839f"},
+    {"incast2_output_queue",
+     " incast incast.servers=8 incast.racks=2 incast.iterations=5"
+     " topo.switch_model=output_queue",
+     "0x5342991b0880058c", "0xdd587672cfa1a2dd"},
+    {"memcached_udp",
+     " memcached topo.num_arrays=1 topo.racks_per_array=2"
+     " topo.servers_per_rack=4 mc.servers=2 mc.requests=20",
+     "0x93070557eaaeadd1", "0x4b93db45033091c6"},
+    {"memcached_tcp",
+     " memcached topo.num_arrays=1 topo.racks_per_array=2"
+     " topo.servers_per_rack=4 mc.servers=2 mc.requests=20 mc.udp=false",
+     "0xa732c5d218d3f14f", "0xc0b71236608ce87f"},
+    {"incast3_10g_epoll",
+     " incast incast.servers=12 incast.racks=3 incast.iterations=5"
+     " topo.rack.port_gbps=10 topo.array.port_gbps=10"
+     " topo.rack.port_latency_ns=100 topo.array.port_latency_ns=100"
+     " incast.epoll=true",
+     "0x2c2687100fc37948", "0xf9cac8bd788fbc2f"},
+};
+
+// Each point runs as Points/DiabloRunCli.ReferenceFingerprints/<name>.
+using DiabloRunCli = testing::TestWithParam<ReferencePoint>;
+
+TEST_P(DiabloRunCli, ReferenceFingerprints)
+{
+    const ReferencePoint &pt = GetParam();
+    for (const char *engine : {"single", "seq"}) {
+        const std::string json =
+            tmpPath(std::string(pt.name) + "_" + engine + ".json");
+        const std::string cmd = std::string(DIABLO_RUN_BIN) + pt.args +
+                                " --engine " + engine + " --json " + json +
+                                " > /dev/null 2>&1";
+        ASSERT_EQ(runCmd(cmd), 0) << engine;
+        EXPECT_EQ(fingerprintOf(slurp(json)),
+                  std::string(engine) == "seq" ? pt.seq_fp : pt.single_fp)
+            << engine;
+        std::remove(json.c_str());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Points, DiabloRunCli, testing::ValuesIn(kReferencePoints),
+    [](const testing::TestParamInfo<ReferencePoint> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(DiabloRunCli, RejectsMalformedThreads)
 {

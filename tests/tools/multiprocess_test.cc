@@ -28,6 +28,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
+using diablo::test::fingerprintOf;
 using diablo::test::runCmd;
 using diablo::test::slurp;
 using diablo::test::spawnRun;
@@ -37,20 +38,6 @@ std::string
 tmpPath(const std::string &name)
 {
     return diablo::test::tmpPath("diablo_mp_", name);
-}
-
-/** The "fingerprint": "0x..." value of an artifact document. */
-std::string
-fingerprintOf(const std::string &doc)
-{
-    const char key[] = "\"fingerprint\": \"";
-    const size_t at = doc.find(key);
-    if (at == std::string::npos) {
-        return "";
-    }
-    const size_t start = at + sizeof(key) - 1;
-    const size_t end = doc.find('"', start);
-    return doc.substr(start, end - start);
 }
 
 /** The report line of @p text that starts with @p prefix ("" if none). */

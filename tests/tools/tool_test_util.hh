@@ -5,7 +5,8 @@
  * @file
  * Shared helpers for the end-to-end tool tests: temp-file names, shell
  * and fork/exec runs of the binaries under test (DIABLO_RUN_BIN, which
- * CMake injects into tools_test), and whole-file reads.
+ * CMake injects into tools_test), whole-file reads and the artifact's
+ * run fingerprint.
  */
 
 #include <gtest/gtest.h>
@@ -52,6 +53,24 @@ slurp(const std::string &path)
     EXPECT_TRUE(in.good()) << path;
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
+}
+
+/**
+ * The run's determinism fingerprint, the artifact's top-level
+ * "fingerprint" ("" if absent).  Latency sketches carry fingerprints of
+ * their own at deeper indentation, so the key is matched with the
+ * top level's two-space indent.
+ */
+inline std::string
+fingerprintOf(const std::string &doc)
+{
+    const char key[] = "\n  \"fingerprint\": \"";
+    const size_t at = doc.find(key);
+    if (at == std::string::npos) {
+        return "";
+    }
+    const size_t start = at + sizeof(key) - 1;
+    return doc.substr(start, doc.find('"', start) - start);
 }
 
 /** Spawn diablo_run (args appended after the binary) with output to
