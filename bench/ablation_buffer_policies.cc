@@ -19,29 +19,40 @@ main()
            "design-space study enabled by runtime-configurable "
            "switch models");
 
-    const uint32_t iters = incastIterations();
     const uint32_t n = 12; // server count in the collapse region
 
     Table t({"policy", "per-port bytes", "goodput (Mbps)",
              "iterations > 100ms"});
     struct Row {
-        const char *name;
-        switchm::BufferPolicy policy;
+        const char *name; ///< the topo.rack.buffer_policy value
         uint64_t bytes;
     };
     const std::vector<Row> rows = {
-        {"partitioned", switchm::BufferPolicy::Partitioned, 4096},
-        {"partitioned", switchm::BufferPolicy::Partitioned, 16384},
-        {"partitioned", switchm::BufferPolicy::Partitioned, 65536},
-        {"partitioned", switchm::BufferPolicy::Partitioned, 1 << 20},
-        {"shared", switchm::BufferPolicy::Shared, 16384},
-        {"shared", switchm::BufferPolicy::Shared, 65536},
-        {"shared_dynamic", switchm::BufferPolicy::SharedDynamic, 16384},
-        {"shared_dynamic", switchm::BufferPolicy::SharedDynamic, 65536},
+        {"partitioned", 4096},
+        {"partitioned", 16384},
+        {"partitioned", 65536},
+        {"partitioned", 1 << 20},
+        {"shared", 16384},
+        {"shared", 65536},
+        {"shared_dynamic", 16384},
+        {"shared_dynamic", 65536},
     };
     for (const auto &r : rows) {
-        auto res = runIncast(n, r.policy, r.bytes, false, 4.0, false,
-                             iters);
+        // Shared pools are sized for the full 16-port switch.
+        const auto p = apps::IncastExperimentParams::fromConfig(point(
+            strprintf("incast.servers=%u topo.rack.buffer_policy=%s "
+                      "topo.rack.buffer_per_port_bytes=%llu "
+                      "topo.rack.buffer_total_bytes=%llu",
+                      n, r.name, static_cast<unsigned long long>(r.bytes),
+                      static_cast<unsigned long long>(16 * r.bytes))));
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::IncastExperiment exp(ps, p);
+        exp.run(true);
+        if (exp.aborted()) {
+            fatal("%s %llu-byte incast did not complete", r.name,
+                  static_cast<unsigned long long>(r.bytes));
+        }
+        const apps::IncastResult &res = exp.result();
         int stalled = 0;
         for (double it_us : res.iteration_us.raw()) {
             if (it_us > 100000.0) {

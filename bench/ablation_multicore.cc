@@ -27,31 +27,24 @@ main()
              "mean latency (us)", "busiest-core util"});
 
     for (uint32_t cores : {1u, 2u, 4u}) {
-        apps::McExperimentParams p;
-        p.cluster = sim::ClusterParams::gige1us();
-        p.cluster.topo.servers_per_rack = 16;
-        p.cluster.topo.racks_per_array = 1;
-        p.cluster.topo.num_arrays = 1;
-        p.cluster.cpu.cores = cores;
-        p.num_servers = 2;
-        p.server.udp = true;
-        p.server.worker_threads = 4;
+        // Closed-loop saturation: no think time.
+        apps::McExperimentParams p = apps::McExperimentParams::fromConfig(
+            point(strprintf("topo.servers_per_rack=16 topo.racks_per_array=1 "
+                            "topo.num_arrays=1 cpu.cores=%u mc.think_us=0",
+                            cores)));
         // Heavier per-request service so the CPU is the bottleneck.
         p.server.request_base_cycles = 60000;
-        p.client.udp = true;
-        p.client.requests = requestsPerClient();
-        p.client.think_mean = SimTime(); // closed-loop saturation
         p.client.start_window = SimTime::ms(1);
 
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
-        exp.run();
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
+        exp.run(true);
         const auto &r = exp.result();
 
         double util = 0;
         for (net::NodeId s : exp.serverNodes()) {
-            util = std::max(util,
-                            exp.cluster().kernel(s).cpu().utilization());
+            util = std::max(
+                util, exp.cluster().kernel(s).cpu().utilization(r.elapsed));
         }
         t.addRow({Table::cell("%u", cores),
                   Table::cell("%.1f",

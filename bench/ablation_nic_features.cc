@@ -23,11 +23,11 @@ main()
     Table t({"rx ITR (us)", "p50 (us)", "p99 (us)",
              "softirq rounds/node"});
     for (double itr_us : {0.0, 25.0, 100.0}) {
-        apps::McExperimentParams p = mcConfig(496, true, false);
-        p.cluster.nic.rx_itr = SimTime::microseconds(itr_us);
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
-        exp.run();
+        const auto p = apps::McExperimentParams::fromConfig(
+            point(strprintf("topo.num_arrays=1 nic.rx_itr_us=%g", itr_us)));
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
+        exp.run(true);
         const SampleSet &lat = exp.result().latency_us;
         uint64_t softirqs = 0;
         for (uint32_t nid = 0; nid < exp.cluster().size(); ++nid) {
@@ -47,22 +47,18 @@ main()
     // --- zero-copy vs TCP send ceiling (1 server, 10 Gbps) ---
     Table z({"zero-copy", "single-flow goodput (Mbps)"});
     for (bool zc : {true, false}) {
-        Simulator sim;
-        sim::ClusterParams cp = sim::ClusterParams::tengig100ns();
-        cp.topo.servers_per_rack = 2;
-        cp.topo.racks_per_array = 1;
-        cp.topo.num_arrays = 1;
-        cp.nic.zero_copy = zc;
-        sim::Cluster cluster(sim, cp);
-        apps::IncastParams ip;
-        ip.block_bytes = 256 * 1024;
-        ip.iterations = incastIterations();
-        apps::IncastApp app(cluster, ip, 0, {1});
-        app.install();
-        sim.run();
+        const auto p = apps::IncastExperimentParams::fromConfig(
+            point(strprintf("incast.servers=1 topo.rack.port_gbps=10 "
+                            "nic.zero_copy=%s", zc ? "true" : "false")));
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::IncastExperiment exp(ps, p);
+        exp.run(true);
+        if (exp.aborted()) {
+            fatal("single-flow incast did not complete");
+        }
         z.addRow({zc ? "on" : "off",
                   analysis::Table::cell("%.0f",
-                                        app.result().goodputMbps())});
+                                        exp.result().goodputMbps())});
     }
     z.print();
     std::printf("zero-copy (scatter/gather DMA) removes the per-byte "

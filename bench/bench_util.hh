@@ -10,15 +10,22 @@
  *   quick (default) - reduced requests per client; minutes for the suite
  *   full            - more requests; tighter tails
  *   paper           - the paper's 30,000 requests per client
+ *
+ * Every simulation harness builds each point from diablo_run keys
+ * (point() below) through the workload definitions in src/apps, and
+ * runs it on the partitioned engine: a fame::PartitionSet sized by
+ * sim::Cluster::partitionsRequired, driven by run(true).
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 
 #include "apps/incast.hh"
 #include "apps/mc_experiment.hh"
 #include "analysis/report.hh"
+#include "core/log.hh"
 
 namespace diablo {
 namespace bench {
@@ -50,73 +57,35 @@ incastIterations()
     return 15;
 }
 
-/** The paper's array topologies at the three evaluated scales. */
-inline void
-setScaleTopology(sim::ClusterParams &p, uint32_t nodes)
+/**
+ * Nodes in one array of the default topology (16 racks of 31): the
+ * paper's 500, 1,000 and 2,000-node scales are topo.num_arrays = 1, 2
+ * and 4 of them.
+ */
+constexpr uint32_t kArrayNodes = 16 * 31;
+
+/**
+ * The Config of one figure point: the DIABLO_SCALE's mc.requests and
+ * incast.iterations, then the space-separated diablo_run key=value
+ * @p assignments, which win.  A point is an experiment params'
+ * fromConfig of these keys, so a point whose every value has a key is
+ * also the command line `diablo_run <workload> <the same keys>`.
+ */
+inline Config
+point(const std::string &assignments)
 {
-    p.topo.servers_per_rack = 31;
-    if (nodes <= 496) {
-        p.topo.racks_per_array = 16;
-        p.topo.num_arrays = 1;
-    } else if (nodes <= 992) {
-        p.topo.racks_per_array = 16;
-        p.topo.num_arrays = 2;
-    } else {
-        p.topo.racks_per_array = 16;
-        p.topo.num_arrays = 4;
+    Config cfg;
+    cfg.set("mc.requests", static_cast<uint64_t>(requestsPerClient()));
+    cfg.set("incast.iterations",
+            static_cast<uint64_t>(incastIterations()));
+    std::istringstream in(assignments);
+    std::string a;
+    while (in >> a) {
+        if (!cfg.parseAssignment(a)) {
+            fatal("not a key=value assignment: '%s'", a.c_str());
+        }
     }
-}
-
-/** Standard memcached experiment config at a paper scale point. */
-inline apps::McExperimentParams
-mcConfig(uint32_t nodes, bool udp, bool tengig)
-{
-    apps::McExperimentParams p;
-    p.cluster = tengig ? sim::ClusterParams::tengig100ns()
-                       : sim::ClusterParams::gige1us();
-    setScaleTopology(p.cluster, nodes);
-    p.num_servers = 2 * p.cluster.topo.racks_per_array *
-                    p.cluster.topo.num_arrays; // 2 per rack (Fig 7)
-    p.server.udp = udp;
-    p.client.udp = udp;
-    p.client.requests = requestsPerClient();
-    return p;
-}
-
-/** One TCP Incast run: n servers + 1 client on a single ToR. */
-inline apps::IncastResult
-runIncast(uint32_t num_servers, switchm::BufferPolicy policy,
-          uint64_t buffer_bytes, bool use_epoll, double cpu_ghz,
-          bool tengig, uint32_t iterations,
-          switchm::SwitchModelKind model = switchm::SwitchModelKind::Voq)
-{
-    Simulator sim;
-    sim::ClusterParams cp = tengig ? sim::ClusterParams::tengig100ns()
-                                   : sim::ClusterParams::gige1us();
-    cp.topo.servers_per_rack = num_servers + 1;
-    cp.topo.racks_per_array = 1;
-    cp.topo.num_arrays = 1;
-    cp.topo.switch_model = model;
-    cp.cpu.freq_ghz = cpu_ghz;
-    cp.topo.rack_sw.buffer_policy = policy;
-    cp.topo.rack_sw.buffer_per_port_bytes = buffer_bytes;
-    // Shared pools are sized for the full switch (16-port class), not
-    // for the subset of occupied ports.
-    cp.topo.rack_sw.buffer_total_bytes = buffer_bytes * 16;
-    sim::Cluster cluster(sim, cp);
-
-    apps::IncastParams ip;
-    ip.block_bytes = 256 * 1024;
-    ip.iterations = iterations;
-    ip.use_epoll = use_epoll;
-    std::vector<net::NodeId> servers;
-    for (uint32_t i = 1; i <= num_servers; ++i) {
-        servers.push_back(i);
-    }
-    apps::IncastApp app(cluster, ip, 0, servers);
-    app.install();
-    sim.run();
-    return app.result();
+    return cfg;
 }
 
 inline void

@@ -23,19 +23,17 @@ main()
     banner("Figure 6(b): TCP Incast goodput, 10 Gbps simulated switch",
            "Fig. 6(b) - CPU speed x syscall interface at 10 Gbps");
 
-    const uint32_t iters = incastIterations();
     const std::vector<uint32_t> counts = {1, 4, 8, 12, 16, 20, 23};
 
     struct Cfg {
         const char *name;
-        double ghz;
-        bool epoll;
+        const char *keys; ///< CPU clock and client service style
     };
     const std::vector<Cfg> cfgs = {
-        {"4GHz epoll", 4.0, true},
-        {"4GHz pthread", 4.0, false},
-        {"2GHz epoll", 2.0, true},
-        {"2GHz pthread", 2.0, false},
+        {"4GHz epoll", "cpu.freq_ghz=4 incast.epoll=true"},
+        {"4GHz pthread", "cpu.freq_ghz=4"},
+        {"2GHz epoll", "cpu.freq_ghz=2 incast.epoll=true"},
+        {"2GHz pthread", "cpu.freq_ghz=2"},
     };
 
     Table t({"servers", "4GHz epoll", "4GHz pthread", "2GHz epoll",
@@ -48,11 +46,19 @@ main()
     for (uint32_t n : counts) {
         std::vector<std::string> row = {Table::cell("%u", n)};
         for (size_t ci = 0; ci < cfgs.size(); ++ci) {
-            auto r = runIncast(n, switchm::BufferPolicy::Partitioned,
-                               4096, cfgs[ci].epoll, cfgs[ci].ghz, true,
-                               iters);
-            row.push_back(Table::cell("%.0f", r.goodputMbps()));
-            series[ci].points.emplace_back(n, r.goodputMbps());
+            const auto p = apps::IncastExperimentParams::fromConfig(
+                point(strprintf("incast.servers=%u topo.rack.port_gbps=10 %s",
+                                n, cfgs[ci].keys)));
+            fame::PartitionSet ps(
+                sim::Cluster::partitionsRequired(p.cluster));
+            apps::IncastExperiment exp(ps, p);
+            exp.run(true);
+            if (exp.aborted()) {
+                fatal("%u-server incast did not complete", n);
+            }
+            const double mbps = exp.result().goodputMbps();
+            row.push_back(Table::cell("%.0f", mbps));
+            series[ci].points.emplace_back(n, mbps);
         }
         t.addRow(row);
     }

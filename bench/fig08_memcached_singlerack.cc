@@ -23,23 +23,17 @@ struct Point {
 Point
 runRack(uint32_t clients, bool udp, uint32_t workers)
 {
-    apps::McExperimentParams p;
-    p.cluster = sim::ClusterParams::gige1us();
-    p.cluster.topo.servers_per_rack = 2 + clients;
-    p.cluster.topo.racks_per_array = 1;
-    p.cluster.topo.num_arrays = 1;
-    p.num_servers = 2;
-    p.server.udp = udp;
-    p.server.worker_threads = workers;
-    p.client.udp = udp;
-    p.client.requests = requestsPerClient();
     // Saturation sweep: clients blast back-to-back (no think time).
-    p.client.think_mean = SimTime();
+    apps::McExperimentParams p = apps::McExperimentParams::fromConfig(
+        point(strprintf("topo.servers_per_rack=%u topo.racks_per_array=1 "
+                        "topo.num_arrays=1 mc.udp=%s mc.workers=%u "
+                        "mc.think_us=0",
+                        2 + clients, udp ? "true" : "false", workers)));
     p.client.start_window = SimTime::ms(1);
 
-    Simulator sim;
-    apps::McExperiment exp(sim, p);
-    exp.run();
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    apps::McExperiment exp(ps, p);
+    exp.run(true);
     const auto &r = exp.result();
     Point out;
     out.server_kops = static_cast<double>(r.requests_completed) /

@@ -22,25 +22,19 @@ namespace {
 SampleSet
 run120(int version, bool with_noise)
 {
-    apps::McExperimentParams p;
-    p.cluster = sim::ClusterParams::gige1us();
-    p.cluster.topo.servers_per_rack = 15;
-    p.cluster.topo.racks_per_array = 8;
-    p.cluster.topo.num_arrays = 1;
-    p.num_servers = 8;
-    p.server.udp = false;
-    p.server.version = version;
-    p.client.udp = false;
-    p.client.requests = requestsPerClient();
+    apps::McExperimentParams p = apps::McExperimentParams::fromConfig(
+        point(strprintf("topo.servers_per_rack=15 topo.racks_per_array=8 "
+                        "topo.num_arrays=1 mc.servers=8 mc.udp=false "
+                        "mc.version=%d", version)));
     p.client.preconnect = false; // version delta lives in the accept path
 
-    Simulator sim;
-    apps::McExperiment exp(sim, p);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    apps::McExperiment exp(ps, p);
     if (with_noise) {
         apps::NoiseParams np;
         apps::installBackgroundNoiseEverywhere(exp.cluster(), np);
     }
-    exp.run();
+    exp.run(true);
     return exp.result().latency_us;
 }
 

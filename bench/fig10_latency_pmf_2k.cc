@@ -23,10 +23,11 @@ main()
            "Fig. 10 - PMF over log bins, 1 Gbps vs 10 Gbps");
 
     for (bool tengig : {false, true}) {
-        apps::McExperimentParams p = mcConfig(1984, true, tengig);
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
-        exp.run();
+        const auto p = apps::McExperimentParams::fromConfig(
+            point(tengig ? "topo.rack.port_gbps=10" : ""));
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
+        exp.run(true);
         const auto &r = exp.result();
 
         std::printf("\n=== %s interconnect ===\n",

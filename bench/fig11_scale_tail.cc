@@ -27,10 +27,11 @@ main()
     std::vector<double> p99s;
 
     for (uint32_t nodes : scales) {
-        apps::McExperimentParams p = mcConfig(nodes, true, false);
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
-        exp.run();
+        const auto p = apps::McExperimentParams::fromConfig(
+            point(strprintf("topo.num_arrays=%u", nodes / kArrayNodes)));
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
+        exp.run(true);
         const SampleSet &lat = exp.result().latency_us;
 
         t.addRow({Table::cell("%u", nodes),

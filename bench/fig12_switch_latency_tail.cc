@@ -27,15 +27,16 @@ main()
     std::vector<double> p50s, p99s;
 
     for (int extra_ns : {0, 50, 100}) {
-        apps::McExperimentParams p = mcConfig(1984, true, true);
+        apps::McExperimentParams p = apps::McExperimentParams::fromConfig(
+            point("topo.rack.port_gbps=10"));
         for (switchm::SwitchParams *sw :
              {&p.cluster.topo.rack_sw, &p.cluster.topo.array_sw,
               &p.cluster.topo.dc_sw}) {
             sw->port_latency += SimTime::ns(extra_ns);
         }
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
-        exp.run();
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
+        exp.run(true);
         const SampleSet &lat = exp.result().latency_us;
         t.addRow({Table::cell("+%d ns", extra_ns),
                   Table::cell("%.1f", lat.percentile(50)),

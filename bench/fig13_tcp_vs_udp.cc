@@ -31,10 +31,15 @@ main()
         for (uint32_t nodes : {496u, 992u, 1984u}) {
             SampleSet tails[2];
             for (bool udp : {true, false}) {
-                apps::McExperimentParams p = mcConfig(nodes, udp, tengig);
-                Simulator sim;
-                apps::McExperiment exp(sim, p);
-                exp.run();
+                const auto p = apps::McExperimentParams::fromConfig(
+                    point(strprintf("topo.num_arrays=%u mc.udp=%s %s",
+                                    nodes / kArrayNodes,
+                                    udp ? "true" : "false",
+                                    tengig ? "topo.rack.port_gbps=10" : "")));
+                fame::PartitionSet ps(
+                    sim::Cluster::partitionsRequired(p.cluster));
+                apps::McExperiment exp(ps, p);
+                exp.run(true);
                 const auto &r = exp.result();
                 t.addRow({Table::cell("%u-node %s", nodes,
                                       tengig ? "10G" : "1G"),

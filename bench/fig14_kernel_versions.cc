@@ -28,11 +28,11 @@ main()
     int i = 0;
 
     for (const char *kver : {"2.6.39.3", "3.5.7"}) {
-        apps::McExperimentParams p = mcConfig(1984, true, true);
-        p.cluster.kernel_profile = os::KernelProfile::byName(kver);
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
-        exp.run();
+        const auto p = apps::McExperimentParams::fromConfig(point(
+            strprintf("topo.rack.port_gbps=10 kernel.version=%s", kver)));
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
+        exp.run(true);
         const SampleSet &lat = exp.result().latency_us;
         t.addRow({kver, Table::cell("%.1f", lat.mean()),
                   Table::cell("%.1f", lat.percentile(50)),

@@ -30,14 +30,17 @@ main()
         double p99[2];
         int i = 0;
         for (int version : {1415, 1417}) {
-            apps::McExperimentParams p = mcConfig(nodes, false, false);
-            p.server.version = version;
+            apps::McExperimentParams p = apps::McExperimentParams::fromConfig(
+                point(strprintf("topo.num_arrays=%u mc.udp=false "
+                                "mc.version=%d",
+                                nodes / kArrayNodes, version)));
             // Connection setup must land in measured latencies: clients
             // open connections lazily (first request to each server).
             p.client.preconnect = false;
-            Simulator sim;
-            apps::McExperiment exp(sim, p);
-            exp.run();
+            fame::PartitionSet ps(
+                sim::Cluster::partitionsRequired(p.cluster));
+            apps::McExperiment exp(ps, p);
+            exp.run(true);
             const SampleSet &lat = exp.result().latency_us;
 
             SimTime server_cpu;

@@ -34,8 +34,8 @@
 #include <cstring>
 #include <vector>
 
-#include "apps/mc_experiment.hh"
 #include "bench/bench_json.hh"
+#include "bench/bench_util.hh"
 #include "core/stats.hh"
 #include "sim/cluster.hh"
 
@@ -186,28 +186,19 @@ scaleRequests()
 apps::McExperimentParams
 paperScaleParams()
 {
-    apps::McExperimentParams mp;
-    mp.cluster = sim::ClusterParams::gige1us();
     // The paper's full datacenter shape (§6.3): 32 arrays x 32 racks x
     // 32 servers = 32,768 nodes, 1,024 rack partitions + 1 switch
-    // partition.
-    mp.cluster.topo.servers_per_rack = 32;
-    mp.cluster.topo.racks_per_array = 32;
-    mp.cluster.topo.num_arrays = 32;
-    mp.cluster.lazy_servers = true;
-    // A representative active subset: 64 servers + 64 clients spread
-    // round-robin over the racks.  Every other node stays idle — and,
-    // on the lazy cluster, unmaterialized; that is the memory diet
-    // being measured.  UDP keeps the active flows connectionless (TCP
-    // preconnect would build clients x servers connection state, which
-    // is a workload choice, not node-state overhead).
-    mp.num_servers = 64;
-    mp.num_clients = 64;
-    mp.sketch_stats = true;
-    mp.server.udp = true;
-    mp.client.udp = true;
-    mp.client.requests = scaleRequests();
-    return mp;
+    // partition, lazy (the default).  A representative active subset:
+    // 64 servers + 64 clients spread round-robin over the racks.  Every
+    // other node stays idle — and, on the lazy cluster, unmaterialized;
+    // that is the memory diet being measured.  UDP (the default) keeps
+    // the active flows connectionless (TCP preconnect would build
+    // clients x servers connection state, which is a workload choice,
+    // not node-state overhead).
+    return apps::McExperimentParams::fromConfig(bench::point(strprintf(
+        "topo.servers_per_rack=32 topo.racks_per_array=32 "
+        "topo.num_arrays=32 mc.servers=64 mc.clients=64 stats.sketch=true "
+        "mc.requests=%u", scaleRequests())));
 }
 
 struct ScaleOutcome {

@@ -90,17 +90,19 @@ main()
              "host wall clock (s)"});
     double ev_per_node_500 = 0, ev_per_node_2k = 0;
     for (uint32_t nodes : {496u, 992u, 1984u}) {
-        apps::McExperimentParams p = mcConfig(nodes, true, false);
-        p.client.requests = std::min(requestsPerClient(), 100u);
-        Simulator sim;
-        apps::McExperiment exp(sim, p);
+        const auto p = apps::McExperimentParams::fromConfig(
+            point(strprintf("topo.num_arrays=%u mc.requests=%u",
+                            nodes / kArrayNodes,
+                            std::min(requestsPerClient(), 100u))));
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::McExperiment exp(ps, p);
         auto t0 = std::chrono::steady_clock::now();
-        exp.run();
+        exp.run(true);
         auto t1 = std::chrono::steady_clock::now();
         const double wall =
             std::chrono::duration<double>(t1 - t0).count();
-        const double per_node =
-            static_cast<double>(sim.executedEvents()) / nodes;
+        const uint64_t events = ps.totalExecutedEvents();
+        const double per_node = static_cast<double>(events) / nodes;
         if (nodes == 496) {
             ev_per_node_500 = per_node;
         }
@@ -108,8 +110,8 @@ main()
             ev_per_node_2k = per_node;
         }
         s.addRow({Table::cell("%u", nodes),
-                  Table::cell("%llu", static_cast<unsigned long long>(
-                                          sim.executedEvents())),
+                  Table::cell("%llu",
+                              static_cast<unsigned long long>(events)),
                   Table::cell("%.0f", per_node),
                   Table::cell("%.1f", wall)});
     }

@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "apps/incast.hh"
+#include "core/log.hh"
 
 using namespace diablo;
 
@@ -30,25 +31,21 @@ main(int argc, char **argv)
                 "worst iter ms");
 
     for (uint32_t n = 1; n <= max_servers; n *= 2) {
-        Simulator sim;
-        sim::ClusterParams cp = sim::ClusterParams::gige1us();
-        cp.topo.servers_per_rack = n + 1;
-        cp.topo.racks_per_array = 1;
-        cp.topo.num_arrays = 1;
-        cp.topo.rack_sw.buffer_per_port_bytes = buffer;
-        sim::Cluster cluster(sim, cp);
-
-        apps::IncastParams ip;
-        ip.iterations = 10;
-        std::vector<net::NodeId> servers;
-        for (uint32_t i = 1; i <= n; ++i) {
-            servers.push_back(i);
+        // The same run as `diablo_run incast` with these keys.
+        Config cfg;
+        cfg.set("incast.servers", static_cast<uint64_t>(n));
+        cfg.set("incast.iterations", 10);
+        cfg.set("topo.rack.buffer_per_port_bytes", buffer);
+        const auto p = apps::IncastExperimentParams::fromConfig(cfg);
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        apps::IncastExperiment exp(ps, p);
+        exp.run(true);
+        if (exp.aborted()) {
+            fatal("%u-server incast did not complete", n);
         }
-        apps::IncastApp app(cluster, ip, 0, servers);
-        app.install();
-        sim.run();
 
-        const apps::IncastResult &r = app.result();
+        const apps::IncastResult &r = exp.result();
+        sim::Cluster &cluster = exp.cluster();
         std::printf("%8u %14.1f %10llu %8llu %12llu %14.1f\n", n,
                     r.goodputMbps(),
                     static_cast<unsigned long long>(

@@ -21,19 +21,17 @@ main(int argc, char **argv)
     const bool udp = argc > 1 ? std::strcmp(argv[1], "tcp") != 0 : true;
     const uint32_t requests = argc > 2 ? atoi(argv[2]) : 200;
 
-    apps::McExperimentParams p;
-    p.cluster = sim::ClusterParams::gige1us();
-    p.cluster.topo.servers_per_rack = 31;
-    p.cluster.topo.racks_per_array = 4;
-    p.cluster.topo.num_arrays = 1;
-    p.num_servers = 8;
-    p.server.udp = udp;
-    p.client.udp = udp;
-    p.client.requests = requests;
-
-    Simulator sim;
-    apps::McExperiment exp(sim, p);
-    exp.run();
+    // The same run as `diablo_run memcached` with these keys.
+    Config cfg;
+    cfg.set("topo.racks_per_array", 4);
+    cfg.set("topo.num_arrays", 1);
+    cfg.set("mc.servers", 8);
+    cfg.set("mc.udp", udp);
+    cfg.set("mc.requests", static_cast<uint64_t>(requests));
+    const auto p = apps::McExperimentParams::fromConfig(cfg);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    apps::McExperiment exp(ps, p);
+    exp.run(true);
     const apps::McExperimentResult &r = exp.result();
 
     std::printf("memcached over %s: %u servers, %u clients, %llu "
@@ -65,8 +63,8 @@ main(int argc, char **argv)
     // Per-server CPU utilization: the paper keeps servers under 50%.
     double max_util = 0;
     for (net::NodeId s : exp.serverNodes()) {
-        max_util = std::max(max_util,
-                            exp.cluster().kernel(s).cpu().utilization());
+        max_util = std::max(
+            max_util, exp.cluster().kernel(s).cpu().utilization(r.elapsed));
     }
     std::printf("busiest memcached server CPU utilization: %.1f%%\n",
                 100 * max_util);

@@ -188,6 +188,17 @@ incastMainEpoll(sim::Cluster *cluster, net::NodeId client,
     res->done = true;
 }
 
+/** Servers 1..n of an incast fan-in. */
+std::vector<net::NodeId>
+fanInServers(uint32_t n)
+{
+    std::vector<net::NodeId> servers;
+    for (uint32_t i = 1; i <= n; ++i) {
+        servers.push_back(i);
+    }
+    return servers;
+}
+
 } // namespace
 
 IncastApp::IncastApp(sim::Cluster &cluster, const IncastParams &params,
@@ -215,6 +226,58 @@ IncastApp::install()
         cluster_.kernel(client_).spawnProcess(incastMainPthread(
             &cluster_, client_, servers_, params_, result_));
     }
+}
+
+IncastExperimentParams
+IncastExperimentParams::fromConfig(const Config &cfg)
+{
+    IncastExperimentParams p;
+    p.num_servers =
+        static_cast<uint32_t>(cfg.getUint("incast.servers", 8));
+    // incast.racks spreads the fan-in across racks so the trunk and
+    // the sharded engines have cross-partition traffic to chew on;
+    // the default keeps the classic single-ToR shape.
+    const auto racks =
+        static_cast<uint32_t>(cfg.getUint("incast.racks", 1));
+    p.cluster = sim::ClusterParams::fromConfig(cfg);
+    p.cluster.topo.servers_per_rack =
+        (p.num_servers + 1 + racks - 1) / racks;
+    p.cluster.topo.racks_per_array = racks;
+    p.cluster.topo.num_arrays = 1;
+    p.incast.block_bytes = cfg.getUint("incast.block_bytes", 256 * 1024);
+    p.incast.iterations =
+        static_cast<uint32_t>(cfg.getUint("incast.iterations", 20));
+    p.incast.use_epoll = cfg.getBool("incast.epoll", false);
+    return p;
+}
+
+IncastExperiment::IncastExperiment(Simulator &sim,
+                                   const IncastExperimentParams &params)
+    : cluster_(std::make_unique<sim::Cluster>(sim, params.cluster)),
+      app_(*cluster_, params.incast, 0, fanInServers(params.num_servers))
+{
+    app_.install();
+}
+
+IncastExperiment::IncastExperiment(fame::PartitionSet &ps,
+                                   const IncastExperimentParams &params)
+    : cluster_(std::make_unique<sim::Cluster>(ps, params.cluster)),
+      app_(*cluster_, params.incast, 0, fanInServers(params.num_servers))
+{
+    app_.install();
+}
+
+void
+IncastExperiment::run(bool parallel)
+{
+    run(cluster_->engineStep(parallel));
+}
+
+void
+IncastExperiment::run(const sim::Cluster::Step &step)
+{
+    cluster_->drive(SimTime::ms(250), SimTime::sec(600), step,
+                    [this] { return app_.result().done; }, pulse_, probe_);
 }
 
 } // namespace apps

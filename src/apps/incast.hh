@@ -18,6 +18,7 @@
  *  - epoll:   one thread multiplexing all connections through epoll.
  */
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -25,6 +26,9 @@
 #include "sim/cluster.hh"
 
 namespace diablo {
+namespace sim {
+class TelemetryProbe;
+} // namespace sim
 namespace apps {
 
 /** Incast run parameters. */
@@ -76,6 +80,77 @@ class IncastApp {
     net::NodeId client_;
     std::vector<net::NodeId> servers_;
     std::shared_ptr<IncastResult> result_;
+};
+
+/** One incast run: the array, the fan-in and the transfer. */
+struct IncastExperimentParams {
+    sim::ClusterParams cluster = sim::ClusterParams::gige1us();
+    IncastParams incast;
+    /** Fan-in width: the servers are nodes 1..num_servers, the client
+     *  node 0. */
+    uint32_t num_servers = 8;
+
+    /**
+     * The incast keys diablo_run reads: incast.servers (default 8)
+     * spread over incast.racks (default 1) racks of one array of
+     * sim::ClusterParams::fromConfig's cluster; incast.block_bytes
+     * (default 256 KB), incast.iterations (default 20) and
+     * incast.epoll (default false) shape the transfer.  The defaults
+     * are diablo_run's, which can differ from the structs' own
+     * (IncastParams::iterations is 40).
+     */
+    static IncastExperimentParams fromConfig(const Config &cfg);
+};
+
+/**
+ * Owns the cluster and the installed IncastApp for one run: the
+ * incast counterpart of McExperiment.
+ */
+class IncastExperiment {
+  public:
+    IncastExperiment(Simulator &sim, const IncastExperimentParams &params);
+
+    /** Sharded build over @p ps, which must have sim::Cluster::
+     *  partitionsRequired(params.cluster) partitions and outlive the
+     *  experiment. */
+    IncastExperiment(fame::PartitionSet &ps,
+                     const IncastExperimentParams &params);
+
+    /**
+     * Run until the client finishes, through sim::Cluster::drive in
+     * 250 ms windows of simulated time, capped at 600 s in case a fault
+     * plan leaves the transfer unable to finish (a collapsed fan-in of
+     * 24 servers needs ~105 s for 40 iterations).  @p parallel selects
+     * runParallel over runSequential on a sharded build.
+     */
+    void run(bool parallel = false);
+
+    /** The same loop advanced by @p step (a --processes leader's group
+     *  window). */
+    void run(const sim::Cluster::Step &step);
+
+    const IncastResult &result() const { return app_.result(); }
+    sim::Cluster &cluster() { return *cluster_; }
+
+    /** As McExperiment::attachTelemetry. */
+    void attachTelemetry(sim::TelemetryProbe *probe) { probe_ = probe; }
+
+    /** As McExperiment::setPulse. */
+    void setPulse(std::function<bool()> pulse)
+    {
+        pulse_ = std::move(pulse);
+    }
+
+    /** After run(): true when the client did not finish, because the
+     *  pulse stopped the run, the step abandoned it, or it hit the cap
+     *  or went idle. */
+    bool aborted() const { return !app_.result().done; }
+
+  private:
+    sim::TelemetryProbe *probe_ = nullptr; ///< optional, not owned
+    std::function<bool()> pulse_;          ///< optional stop hook
+    std::unique_ptr<sim::Cluster> cluster_;
+    IncastApp app_;
 };
 
 } // namespace apps

@@ -7,6 +7,29 @@
 namespace diablo {
 namespace apps {
 
+McExperimentParams
+McExperimentParams::fromConfig(const Config &cfg)
+{
+    McExperimentParams p;
+    p.cluster = sim::ClusterParams::fromConfig(cfg);
+    p.num_servers = static_cast<uint32_t>(
+        cfg.getUint("mc.servers",
+                    2 * p.cluster.topo.racks_per_array *
+                        p.cluster.topo.num_arrays));
+    p.num_clients = static_cast<uint32_t>(cfg.getUint("mc.clients", 0));
+    p.sketch_stats = cfg.getBool("stats.sketch", false);
+    p.server.udp = cfg.getBool("mc.udp", true);
+    p.server.version = static_cast<int>(cfg.getUint("mc.version", 1417));
+    p.server.worker_threads = static_cast<uint32_t>(
+        cfg.getUint("mc.workers", 4));
+    p.client.udp = p.server.udp;
+    p.client.requests = static_cast<uint32_t>(
+        cfg.getUint("mc.requests", 200));
+    p.client.think_mean = SimTime::microseconds(
+        cfg.getDouble("mc.think_us", 1500.0));
+    return p;
+}
+
 McExperiment::McExperiment(Simulator &sim,
                            const McExperimentParams &params)
     : params_(params)
@@ -75,6 +98,12 @@ McExperiment::run(bool parallel)
         fatal("McExperiment: run(parallel) needs the sharded "
               "(PartitionSet) build");
     }
+    run(cluster_->engineStep(parallel));
+}
+
+void
+McExperiment::run(const sim::Cluster::Step &step)
+{
     for (net::NodeId s : server_nodes_) {
         installMemcachedServer(*cluster_, s, params_.server);
     }
@@ -160,8 +189,7 @@ McExperiment::run(bool parallel)
     constexpr SimTime kWindow = SimTime::ms(100);
     constexpr SimTime kCap = SimTime::sec(600);
     const sim::Cluster::DriveEnd end =
-        cluster_->drive(kWindow, kCap, cluster_->engineStep(parallel),
-                        all_done, pulse_, probe_);
+        cluster_->drive(kWindow, kCap, step, all_done, pulse_, probe_);
     if (end.reason == sim::Cluster::DriveEnd::Capped) {
         panic("McExperiment: clients not done after %s of simulated "
               "time", kCap.str().c_str());

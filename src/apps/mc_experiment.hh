@@ -48,6 +48,16 @@ struct McExperimentParams {
     bool sketch_stats = false;
     McServerParams server;
     McClientParams client;
+
+    /**
+     * The memcached keys diablo_run reads: sim::ClusterParams::
+     * fromConfig's cluster; mc.servers (default 2 per rack), mc.clients,
+     * stats.sketch, mc.udp (default true), mc.version, mc.workers,
+     * mc.requests (default 200) and mc.think_us.  The defaults are
+     * diablo_run's, which can differ from the structs' own
+     * (McClientParams::requests is 300).
+     */
+    static McExperimentParams fromConfig(const Config &cfg);
 };
 
 /** Aggregated measurements across all clients. */
@@ -89,6 +99,9 @@ class McExperiment {
      * it must be false single-sim.
      */
     void run(bool parallel = false);
+
+    /** The same loop advanced by @p step. */
+    void run(const sim::Cluster::Step &step);
 
     const McExperimentResult &result() const { return result_; }
     sim::Cluster &cluster() { return *cluster_; }

@@ -61,13 +61,13 @@ Cpu::totalBusyTime() const
 }
 
 double
-Cpu::utilization() const
+Cpu::utilization(SimTime span) const
 {
-    if (sim_.now().isZero()) {
+    if (span.isZero()) {
         return 0.0;
     }
     return totalBusyTime().asSeconds() /
-           (sim_.now().asSeconds() * static_cast<double>(slots_.size()));
+           (span.asSeconds() * static_cast<double>(slots_.size()));
 }
 
 int

@@ -113,8 +113,12 @@ class Cpu {
     }
     SimTime totalBusyTime() const;
 
-    /** Busy fraction across all cores. */
-    double utilization() const;
+    /**
+     * Busy fraction across all cores over @p span of simulated time:
+     * the run's measured span (e.g. McExperimentResult::elapsed), not
+     * the clock, which each engine leaves at a different point.
+     */
+    double utilization(SimTime span) const;
 
     const CpuParams &params() const { return params_; }
     uint32_t cores() const { return static_cast<uint32_t>(slots_.size()); }

@@ -77,6 +77,16 @@ ClusterParams::applyConfig(const Config &cfg)
     lazy_servers = cfg.getBool("sim.lazy_servers", lazy_servers);
 }
 
+ClusterParams
+ClusterParams::fromConfig(const Config &cfg)
+{
+    ClusterParams p = cfg.getDouble("topo.rack.port_gbps", 1.0) > 5
+                          ? tengig100ns()
+                          : gige1us();
+    p.applyConfig(cfg);
+    return p;
+}
+
 /**
  * A materialized server: kernel + NIC + uplink constructed in place in
  * the rack partition's arena, fully wired by the constructor (the old

@@ -92,6 +92,12 @@ struct ClusterParams {
 
     /** Apply dotted-key overrides (cpu., kernel., tcp., nic., topo.). */
     void applyConfig(const Config &cfg);
+
+    /**
+     * The preset @p cfg picks, tengig100ns when topo.rack.port_gbps > 5
+     * and gige1us otherwise, with every key applied over it.
+     */
+    static ClusterParams fromConfig(const Config &cfg);
 };
 
 /** A wired WSC array: fabric + servers. */

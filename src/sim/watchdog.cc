@@ -22,10 +22,7 @@ monotonicSeconds()
 
 } // namespace
 
-Watchdog::Watchdog(Params p, Diagnostic diag)
-    : params_(p), diag_(std::move(diag))
-{
-}
+Watchdog::Watchdog(Params p) : params_(p) {}
 
 Watchdog::~Watchdog()
 {
@@ -50,6 +47,14 @@ Watchdog::disarm()
     }
     stop_.store(true, std::memory_order_relaxed);
     thread_.join();
+}
+
+void
+Watchdog::noteProgress(uint64_t counter, std::string state)
+{
+    progress_.store(counter, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(state_mu_);
+    state_ = std::move(state);
 }
 
 void
@@ -91,8 +96,12 @@ Watchdog::threadMain()
                  trip, monotonicSeconds() - start, params_.deadline_s,
                  params_.stall_s,
                  static_cast<unsigned long long>(last_progress));
-    if (diag_) {
-        diag_(trip);
+    {
+        std::lock_guard<std::mutex> lock(state_mu_);
+        std::fprintf(stderr,
+                     "watchdog: engine state at %s trip (last window "
+                     "end):\n%s",
+                     trip, state_.c_str());
     }
     std::fflush(stderr);
     core::requestInterrupt(trip[0] == 'd'

@@ -20,18 +20,20 @@
  *    window stops publishing, which is exactly the stall signature;
  *    so a stall budget must exceed one window's wall time.
  *
- * On trip the watchdog invokes the diagnostic callback (which may dump
- * best-effort engine state: sim time, per-partition next-event minima,
- * pool ledgers), requests a cooperative interrupt (so the driver
- * finalizes a partial artifact, same path as SIGTERM), and then — if
- * the process is still alive after a grace period — hard-exits with
- * core::kExitWatchdog, because a watchdog that can itself be wedged by
- * the hang it detects is no watchdog at all.
+ * On trip the watchdog prints the engine state the run loop last
+ * published with its progress (sim time, per-partition next-event
+ * minima, pool ledgers, all read between windows by the loop itself),
+ * requests a cooperative interrupt (so the driver finalizes a partial
+ * artifact, same path as SIGTERM), and then — if the process is still
+ * alive after a grace period — hard-exits with core::kExitWatchdog,
+ * because a watchdog that can itself be wedged by the hang it detects
+ * is no watchdog at all.
  */
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <mutex>
+#include <string>
 #include <thread>
 
 namespace diablo {
@@ -51,12 +53,7 @@ class Watchdog {
         bool enabled() const { return deadline_s > 0 || stall_s > 0; }
     };
 
-    /** Best-effort state dump, invoked once on the watchdog thread at
-     *  trip time.  Keep it signal-handler-grade defensive: the engine
-     *  may be mid-quantum. */
-    using Diagnostic = std::function<void(const char *reason)>;
-
-    Watchdog(Params p, Diagnostic diag);
+    explicit Watchdog(Params p);
     ~Watchdog();
 
     Watchdog(const Watchdog &) = delete;
@@ -74,15 +71,12 @@ class Watchdog {
 
     /**
      * Publish the run's progress counter (any monotone value: quanta,
-     * executed events, their sum).  Called from the run loop's safe
-     * points; a frozen value for longer than stall_s trips the
+     * executed events, their sum) and the engine @p state a trip
+     * prints.  Called from the run loop's safe points, where no engine
+     * worker runs; a frozen counter for longer than stall_s trips the
      * watchdog.
      */
-    void
-    noteProgress(uint64_t counter)
-    {
-        progress_.store(counter, std::memory_order_relaxed);
-    }
+    void noteProgress(uint64_t counter, std::string state = {});
 
     bool tripped() const
     {
@@ -99,9 +93,10 @@ class Watchdog {
     void threadMain();
 
     Params params_;
-    Diagnostic diag_;
     std::thread thread_;
     std::atomic<uint64_t> progress_{0};
+    std::mutex state_mu_;
+    std::string state_; ///< the last published engine state
     std::atomic<bool> stop_{false};
     std::atomic<bool> tripped_{false};
     std::atomic<const char *> reason_{""};

@@ -96,6 +96,70 @@ TEST(Incast, Deterministic)
     EXPECT_EQ(a.elapsed, b.elapsed);
 }
 
+TEST(IncastExperiment, FromConfigKeepsTheCommandLineDefaults)
+{
+    // diablo_run's defaults: 8 servers behind one ToR with the client,
+    // 20 iterations (IncastParams says 40) of 256 KB blocks.
+    const IncastExperimentParams p =
+        IncastExperimentParams::fromConfig(Config());
+    EXPECT_EQ(p.num_servers, 8u);
+    EXPECT_EQ(p.cluster.topo.servers_per_rack, 9u);
+    EXPECT_EQ(p.cluster.topo.racks_per_array, 1u);
+    EXPECT_EQ(p.cluster.topo.num_arrays, 1u);
+    EXPECT_EQ(p.incast.iterations, 20u);
+    EXPECT_EQ(p.incast.block_bytes, 256u * 1024u);
+    EXPECT_FALSE(p.incast.use_epoll);
+}
+
+TEST(IncastExperiment, EveryEngineGivesTheSameRun)
+{
+    // Two racks, so the sharded build has trunk channels and a switch
+    // partition: single, seq and par must measure the same transfer.
+    Config cfg;
+    cfg.set("incast.servers", 6);
+    cfg.set("incast.racks", 2);
+    cfg.set("incast.iterations", 4);
+    cfg.set("incast.block_bytes", 65536);
+    const IncastExperimentParams p = IncastExperimentParams::fromConfig(cfg);
+    ASSERT_EQ(p.cluster.topo.servers_per_rack, 4u); // ceil(7 / 2)
+
+    Simulator sim;
+    IncastExperiment single(sim, p);
+    single.run();
+    ASSERT_FALSE(single.aborted());
+    const IncastResult &ref = single.result();
+    EXPECT_EQ(ref.iteration_us.count(), 4u);
+
+    for (bool parallel : {false, true}) {
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        IncastExperiment exp(ps, p);
+        exp.run(parallel);
+        ASSERT_FALSE(exp.aborted()) << (parallel ? "par" : "seq");
+        const IncastResult &r = exp.result();
+        EXPECT_EQ(r.goodputMbps(), ref.goodputMbps())
+            << (parallel ? "par" : "seq");
+        EXPECT_EQ(r.elapsed, ref.elapsed) << (parallel ? "par" : "seq");
+        EXPECT_EQ(r.iteration_us.raw(), ref.iteration_us.raw())
+            << (parallel ? "par" : "seq");
+    }
+}
+
+TEST(IncastExperiment, CollapsedFanInRunsPastOneMinute)
+{
+    // Fig 6a's 24-server VOQ cell collapses to ~20 Mbps, ~2.4 s per
+    // iteration: 26 iterations plus the warm-up need over a minute of
+    // simulated time, which the cap must leave room for.
+    Config cfg;
+    cfg.set("incast.servers", 24);
+    cfg.set("incast.iterations", 26);
+    Simulator sim;
+    IncastExperiment exp(sim, IncastExperimentParams::fromConfig(cfg));
+    exp.run();
+    ASSERT_FALSE(exp.aborted());
+    EXPECT_EQ(exp.result().iteration_us.count(), 26u);
+    EXPECT_GT(sim.now(), SimTime::sec(60));
+}
+
 } // namespace
 } // namespace apps
 } // namespace diablo

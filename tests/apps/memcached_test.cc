@@ -170,6 +170,46 @@ TEST(Memcached, ElapsedIsEngineIndependent)
     }
 }
 
+TEST(Memcached, ServerUtilizationIsEngineIndependent)
+{
+    // Utilization divides busy time by the run's measured span, not by
+    // the clock, which the single engine parks at the drive window's
+    // end and a partition leaves at its own last event.
+    const McExperimentParams p = tinyExperiment(true);
+    Simulator sim;
+    McExperiment single(sim, p);
+    single.run();
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    McExperiment par(ps, p);
+    par.run(true);
+    for (net::NodeId s : single.serverNodes()) {
+        const double u = single.cluster().kernel(s).cpu().utilization(
+            single.result().elapsed);
+        EXPECT_GT(u, 0.0);
+        EXPECT_EQ(u, par.cluster().kernel(s).cpu().utilization(
+                         par.result().elapsed))
+            << "server " << s;
+    }
+}
+
+TEST(Memcached, FromConfigKeepsTheCommandLineDefaults)
+{
+    // diablo_run's defaults, which differ from the struct's own: 200
+    // requests per client (McClientParams says 300) and UDP.
+    const McExperimentParams p = McExperimentParams::fromConfig(Config());
+    EXPECT_EQ(p.client.requests, 200u);
+    EXPECT_TRUE(p.server.udp);
+    EXPECT_TRUE(p.client.udp);
+    EXPECT_EQ(p.num_servers, 2u * 16u * 4u); // two per rack
+
+    Config ten;
+    ten.set("topo.rack.port_gbps", 10.0);
+    ten.set("mc.udp", false);
+    const McExperimentParams q = McExperimentParams::fromConfig(ten);
+    EXPECT_EQ(q.cluster.topo.array_sw.port_latency, SimTime::ns(100));
+    EXPECT_FALSE(q.client.udp);
+}
+
 TEST(Memcached, Deterministic)
 {
     auto run = [] {

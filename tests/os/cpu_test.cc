@@ -173,7 +173,7 @@ TEST(Cpu, UtilizationAndBusyAccounting)
     sim.run();
     EXPECT_EQ(cpu.busyTime(SchedClass::User), 5_us);
     EXPECT_EQ(cpu.busyTime(SchedClass::SoftIrq), 3_us);
-    EXPECT_NEAR(cpu.utilization(), 0.5, 1e-9);
+    EXPECT_NEAR(cpu.utilization(16_us), 0.5, 1e-9);
 }
 
 TEST(Cpu, ZeroCycleWorkStillCompletes)

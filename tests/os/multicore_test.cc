@@ -82,7 +82,7 @@ TEST(MultiCoreCpu, UtilizationNormalizedByCores)
     sim.scheduleAt(8_us, [] {});
     sim.run();
     // One core busy 4 us of 8 us, over 4 cores: 12.5%.
-    EXPECT_NEAR(cpu.utilization(), 0.125, 1e-9);
+    EXPECT_NEAR(cpu.utilization(8_us), 0.125, 1e-9);
 }
 
 TEST(MultiCoreCpu, PerCoreContextSwitchAccounting)

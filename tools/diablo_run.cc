@@ -201,23 +201,25 @@ partitionRows(sim::Cluster &cluster)
 }
 
 /** One executed-event + packet-pool ledger line per partition. */
-void
-printPartitionRows(
-    std::FILE *out,
-    const std::vector<analysis::RunArtifact::PartitionRow> &rows)
+std::string
+partitionLines(const std::vector<analysis::RunArtifact::PartitionRow> &rows)
 {
+    std::string out;
     for (size_t i = 0; i < rows.size(); ++i) {
         const auto &p = rows[i];
-        std::fprintf(out, "  part %zu: events=%llu pool makes=%llu "
-                     "recycles=%llu heap=%llu returns=%llu "
-                     "high_water=%llu\n",
-                     i, static_cast<unsigned long long>(p.events),
-                     static_cast<unsigned long long>(p.pool_makes),
-                     static_cast<unsigned long long>(p.pool_recycles),
-                     static_cast<unsigned long long>(p.pool_heap_allocs),
-                     static_cast<unsigned long long>(p.pool_returns),
-                     static_cast<unsigned long long>(p.pool_high_water));
+        out += strprintf("  part %zu: events=%llu pool makes=%llu "
+                         "recycles=%llu heap=%llu returns=%llu "
+                         "high_water=%llu\n",
+                         i, static_cast<unsigned long long>(p.events),
+                         static_cast<unsigned long long>(p.pool_makes),
+                         static_cast<unsigned long long>(p.pool_recycles),
+                         static_cast<unsigned long long>(
+                             p.pool_heap_allocs),
+                         static_cast<unsigned long long>(p.pool_returns),
+                         static_cast<unsigned long long>(
+                             p.pool_high_water));
     }
+    return out;
 }
 
 /**
@@ -241,7 +243,7 @@ printCounters(const analysis::RunArtifact &a)
         }
         std::printf("\n");
     }
-    printPartitionRows(stdout, a.partition_rows);
+    std::fputs(partitionLines(a.partition_rows).c_str(), stdout);
 }
 
 uint64_t
@@ -340,12 +342,10 @@ makeProbe(const Config &cfg, sim::Cluster &cluster, const RunOpts &opts)
 
 /**
  * Build the run watchdog when run.deadline / run.stall (wall-clock
- * seconds) are configured.  The diagnostic dump reads engine state
- * best-effort — the run may be wedged mid-quantum, so the values are
- * for post-mortems, not for consumption by tools.
+ * seconds) are configured.
  */
 std::unique_ptr<sim::Watchdog>
-makeWatchdog(const Config &cfg, sim::Cluster &cluster)
+makeWatchdog(const Config &cfg)
 {
     sim::Watchdog::Params wp;
     wp.deadline_s = cfg.getDouble("run.deadline", 0.0);
@@ -354,32 +354,39 @@ makeWatchdog(const Config &cfg, sim::Cluster &cluster)
     if (!wp.enabled()) {
         return nullptr;
     }
-    auto diag = [&cluster](const char *reason) {
-        std::fprintf(stderr, "watchdog: engine state at %s trip "
-                     "(best effort):\n", reason);
-        if (fame::PartitionSet *ps = cluster.partitionSet()) {
-            std::fprintf(stderr,
-                         "  quanta=%llu total_events=%llu\n",
-                         static_cast<unsigned long long>(
-                             ps->quantaExecuted()),
-                         static_cast<unsigned long long>(
-                             ps->totalExecutedEvents()));
-        }
-        const std::vector<Simulator *> &parts = cluster.partitions();
-        for (size_t i = 0; i < parts.size(); ++i) {
-            std::fprintf(stderr, "  part %zu: now=%s next_event=%s\n", i,
-                         parts[i]->now().str().c_str(),
-                         parts[i]->nextEventTime().str().c_str());
-        }
-        printPartitionRows(stderr, partitionRows(cluster));
-    };
-    auto wd = std::make_unique<sim::Watchdog>(wp, std::move(diag));
+    auto wd = std::make_unique<sim::Watchdog>(wp);
     wd->arm();
     return wd;
 }
 
 /**
- * The engine a workload runs on, plus the observers every driver
+ * The engine state a watchdog trip prints: sim time, next-event time
+ * and the event/pool ledger of every partition.  Read by the run loop
+ * between windows, where no worker runs, so a run wedged inside a
+ * window shows the state it entered that window with.
+ */
+std::string
+engineState(sim::Cluster &cluster)
+{
+    std::string out;
+    if (fame::PartitionSet *ps = cluster.partitionSet()) {
+        out += strprintf("  quanta=%llu total_events=%llu\n",
+                         static_cast<unsigned long long>(
+                             ps->quantaExecuted()),
+                         static_cast<unsigned long long>(
+                             ps->totalExecutedEvents()));
+    }
+    const std::vector<Simulator *> &parts = cluster.partitions();
+    for (size_t i = 0; i < parts.size(); ++i) {
+        out += strprintf("  part %zu: now=%s next_event=%s\n", i,
+                         parts[i]->now().str().c_str(),
+                         parts[i]->nextEventTime().str().c_str());
+    }
+    return out + partitionLines(partitionRows(cluster));
+}
+
+/**
+ * The engine a workload runs on, plus the observers runWorkload
  * installs on it.
  */
 struct RunEngine {
@@ -391,61 +398,30 @@ struct RunEngine {
 
     /**
      * The run loop's pulse, before every window: publish the
-     * watchdog's progress counter and report a requested stop.
+     * watchdog's progress counter with @p cluster's engine state and
+     * report a requested stop.
      */
     bool
-    pulse() const
+    pulse(sim::Cluster &cluster) const
     {
         if (wd != nullptr) {
             wd->noteProgress(ps != nullptr ? ps->totalExecutedEvents()
-                                           : sim->executedEvents());
+                                           : sim->executedEvents(),
+                             engineState(cluster));
         }
         return core::interruptRequested();
     }
 };
 
-/**
- * One Simulator for the single engine; otherwise a PartitionSet sized
- * for the rack/switch-sharded cluster @p cp describes.
- */
-RunEngine
-makeEngine(const sim::ClusterParams &cp, const EngineOpts &eng)
-{
-    RunEngine e;
-    if (eng.engine == Engine::Single && eng.processes == 1) {
-        e.sim = std::make_unique<Simulator>();
-    } else {
-        e.ps = std::make_unique<fame::PartitionSet>(
-            sim::Cluster::partitionsRequired(cp));
-        e.ps->setParallelism(eng.threads);
-        e.ps->setWorkerPinning(eng.pin);
-    }
-    return e;
-}
-
-/**
- * Install the fault plan, the telemetry probe and the watchdog on a
- * freshly built @p cluster.  Child engine ranks install the plan
- * without printing it and run no watchdog: they follow the leader's.
- */
 void
-installObservers(RunEngine &e, sim::Cluster &cluster, const Config &cfg,
-                 const sim::FaultPlan &plan, const RunOpts &opts)
+writeArtifact(const analysis::RunArtifact &a, const RunOpts &opts)
 {
-    if (!plan.empty()) {
-        if (!opts.isChildRank()) {
-            std::printf("%s", plan.str().c_str());
-        }
-        e.fc = std::make_unique<sim::FaultController>(cluster, plan);
-        e.fc->install();
+    if (opts.json_path == nullptr) {
+        return;
     }
-    e.probe = makeProbe(cfg, cluster, opts);
-    if (!opts.isChildRank()) {
-        e.wd = makeWatchdog(cfg, cluster);
-    }
+    a.writeJson(opts.json_path);
+    std::printf("artifact: %s\n", opts.json_path);
 }
-
-void writeArtifact(const analysis::RunArtifact &a, const RunOpts &opts);
 
 /**
  * The run was cut short (signal or watchdog): finalize the partial
@@ -602,150 +578,6 @@ fillCommonArtifact(analysis::RunArtifact &a,
                  cluster.params().kernel_profile.name);
 }
 
-void
-writeArtifact(const analysis::RunArtifact &a, const RunOpts &opts)
-{
-    if (opts.json_path == nullptr) {
-        return;
-    }
-    a.writeJson(opts.json_path);
-    std::printf("artifact: %s\n", opts.json_path);
-}
-
-int
-runMemcached(const Config &cfg, const sim::FaultPlan &plan,
-             const RunOpts &opts)
-{
-    const EngineOpts &eng = opts.eng;
-    apps::McExperimentParams p;
-    p.cluster = cfg.getDouble("topo.rack.port_gbps", 1.0) > 5
-                    ? sim::ClusterParams::tengig100ns()
-                    : sim::ClusterParams::gige1us();
-    p.cluster.applyConfig(cfg);
-    p.num_servers = static_cast<uint32_t>(
-        cfg.getUint("mc.servers",
-                    2 * p.cluster.topo.racks_per_array *
-                        p.cluster.topo.num_arrays));
-    p.num_clients = static_cast<uint32_t>(cfg.getUint("mc.clients", 0));
-    p.sketch_stats = cfg.getBool("stats.sketch", false);
-    p.server.udp = cfg.getBool("mc.udp", true);
-    p.server.version = static_cast<int>(cfg.getUint("mc.version", 1417));
-    p.server.worker_threads = static_cast<uint32_t>(
-        cfg.getUint("mc.workers", 4));
-    p.client.udp = p.server.udp;
-    p.client.requests = static_cast<uint32_t>(
-        cfg.getUint("mc.requests", 200));
-    p.client.think_mean = SimTime::microseconds(
-        cfg.getDouble("mc.think_us", 1500.0));
-
-    RunEngine e = makeEngine(p.cluster, eng);
-    std::unique_ptr<apps::McExperiment> exp =
-        e.sim != nullptr ? std::make_unique<apps::McExperiment>(*e.sim, p)
-                         : std::make_unique<apps::McExperiment>(*e.ps, p);
-    installObservers(e, exp->cluster(), cfg, plan, opts);
-    if (e.probe != nullptr) {
-        e.probe->setSampler([&exp](sim::TelemetryProbe::AppStats &s) {
-            const auto ls = exp->liveStats();
-            s.requests_completed = ls.requests_completed;
-            s.p99_us = ls.p99_us;
-        });
-        exp->attachTelemetry(e.probe.get());
-    }
-    exp->setPulse([&e] { return e.pulse(); });
-    exp->run(eng.engine == Engine::Par);
-    if (e.wd != nullptr) {
-        e.wd->disarm();
-    }
-    const auto &r = exp->result();
-    analysis::RunArtifact a;
-    fillMeasured(a, exp->cluster(), plan);
-    a.workload = "memcached";
-    a.elapsed_us = r.elapsed.asMicros();
-    a.requests_completed = r.requests_completed;
-    a.latencies.emplace_back("latency_us",
-                             analysis::LatencyDigest::of(r.latency_us));
-    const char *names[3] = {"local", "1-hop", "2-hop"};
-    for (int h = 0; h < 3; ++h) {
-        a.latencies.emplace_back(
-            std::string("latency_us.") + names[h],
-            analysis::LatencyDigest::of(r.latency_us_by_hop[h]));
-    }
-    a.latencies.emplace_back(
-        "first_request_us", analysis::LatencyDigest::of(r.first_request_us));
-    fillCommonArtifact(a,
-                       {"app",
-                        true,
-                        {
-                            {"servers", r.servers},
-                            {"clients", r.clients},
-                            {"udp_retries", r.udp_retries},
-                            {"udp_lost", r.udp_timeouts},
-                        }},
-                       exp->cluster(), cfg, opts, plan, e.probe.get());
-    a.config.set("resolved.proto", p.server.udp ? "UDP" : "TCP");
-
-    std::printf("nodes=%u servers=%u clients=%u proto=%s kernel=%s\n",
-                a.nodes, r.servers, r.clients, p.server.udp ? "UDP" : "TCP",
-                p.cluster.kernel_profile.name.c_str());
-    std::printf("completed=%llu in %s (sim), %llu events\n",
-                static_cast<unsigned long long>(r.requests_completed),
-                r.elapsed.str().c_str(),
-                static_cast<unsigned long long>(a.executed_events));
-    std::printf("latency %s\n",
-                analysis::latencySummary(r.latency_us).c_str());
-    for (int h = 0; h < 3; ++h) {
-        if (r.latency_us_by_hop[h].count()) {
-            std::printf("  %-5s %s\n", names[h],
-                        analysis::latencySummary(
-                            r.latency_us_by_hop[h]).c_str());
-        }
-    }
-    printCounters(a);
-    if (eng.mem_report) {
-        printMemReport(exp->cluster());
-    }
-    if (exp->aborted()) {
-        return finalizeInterrupted(a, opts, e.probe.get());
-    }
-    writeArtifact(a, opts);
-    return 0;
-}
-
-/** The incast scenario every engine and every rank builds alike. */
-struct IncastSetup {
-    uint32_t n = 0;     ///< fan-in servers
-    uint32_t racks = 0;
-    sim::ClusterParams cp;
-    apps::IncastParams ip;
-    std::vector<net::NodeId> servers;
-};
-
-IncastSetup
-makeIncastSetup(const Config &cfg)
-{
-    IncastSetup s;
-    s.n = static_cast<uint32_t>(cfg.getUint("incast.servers", 8));
-    // incast.racks spreads the fan-in across racks so the trunk and
-    // the sharded engines have cross-partition traffic to chew on;
-    // the default keeps the classic single-ToR shape.
-    s.racks = static_cast<uint32_t>(cfg.getUint("incast.racks", 1));
-    s.cp = cfg.getDouble("topo.rack.port_gbps", 1.0) > 5
-               ? sim::ClusterParams::tengig100ns()
-               : sim::ClusterParams::gige1us();
-    s.cp.applyConfig(cfg);
-    s.cp.topo.servers_per_rack = (s.n + 1 + s.racks - 1) / s.racks;
-    s.cp.topo.racks_per_array = s.racks;
-    s.cp.topo.num_arrays = 1;
-    s.ip.block_bytes = cfg.getUint("incast.block_bytes", 256 * 1024);
-    s.ip.iterations = static_cast<uint32_t>(
-        cfg.getUint("incast.iterations", 20));
-    s.ip.use_epoll = cfg.getBool("incast.epoll", false);
-    for (uint32_t i = 1; i <= s.n; ++i) {
-        s.servers.push_back(i);
-    }
-    return s;
-}
-
 // ====================================================================
 // Coupled multiprocess engine (--processes N)
 //
@@ -894,8 +726,10 @@ class ProcessGroup {
     bool
     step(fame::PartitionSet &ps, SimTime until)
     {
+        reached_ = until;
         ctl_->publish(fame::ShmGroupControl::kRun, until.toPs());
         if (!ps.runCoupled(until)) {
+            abandoned_ = true;
             return false;
         }
         // Every rank answered the first barrier, so the segment is
@@ -903,6 +737,9 @@ class ProcessGroup {
         unlinkOnce();
         return true;
     }
+
+    /** Leader: some window step found the coupled run abandoned. */
+    bool abandoned() const { return abandoned_; }
 
     /**
      * Child: run the leader's windows until it stops the group.  A
@@ -929,10 +766,10 @@ class ProcessGroup {
     }
 
     /**
-     * Leader: stop the group at @p t, reap every child and add its
-     * ledger into @p a.  Returns true when any child failed.
+     * Leader: stop the group at its last window, reap every child and
+     * add its ledger into @p a.  Returns true when any child failed.
      */
-    bool finish(bool interrupted, SimTime t, analysis::RunArtifact &a);
+    bool finish(bool interrupted, analysis::RunArtifact &a);
 
   private:
     struct Child {
@@ -962,6 +799,8 @@ class ProcessGroup {
     std::vector<std::unique_ptr<fame::Transport>> transports_;
     std::vector<Child> kids_;
     bool unlinked_ = false;
+    SimTime reached_;        ///< the leader's last window end
+    bool abandoned_ = false; ///< a leader step found the run abandoned
 };
 
 void
@@ -1065,7 +904,7 @@ ProcessGroup::follow(fame::PartitionSet &ps)
 }
 
 bool
-ProcessGroup::finish(bool interrupted, SimTime t, analysis::RunArtifact &a)
+ProcessGroup::finish(bool interrupted, analysis::RunArtifact &a)
 {
     if (core::interruptRequested()) {
         // Forward the stop signal to every child rank so each finalizes
@@ -1076,7 +915,7 @@ ProcessGroup::finish(bool interrupted, SimTime t, analysis::RunArtifact &a)
     }
     ctl_->publish(interrupted ? fame::ShmGroupControl::kStopInterrupted
                               : fame::ShmGroupControl::kStop,
-                  t.toPs());
+                  reached_.toPs());
     unlinkOnce();
 
     const size_t words = a.ledger().size();
@@ -1123,119 +962,247 @@ ProcessGroup::finish(bool interrupted, SimTime t, analysis::RunArtifact &a)
     return failed;
 }
 
-/**
- * The incast workload on every engine: one Simulator, the sharded
- * cluster on runSequential or runParallel, or one rank of a
- * --processes group.  All but a child rank run the shared loop
- * (sim::Cluster::drive) and differ only in its window step; a child
- * rank follows the leader's windows instead and reports its ledger.
- */
-int
-runIncast(const Config &cfg, const sim::FaultPlan &plan, RunOpts opts)
-{
-    const IncastSetup s = makeIncastSetup(cfg);
-    ProcessGroup group;
-    if (opts.isChildRank()) {
-        group.attach(opts);
-    } else if (opts.eng.processes > 1) {
-        const int rc =
-            group.launch(opts, sim::Cluster::partitionsRequired(s.cp));
-        if (rc != 0) {
-            return rc;
-        }
+// ====================================================================
+// The two workloads.  Each names its definition in src/apps and the
+// four things that differ per workload: the app counter group, the
+// results and latency digests, the telemetry sampler and the summary
+// lines.  runWorkload owns everything else.
+// ====================================================================
+
+struct Incast {
+    using Params = apps::IncastExperimentParams;
+    using Experiment = apps::IncastExperiment;
+    static constexpr const char *kName = "incast";
+
+    static analysis::RunArtifact::CounterGroup
+    appGroup(const Experiment &exp, const Params &p)
+    {
+        return {"app", true, {{"servers", p.num_servers},
+                              {"racks", p.cluster.topo.racks_per_array},
+                              {"total_bytes", exp.result().total_bytes},
+                              {"block_bytes", p.incast.block_bytes},
+                              {"iterations", p.incast.iterations}}};
     }
 
-    RunEngine e = makeEngine(s.cp, opts.eng);
-    std::unique_ptr<sim::Cluster> cluster =
-        e.sim != nullptr ? std::make_unique<sim::Cluster>(*e.sim, s.cp)
-                         : std::make_unique<sim::Cluster>(*e.ps, s.cp);
-    apps::IncastApp app(*cluster, s.ip, 0, s.servers);
-    app.install();
-    installObservers(e, *cluster, cfg, plan, opts);
-    if (e.probe != nullptr) {
-        e.probe->setSampler([&app, &s](sim::TelemetryProbe::AppStats &st) {
-            const apps::IncastResult &r = app.result();
+    static void
+    fillResults(analysis::RunArtifact &a, const Experiment &exp,
+                const Params &)
+    {
+        const apps::IncastResult &r = exp.result();
+        a.elapsed_us = r.elapsed.asMicros();
+        a.goodput_mbps = r.goodputMbps();
+        a.requests_completed = r.iteration_us.count();
+        a.latencies.emplace_back(
+            "iteration_us", analysis::LatencyDigest::of(r.iteration_us));
+    }
+
+    static void
+    setSampler(sim::TelemetryProbe &probe, const Experiment &exp,
+               const Params &p)
+    {
+        probe.setSampler([&exp, &p](sim::TelemetryProbe::AppStats &st) {
+            const apps::IncastResult &r = exp.result();
             const uint64_t iters = r.iteration_us.count();
             st.requests_completed = iters;
-            st.bytes = iters * s.ip.block_bytes * s.n;
+            st.bytes = iters * p.incast.block_bytes * p.num_servers;
             if (iters != 0) {
                 st.p99_us = r.iteration_us.percentile(99);
             }
         });
     }
+
+    static void
+    printSummary(const Experiment &exp, const Params &p,
+                 const analysis::RunArtifact &)
+    {
+        const apps::IncastResult &r = exp.result();
+        const uint32_t racks = p.cluster.topo.racks_per_array;
+        std::printf("incast: %u servers in %u rack%s, %s blocks x %u "
+                    "iterations (%s client)\n", p.num_servers, racks,
+                    racks == 1 ? "" : "s",
+                    fmtBytes(p.incast.block_bytes).c_str(),
+                    p.incast.iterations,
+                    p.incast.use_epoll ? "epoll" : "pthread");
+        std::printf("goodput=%.1f Mbps\n", r.goodputMbps());
+        std::printf("iteration times (us): %s\n",
+                    analysis::latencySummary(r.iteration_us).c_str());
+    }
+};
+
+struct Memcached {
+    using Params = apps::McExperimentParams;
+    using Experiment = apps::McExperiment;
+    static constexpr const char *kName = "memcached";
+    static constexpr const char *kHops[3] = {"local", "1-hop", "2-hop"};
+
+    static analysis::RunArtifact::CounterGroup
+    appGroup(const Experiment &exp, const Params &)
+    {
+        const apps::McExperimentResult &r = exp.result();
+        return {"app", true, {{"servers", r.servers},
+                              {"clients", r.clients},
+                              {"udp_retries", r.udp_retries},
+                              {"udp_lost", r.udp_timeouts}}};
+    }
+
+    static void
+    fillResults(analysis::RunArtifact &a, const Experiment &exp,
+                const Params &p)
+    {
+        const apps::McExperimentResult &r = exp.result();
+        a.elapsed_us = r.elapsed.asMicros();
+        a.requests_completed = r.requests_completed;
+        a.latencies.emplace_back("latency_us",
+                                 analysis::LatencyDigest::of(r.latency_us));
+        for (int h = 0; h < 3; ++h) {
+            a.latencies.emplace_back(
+                std::string("latency_us.") + kHops[h],
+                analysis::LatencyDigest::of(r.latency_us_by_hop[h]));
+        }
+        a.latencies.emplace_back(
+            "first_request_us",
+            analysis::LatencyDigest::of(r.first_request_us));
+        a.config.set("resolved.proto", p.server.udp ? "UDP" : "TCP");
+    }
+
+    static void
+    setSampler(sim::TelemetryProbe &probe, const Experiment &exp,
+               const Params &)
+    {
+        probe.setSampler([&exp](sim::TelemetryProbe::AppStats &s) {
+            const auto ls = exp.liveStats();
+            s.requests_completed = ls.requests_completed;
+            s.p99_us = ls.p99_us;
+        });
+    }
+
+    static void
+    printSummary(const Experiment &exp, const Params &p,
+                 const analysis::RunArtifact &a)
+    {
+        const apps::McExperimentResult &r = exp.result();
+        std::printf("nodes=%u servers=%u clients=%u proto=%s kernel=%s\n",
+                    a.nodes, r.servers, r.clients,
+                    p.server.udp ? "UDP" : "TCP",
+                    p.cluster.kernel_profile.name.c_str());
+        std::printf("completed=%llu in %s (sim), %llu events\n",
+                    static_cast<unsigned long long>(r.requests_completed),
+                    r.elapsed.str().c_str(),
+                    static_cast<unsigned long long>(a.executed_events));
+        std::printf("latency %s\n",
+                    analysis::latencySummary(r.latency_us).c_str());
+        for (int h = 0; h < 3; ++h) {
+            if (r.latency_us_by_hop[h].count()) {
+                std::printf("  %-5s %s\n", kHops[h],
+                            analysis::latencySummary(
+                                r.latency_us_by_hop[h]).c_str());
+            }
+        }
+    }
+};
+
+/**
+ * Workload @p W on every engine: one Simulator, the sharded cluster on
+ * runSequential or runParallel, or one rank of a --processes group.
+ * The experiment runs the shared loop (sim::Cluster::drive) with the
+ * engine's window step, or the group's on a leader; a child rank
+ * follows the leader's windows instead and reports its ledger.
+ */
+template <class W>
+int
+runWorkload(const Config &cfg, const sim::FaultPlan &plan, RunOpts opts)
+{
+    const typename W::Params p = W::Params::fromConfig(cfg);
+    ProcessGroup group;
+    if (opts.isChildRank()) {
+        group.attach(opts);
+    } else if (opts.eng.processes > 1) {
+        const int rc =
+            group.launch(opts, sim::Cluster::partitionsRequired(p.cluster));
+        if (rc != 0) {
+            return rc;
+        }
+    }
+
+    // One Simulator for the single engine; otherwise a PartitionSet
+    // sized for the rack/switch-sharded cluster.
+    RunEngine e;
+    if (opts.eng.engine == Engine::Single && opts.eng.processes == 1) {
+        e.sim = std::make_unique<Simulator>();
+    } else {
+        e.ps = std::make_unique<fame::PartitionSet>(
+            sim::Cluster::partitionsRequired(p.cluster));
+        e.ps->setParallelism(opts.eng.threads);
+        e.ps->setWorkerPinning(opts.eng.pin);
+    }
+    using Exp = typename W::Experiment;
+    std::unique_ptr<Exp> exp = e.sim != nullptr
+                                   ? std::make_unique<Exp>(*e.sim, p)
+                                   : std::make_unique<Exp>(*e.ps, p);
+    sim::Cluster &cluster = exp->cluster();
+    // The observers: fault plan, telemetry probe and watchdog.  Child
+    // engine ranks install the plan without printing it and run no
+    // watchdog: they follow the leader's.
+    if (!plan.empty()) {
+        if (!opts.isChildRank()) {
+            std::printf("%s", plan.str().c_str());
+        }
+        e.fc = std::make_unique<sim::FaultController>(cluster, plan);
+        e.fc->install();
+    }
+    e.probe = makeProbe(cfg, cluster, opts);
+    if (!opts.isChildRank()) {
+        e.wd = makeWatchdog(cfg);
+    }
+    if (e.probe != nullptr) {
+        W::setSampler(*e.probe, *exp, p);
+        exp->attachTelemetry(e.probe.get());
+    }
     if (group.active()) {
-        group.couple(*cluster, *e.ps);
+        group.couple(cluster, *e.ps);
     }
 
     if (opts.isChildRank()) {
         // A child prints nothing; the leader owns the report.
         const bool interrupted = group.follow(*e.ps);
         analysis::RunArtifact a;
-        fillMeasured(a, *cluster, plan);
+        fillMeasured(a, cluster, plan);
         if (!group.report(a.ledger())) {
             return 1;
         }
         return interrupted ? core::kExitInterrupted : 0;
     }
-    // Run until the client reports completion, or to a generous cap in
-    // case a fault plan leaves the transfer unable to finish.
-    auto done = [&app] { return app.result().done; };
-    const sim::Cluster::Step step =
-        group.active()
-            ? [&](SimTime w) { return group.step(*e.ps, w); }
-            : cluster->engineStep(opts.eng.engine == Engine::Par);
-    const sim::Cluster::DriveEnd end = cluster->drive(
-        SimTime::ms(250), SimTime::sec(60), step, done,
-        [&] { return e.pulse() || group.anyInterrupted(); },
-        e.probe.get());
+    exp->setPulse(
+        [&] { return e.pulse(cluster) || group.anyInterrupted(); });
+    exp->run(group.active()
+                 ? [&](SimTime w) { return group.step(*e.ps, w); }
+                 : cluster.engineStep(opts.eng.engine == Engine::Par));
     if (e.wd != nullptr) {
         e.wd->disarm();
     }
 
     analysis::RunArtifact a;
-    fillMeasured(a, *cluster, plan);
-    const bool completed = done();
-    bool partial = !completed && core::interruptRequested();
+    fillMeasured(a, cluster, plan);
+    bool partial = exp->aborted() && core::interruptRequested();
     if (group.active()) {
-        const bool interrupted =
-            end.reason == sim::Cluster::DriveEnd::Abandoned ||
-            core::interruptRequested() || group.anyInterrupted();
-        partial = group.finish(interrupted, end.reached, a) || interrupted;
+        const bool interrupted = group.abandoned() ||
+                                 core::interruptRequested() ||
+                                 group.anyInterrupted();
+        partial = group.finish(interrupted, a) || interrupted;
     }
-    if (!completed && !partial) {
-        std::fprintf(stderr, "incast did not complete\n");
+    if (exp->aborted() && !partial) {
+        std::fprintf(stderr, "%s did not complete\n", W::kName);
         return 1;
     }
 
-    const auto &r = app.result();
-    a.workload = "incast";
-    a.elapsed_us = r.elapsed.asMicros();
-    a.goodput_mbps = r.goodputMbps();
-    a.requests_completed = r.iteration_us.count();
-    a.latencies.emplace_back("iteration_us",
-                             analysis::LatencyDigest::of(r.iteration_us));
-    fillCommonArtifact(a,
-                       {"app",
-                        true,
-                        {
-                            {"servers", s.n},
-                            {"racks", s.racks},
-                            {"total_bytes", r.total_bytes},
-                            {"block_bytes", s.ip.block_bytes},
-                            {"iterations", s.ip.iterations},
-                        }},
-                       *cluster, cfg, opts, plan, e.probe.get());
-
-    std::printf("incast: %u servers in %u rack%s, %s blocks x %u "
-                "iterations (%s client)\n", s.n, s.racks,
-                s.racks == 1 ? "" : "s", fmtBytes(s.ip.block_bytes).c_str(),
-                s.ip.iterations, s.ip.use_epoll ? "epoll" : "pthread");
-    std::printf("goodput=%.1f Mbps\n", r.goodputMbps());
-    std::printf("iteration times (us): %s\n",
-                analysis::latencySummary(r.iteration_us).c_str());
+    a.workload = W::kName;
+    fillCommonArtifact(a, W::appGroup(*exp, p), cluster, cfg, opts, plan,
+                       e.probe.get());
+    W::fillResults(a, *exp, p);
+    W::printSummary(*exp, p, a);
     printCounters(a);
     if (opts.eng.mem_report) {
-        printMemReport(*cluster);
+        printMemReport(cluster);
     }
     if (partial) {
         // A failed or interrupted rank leaves the whole run partial.
@@ -1357,10 +1324,10 @@ main(int argc, char **argv)
     // process artifact-less.
     core::installInterruptHandlers();
     if (std::strcmp(argv[1], "memcached") == 0) {
-        return runMemcached(cfg, plan, opts);
+        return runWorkload<Memcached>(cfg, plan, opts);
     }
     if (std::strcmp(argv[1], "incast") == 0) {
-        return runIncast(cfg, plan, opts);
+        return runWorkload<Incast>(cfg, plan, opts);
     }
     std::fprintf(stderr, "unknown experiment '%s'\n", argv[1]);
     return 2;
