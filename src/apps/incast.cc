@@ -166,8 +166,10 @@ incastMainEpoll(sim::Cluster *cluster, net::NodeId client,
         while (remaining > 0) {
             long r = co_await k.sysEpollWait(t, static_cast<int>(ep),
                                              &events, 64);
-            if (r <= 0) {
-                continue;
+            if (r < 0) {
+                // A crashed kernel fails the wait without suspending:
+                // retrying would spin at one instant forever.
+                co_return;
             }
             for (const auto &e : events) {
                 long got = co_await k.sysRecv(t, e.fd, remaining,

@@ -64,8 +64,10 @@ mcTcpWorker(os::Kernel &k, std::shared_ptr<ServerShared> sh, uint32_t idx,
     while (true) {
         long r = co_await k.sysEpollWait(t, static_cast<int>(ep), &events,
                                          64);
-        if (r <= 0) {
-            continue;
+        if (r < 0) {
+            // A crashed kernel fails the wait without suspending:
+            // retrying would spin at one instant forever.
+            co_return;
         }
         for (const auto &e : events) {
             std::vector<os::RecvedMessage> msgs;

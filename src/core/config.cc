@@ -42,21 +42,20 @@ trimmed(const std::string &s)
     return s.substr(first, s.find_last_not_of(" \t\r\n") - first + 1);
 }
 
-/** The typed read of @p key; fatal, naming the key, on a bad value. */
+/** The typed read of @p key's @p text (nullptr when absent); fatal,
+ *  naming the key, on a bad value. */
 template <typename T>
 T
-typedValue(const std::map<std::string, std::string> &values,
-           const std::string &key, T def,
+typedValue(const std::string *text, const std::string &key, T def,
            const char *(*parse)(const std::string &, T *))
 {
-    auto it = values.find(key);
-    if (it == values.end()) {
+    if (text == nullptr) {
         return def;
     }
     T v = def;
-    if (const char *why = parse(it->second, &v)) {
+    if (const char *why = parse(*text, &v)) {
         fatal("Config: parameter '%s' = '%s' %s", key.c_str(),
-              it->second.c_str(), why);
+              text->c_str(), why);
     }
     return v;
 }
@@ -201,39 +200,50 @@ Config::has(const std::string &key) const
     return values_.count(key) != 0;
 }
 
+const std::string *
+Config::lookup(const std::string &key) const
+{
+    auto it = values_.find(key);
+    if (it == values_.end()) {
+        return nullptr;
+    }
+    read_.insert(key);
+    return &it->second;
+}
+
 std::string
 Config::getString(const std::string &key, const std::string &def) const
 {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
+    const std::string *v = lookup(key);
+    return v == nullptr ? def : *v;
 }
 
 int64_t
 Config::getInt(const std::string &key, int64_t def) const
 {
-    return typedValue(values_, key, def, parseInt);
+    return typedValue(lookup(key), key, def, parseInt);
 }
 
 uint64_t
 Config::getUint(const std::string &key, uint64_t def) const
 {
-    return typedValue(values_, key, def, parseUint);
+    return typedValue(lookup(key), key, def, parseUint);
 }
 
 double
 Config::getDouble(const std::string &key, double def) const
 {
-    return typedValue(values_, key, def, parseDouble);
+    return typedValue(lookup(key), key, def, parseDouble);
 }
 
 bool
 Config::getBool(const std::string &key, bool def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end()) {
+    const std::string *text = lookup(key);
+    if (text == nullptr) {
         return def;
     }
-    const std::string &v = it->second;
+    const std::string &v = *text;
     if (v == "true" || v == "1" || v == "yes" || v == "on") {
         return true;
     }
@@ -270,6 +280,19 @@ Config::keys() const
     out.reserve(values_.size());
     for (const auto &[k, v] : values_) {
         out.push_back(k);
+    }
+    return out;
+}
+
+std::vector<std::string>
+Config::unread(const std::string &prefix) const
+{
+    std::vector<std::string> out;
+    for (auto it = values_.lower_bound(prefix);
+         it != values_.end() && it->first.rfind(prefix, 0) == 0; ++it) {
+        if (read_.count(it->first) == 0) {
+            out.push_back(it->first);
+        }
     }
     return out;
 }

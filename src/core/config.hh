@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,12 @@ namespace diablo {
 const char *parseUint(const std::string &text, uint64_t *out);
 const char *parseDouble(const std::string &text, double *out);
 
-/** Typed key-value parameter store with dotted names. */
+/**
+ * Typed key-value parameter store with dotted names.  It remembers
+ * which keys a typed getter has read, so a reader can reject the keys
+ * that nothing read (unread()).  The getters are const but record
+ * their reads, so a Config is read from one thread at a time.
+ */
 class Config {
   public:
     Config() = default;
@@ -59,7 +65,10 @@ class Config {
 
     bool has(const std::string &key) const;
 
-    /** Typed getters; return @p def when the key is absent. */
+    /**
+     * Typed getters; return @p def when the key is absent.  Each marks
+     * a present key as read; has() does not.
+     */
     std::string getString(const std::string &key,
                           const std::string &def) const;
     int64_t getInt(const std::string &key, int64_t def) const;
@@ -79,8 +88,16 @@ class Config {
     /** All keys in sorted order (for dumping a run's configuration). */
     std::vector<std::string> keys() const;
 
+    /** The keys starting with @p prefix that no getter has read, in
+     *  sorted order. */
+    std::vector<std::string> unread(const std::string &prefix) const;
+
   private:
+    /** The value of @p key, marked read; nullptr when absent. */
+    const std::string *lookup(const std::string &key) const;
+
     std::map<std::string, std::string> values_;
+    mutable std::set<std::string> read_;
 };
 
 /**

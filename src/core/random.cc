@@ -157,27 +157,6 @@ Rng::generalizedPareto(double location, double scale, double shape)
     return location + scale * (std::pow(u, -shape) - 1.0) / shape;
 }
 
-size_t
-Rng::weightedChoice(const std::vector<double> &weights)
-{
-    double total = 0;
-    for (double w : weights) {
-        total += w;
-    }
-    if (total <= 0) {
-        panic("Rng::weightedChoice: non-positive total weight");
-    }
-    double r = uniform() * total;
-    double acc = 0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        if (r < acc) {
-            return i;
-        }
-    }
-    return weights.size() - 1;
-}
-
 namespace {
 
 std::shared_ptr<const std::vector<double>>

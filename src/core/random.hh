@@ -74,9 +74,6 @@ class Rng {
     /** Generalized Pareto with location/scale/shape (Atikoglu et al.). */
     double generalizedPareto(double location, double scale, double shape);
 
-    /** Pick an index in [0, weights.size()) proportionally to weights. */
-    size_t weightedChoice(const std::vector<double> &weights);
-
     uint64_t seed() const { return seed_; }
 
   private:

@@ -11,7 +11,6 @@
 #include <fcntl.h>
 #include <linux/futex.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
 #include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
@@ -150,35 +149,6 @@ ShmSegment::create(const std::string &path, size_t bytes)
     return seg;
 }
 
-ShmSegment
-ShmSegment::attach(const std::string &path)
-{
-    const int fd = ::open(path.c_str(), O_RDWR);
-    if (fd < 0) {
-        fatal("ShmSegment: attach %s: %s", path.c_str(),
-              std::strerror(errno));
-    }
-    struct stat st;
-    if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-        ::close(fd);
-        fatal("ShmSegment: attach %s: cannot size segment",
-              path.c_str());
-    }
-    const size_t bytes = static_cast<size_t>(st.st_size);
-    void *mem = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
-                       fd, 0);
-    ::close(fd);
-    if (mem == MAP_FAILED) {
-        fatal("ShmSegment: mmap %s: %s", path.c_str(),
-              std::strerror(errno));
-    }
-    ShmSegment seg;
-    seg.mem_ = mem;
-    seg.bytes_ = bytes;
-    seg.path_ = path;
-    return seg;
-}
-
 void
 ShmSegment::unlinkFile()
 {
@@ -223,14 +193,6 @@ ShmSegment::create(const std::string &path, size_t bytes)
     seg.bytes_ = bytes;
     seg.path_ = path;
     return seg;
-}
-
-ShmSegment
-ShmSegment::attach(const std::string &path)
-{
-    fatal("ShmSegment: cross-process attach unsupported on this "
-          "platform (%s)",
-          path.c_str());
 }
 
 void

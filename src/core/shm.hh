@@ -10,7 +10,7 @@
  * mmap'd file instead.  This header holds the process-agnostic pieces:
  *
  *  - ShmSegment: a file-backed MAP_SHARED mapping, created by the
- *    launcher and attached by each engine process.
+ *    launcher before it forks the engine processes, which inherit it.
  *  - sharedFutexWait/Wake: park/wake on a 32-bit word that lives in
  *    shared memory.  std::atomic::wait cannot be used across processes
  *    (libstdc++ parks on process-private futexes / proxy tables), so
@@ -47,10 +47,9 @@ void sharedFutexWake(std::atomic<uint32_t> *word, bool all);
 
 /**
  * A file-backed shared mapping.  The launcher create()s it sized for
- * the process group's rings, children attach() by path, and the
- * creator unlink()s the file once every child has attached (the
- * mapping survives the unlink; nothing leaks on a crash after that
- * point).  Movable, not copyable; the destructor unmaps.
+ * the process group's rings and unlinkFile()s it at once: the mapping
+ * survives the unlink, every forked rank inherits it, and a crash
+ * leaves no file behind.  Movable, not copyable; the destructor unmaps.
  */
 class ShmSegment {
   public:
@@ -65,16 +64,11 @@ class ShmSegment {
     /** Create the backing file (must not exist), size it, map it. */
     static ShmSegment create(const std::string &path, size_t bytes);
 
-    /** Map an existing segment created by another process. */
-    static ShmSegment attach(const std::string &path);
-
     /** Remove the backing file; the mapping stays valid. */
     void unlinkFile();
 
     bool valid() const { return mem_ != nullptr; }
     void *data() const { return mem_; }
-    size_t size() const { return bytes_; }
-    const std::string &path() const { return path_; }
 
   private:
     void *mem_ = nullptr;

@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Statistics collection: counters, running moments, sample sets with
- * percentile/CDF/PMF extraction, and log-binned histograms.
+ * Statistics collection: counters, sample sets with percentile/CDF/PMF
+ * extraction, and log-binned histograms.
  *
  * DIABLO is "fully instrumented"; every model in this repo exposes its
  * behaviour through these types, and the bench harnesses turn them into
@@ -28,28 +28,6 @@ class Counter {
 
   private:
     uint64_t value_ = 0;
-};
-
-/** Streaming mean/variance/min/max via Welford's algorithm. */
-class RunningStats {
-  public:
-    void record(double x);
-
-    uint64_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-
-  private:
-    uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
 };
 
 /**

@@ -27,7 +27,7 @@
  *
  * Wire framing: every ring record starts with a uint32 kind.  Records
  * are POD and carried verbatim — both sides of a transport are builds
- * of this same binary (the launcher re-execs itself), so there is no
+ * of this same binary (the launcher forks its ranks), so there is no
  * cross-version concern beyond the HELLO handshake's layout hash.
  */
 

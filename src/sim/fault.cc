@@ -1,6 +1,6 @@
 #include "sim/fault.hh"
 
-#include <set>
+#include <algorithm>
 
 #include "core/log.hh"
 #include "sim/cluster.hh"
@@ -174,15 +174,10 @@ FaultPlan::fromConfig(const Config &cfg)
 {
     FaultPlan plan;
     plan.seed_ = cfg.getUint("fault.seed", plan.seed_);
-    // Every fault.* key must be read below; `key` records each one.
-    std::set<std::string> read{"fault.seed"};
-    auto key = [&read](const std::string &k) -> const std::string & {
-        return *read.insert(k).first;
-    };
     constexpr int kLastKind = static_cast<int>(FaultKind::ServerReboot);
     for (size_t i = 0; cfg.has(strprintf("fault.%zu.kind", i)); ++i) {
         const std::string p = strprintf("fault.%zu.", i);
-        const std::string kind = cfg.getString(key(p + "kind"), "");
+        const std::string kind = cfg.getString(p + "kind", "");
         int k = 0;
         while (k <= kLastKind &&
                kind != faultKindName(static_cast<FaultKind>(k))) {
@@ -194,41 +189,40 @@ FaultPlan::fromConfig(const Config &cfg)
         }
         FaultEvent e;
         e.kind = static_cast<FaultKind>(k);
-        e.at = usToSimTime(cfg.getDouble(key(p + "at_us"), 0.0));
+        e.at = usToSimTime(cfg.getDouble(p + "at_us", 0.0));
         switch (e.kind) {
         case FaultKind::TrunkBrownout:
-            e.loss_prob = cfg.getDouble(key(p + "loss"), 0.01);
+            e.loss_prob = cfg.getDouble(p + "loss", 0.01);
             e.extra_latency =
-                usToSimTime(cfg.getDouble(key(p + "extra_us"), 0.0));
+                usToSimTime(cfg.getDouble(p + "extra_us", 0.0));
             [[fallthrough]];
         case FaultKind::TrunkDown:
         case FaultKind::TrunkUp:
         case FaultKind::TrunkRepair:
-            e.rack = static_cast<uint32_t>(cfg.getUint(key(p + "rack"), 0));
+            e.rack = static_cast<uint32_t>(cfg.getUint(p + "rack", 0));
             e.plane =
-                static_cast<uint32_t>(cfg.getUint(key(p + "plane"), 0));
+                static_cast<uint32_t>(cfg.getUint(p + "plane", 0));
             break;
         case FaultKind::SwitchCrash:
         case FaultKind::SwitchRestart:
             e.array =
-                static_cast<uint32_t>(cfg.getUint(key(p + "array"), 0));
+                static_cast<uint32_t>(cfg.getUint(p + "array", 0));
             e.plane =
-                static_cast<uint32_t>(cfg.getUint(key(p + "plane"), 0));
+                static_cast<uint32_t>(cfg.getUint(p + "plane", 0));
             break;
         case FaultKind::ServerCrash:
         case FaultKind::ServerReboot:
             e.node =
-                static_cast<net::NodeId>(cfg.getUint(key(p + "node"), 0));
+                static_cast<net::NodeId>(cfg.getUint(p + "node", 0));
             break;
         }
         plan.events_.push_back(e);
     }
-    for (const std::string &k : cfg.keys()) {
-        if (k.rfind("fault.", 0) != 0 || read.count(k) != 0) {
-            continue;
-        }
+    // Every fault.* key must have been read above.
+    const std::vector<std::string> unread = cfg.unread("fault.");
+    for (const std::string &k : unread) {
         const std::string kind = k.substr(0, k.find('.', 6)) + ".kind";
-        if (cfg.has(kind) && read.count(kind) == 0) {
+        if (std::binary_search(unread.begin(), unread.end(), kind)) {
             fatal("FaultPlan: '%s' follows a gap: fault events are "
                   "numbered from fault.0 up without one",
                   kind.c_str());

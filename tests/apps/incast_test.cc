@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/incast.hh"
+#include "sim/fault.hh"
 
 namespace diablo {
 namespace apps {
@@ -158,6 +159,33 @@ TEST(IncastExperiment, CollapsedFanInRunsPastOneMinute)
     ASSERT_FALSE(exp.aborted());
     EXPECT_EQ(exp.result().iteration_us.count(), 26u);
     EXPECT_GT(sim.now(), SimTime::sec(60));
+}
+
+TEST(IncastExperiment, CrashedEpollClientEndsTheRun)
+{
+    // A crashed kernel fails epoll_wait before it suspends, so a client
+    // that retried every failed wait would spin at one instant and the
+    // run would never return.  The client gives up instead: the run
+    // ends, not done, on either sharded engine.
+    Config cfg;
+    cfg.set("incast.servers", 8);
+    cfg.set("incast.racks", 2);
+    cfg.set("incast.iterations", 5);
+    cfg.set("incast.epoll", true);
+    cfg.set("fault.0.kind", "server_crash");
+    cfg.set("fault.0.at_us", 1000);
+    cfg.set("fault.0.node", 0);
+    const IncastExperimentParams p = IncastExperimentParams::fromConfig(cfg);
+    for (bool parallel : {false, true}) {
+        fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+        IncastExperiment exp(ps, p);
+        sim::FaultController fc(exp.cluster(),
+                                sim::FaultPlan::fromConfig(cfg));
+        fc.install();
+        exp.run(parallel);
+        EXPECT_TRUE(exp.aborted()) << (parallel ? "par" : "seq");
+        EXPECT_EQ(exp.result().iteration_us.count(), 0u);
+    }
 }
 
 } // namespace

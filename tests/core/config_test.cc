@@ -92,6 +92,34 @@ TEST(Config, KeysSorted)
     EXPECT_EQ(ks[2], "zz");
 }
 
+TEST(Config, UnreadListsKeysNoGetterRead)
+{
+    Config c;
+    c.set("mc.requests", 2);
+    c.set("mc.udp", "false");
+    c.set("nodes", 248);
+    c.set("fault.0.kind", "server_crash");
+    c.set("fault.0.nodes", 1);
+    EXPECT_EQ(c.unread(""),
+              (std::vector<std::string>{"fault.0.kind", "fault.0.nodes",
+                                        "mc.requests", "mc.udp", "nodes"}));
+    // has() is not a read, and a default for an absent key reads
+    // nothing.
+    EXPECT_TRUE(c.has("fault.0.kind"));
+    EXPECT_EQ(c.getUint("mc.servers", 3), 3u);
+    EXPECT_EQ(c.unread("fault."),
+              (std::vector<std::string>{"fault.0.kind", "fault.0.nodes"}));
+    // Every typed getter marks its key.
+    EXPECT_EQ(c.getUint("mc.requests", 0), 2u);
+    EXPECT_FALSE(c.getBool("mc.udp", true));
+    EXPECT_EQ(c.getString("fault.0.kind", ""), "server_crash");
+    EXPECT_EQ(c.unread(""),
+              (std::vector<std::string>{"fault.0.nodes", "nodes"}));
+    EXPECT_EQ(c.unread("mc."), std::vector<std::string>{});
+    EXPECT_EQ(c.unread("fault."),
+              std::vector<std::string>{"fault.0.nodes"});
+}
+
 TEST(Config, LargeInBoundsValuesStillParse)
 {
     Config c;

@@ -148,20 +148,6 @@ TEST(Rng, BernoulliFrequency)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, WeightedChoice)
-{
-    Rng r(29);
-    std::vector<double> w = {1.0, 0.0, 3.0};
-    int counts[3] = {0, 0, 0};
-    const int n = 40000;
-    for (int i = 0; i < n; ++i) {
-        counts[r.weightedChoice(w)]++;
-    }
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.02);
-    EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
-}
-
 TEST(ZipfSampler, RankZeroMostPopular)
 {
     Rng r(31);

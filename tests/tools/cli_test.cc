@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "tools/tool_test_util.hh"
 
@@ -160,6 +161,28 @@ TEST(DiabloRunCli, RejectsMalformedThreads)
     const std::string cmd = std::string(DIABLO_RUN_BIN) +
                             " incast --threads=zzz > /dev/null 2>&1";
     EXPECT_EQ(runCmd(cmd), 2);
+}
+
+TEST(DiabloRunCli, RejectsKeysNothingReads)
+{
+    // A misspelt key, or another workload's, used to run the defaults
+    // without a word: `nodes=248` ran the full 1,984-node array.
+    const std::string log = tmpPath("unread.log");
+    const std::pair<std::string, std::string> cases[] = {
+        {" memcached nodes=248 mc.requests=2", "'nodes'"},
+        {" memcached topo.num_arrays=1 mc.requests=2 incast.racks=2",
+         "'incast.racks'"},
+        {std::string(kTinyIncast) + " mc.requests=2", "'mc.requests'"},
+    };
+    for (const auto &[args, key] : cases) {
+        SCOPED_TRACE(args);
+        EXPECT_EQ(runCmd(std::string(DIABLO_RUN_BIN) + args + " > " + log +
+                         " 2>&1"),
+                  2);
+        const std::string out = slurp(log);
+        EXPECT_NE(out.find(key), std::string::npos) << out;
+    }
+    std::remove(log.c_str());
 }
 
 TEST(DiabloSweepCli, TwoPointEngineGridCrossChecks)

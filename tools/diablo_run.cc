@@ -10,15 +10,17 @@
  *              mc.requests=500 mc.udp=false
  *   diablo_run incast incast.servers=16 topo.rack.buffer_per_port_bytes=4096
  *
- * Unknown keys are ignored by the models that do not read them, so the
- * full key set is discoverable from the *Params::fromConfig readers.
+ * A key that nothing reads (a misspelling, or another workload's key)
+ * exits 2 naming it, so the full key set is the workload's
+ * *Params::fromConfig reader plus the fault.*, telemetry.* and run.*
+ * keys below.
  *
  * --fault-plan <file> injects a deterministic fault timeline (see
  * sim::FaultPlan::fromFile for the key=value schema) into the run;
  * fault.<i>.* keys given directly on the command line work too, and
  * when both are present the file's timeline comes first with the
  * command-line events appended (and a command-line fault.seed winning).
- * Unlike model keys, a fault.* key the plan does not read is fatal.
+ * A fault.* key the plan does not read is fatal.
  *
  * Every --flag that takes a value is spelled "--flag value" or
  * "--flag=value" (FlagReader); a malformed value exits 2.
@@ -64,7 +66,6 @@
  * records latencies into fixed-memory quantile sketches.
  */
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -105,11 +106,11 @@ struct EngineOpts {
     bool mem_report = false;
     /**
      * Engine processes (--processes).  >1 selects the coupled
-     * multiprocess engine: the launcher re-execs N-1 child copies of
-     * this binary, partitions are assigned to ranks by the same LPT
-     * balance the parallel engine uses, and the group runs in lockstep
-     * windows over shared-memory ring transports.  Results are
-     * bit-identical to seq/par.  Child ranks carry the group size.
+     * multiprocess engine: the launcher forks N-1 child ranks,
+     * partitions are assigned to ranks by the same LPT balance the
+     * parallel engine uses, and the group runs in lockstep windows over
+     * shared-memory ring transports.  Results are bit-identical to
+     * seq/par.
      */
     size_t processes = 1;
 
@@ -146,23 +147,35 @@ struct EngineOpts {
     }
 };
 
-/** Everything main() parses besides key=value model overrides. */
+/**
+ * Everything main() parses besides the model keys: the flags, and the
+ * observers' telemetry.* and run.* keys, read before the unread-key
+ * check (see runWorkload).
+ */
 struct RunOpts {
     EngineOpts eng;
     const char *plan_file = nullptr;
     const char *json_path = nullptr;
+    double telemetry_period_us = 0.0; ///< telemetry.period; 0 = off
+    std::string telemetry_path;       ///< telemetry.path, when on
+    sim::Watchdog::Params watchdog;   ///< run.deadline, stall, grace
 
-    /** Original command line, for re-execing child engine ranks. */
-    int argc = 0;
-    char **argv = nullptr;
-
-    // --- child-rank identity (internal --proc-* flags) ---------------
-    uint32_t proc_rank = 0;        ///< this process's coupled rank
-    uint32_t proc_nprocs = 0;      ///< group size
-    const char *proc_shm = nullptr; ///< group segment path
-    int proc_result_fd = -1;       ///< pipe back to the launcher
-
-    bool isChildRank() const { return proc_shm != nullptr; }
+    void
+    readObserverKeys(const Config &cfg)
+    {
+        telemetry_period_us = cfg.getDouble("telemetry.period", 0.0);
+        if (telemetry_period_us > 0.0) {
+            // Default: next to the --json artifact, or ./ without one.
+            telemetry_path = cfg.getString(
+                "telemetry.path",
+                json_path != nullptr
+                    ? std::string(json_path) + ".telemetry.jsonl"
+                    : std::string("telemetry.jsonl"));
+        }
+        watchdog.deadline_s = cfg.getDouble("run.deadline", 0.0);
+        watchdog.stall_s = cfg.getDouble("run.stall", 0.0);
+        watchdog.grace_s = cfg.getDouble("run.grace", 5.0);
+    }
 };
 
 /**
@@ -320,41 +333,30 @@ fmtBytes(uint64_t b)
 
 /**
  * Construct the telemetry probe when telemetry.period (sim-time µs) is
- * set.  The stream goes to telemetry.path, defaulting to the --json
- * path with a .telemetry.jsonl suffix (or ./telemetry.jsonl when the
- * run has no artifact).
+ * set, streaming to the telemetry path.
  */
 std::unique_ptr<sim::TelemetryProbe>
-makeProbe(const Config &cfg, sim::Cluster &cluster, const RunOpts &opts)
+makeProbe(sim::Cluster &cluster, const RunOpts &opts)
 {
-    const double period_us = cfg.getDouble("telemetry.period", 0.0);
-    if (period_us <= 0.0) {
+    if (opts.telemetry_period_us <= 0.0) {
         return nullptr;
     }
-    std::string def = opts.json_path != nullptr
-                          ? std::string(opts.json_path) +
-                                ".telemetry.jsonl"
-                          : std::string("telemetry.jsonl");
     return std::make_unique<sim::TelemetryProbe>(
-        cluster, SimTime::microseconds(period_us),
-        cfg.getString("telemetry.path", def));
+        cluster, SimTime::microseconds(opts.telemetry_period_us),
+        opts.telemetry_path);
 }
 
 /**
- * Build the run watchdog when run.deadline / run.stall (wall-clock
- * seconds) are configured.
+ * Build and arm the run watchdog when run.deadline / run.stall
+ * (wall-clock seconds) are configured.
  */
 std::unique_ptr<sim::Watchdog>
-makeWatchdog(const Config &cfg)
+makeWatchdog(const RunOpts &opts)
 {
-    sim::Watchdog::Params wp;
-    wp.deadline_s = cfg.getDouble("run.deadline", 0.0);
-    wp.stall_s = cfg.getDouble("run.stall", 0.0);
-    wp.grace_s = cfg.getDouble("run.grace", 5.0);
-    if (!wp.enabled()) {
+    if (!opts.watchdog.enabled()) {
         return nullptr;
     }
-    auto wd = std::make_unique<sim::Watchdog>(wp);
+    auto wd = std::make_unique<sim::Watchdog>(opts.watchdog);
     wd->arm();
     return wd;
 }
@@ -581,12 +583,13 @@ fillCommonArtifact(analysis::RunArtifact &a,
 // ====================================================================
 // Coupled multiprocess engine (--processes N)
 //
-// The leader (rank 0) spawns N-1 re-exec'd copies of this binary, then
-// builds the full model like any run and drives the group through
-// outer windows via the shared control block; every rank runs only the
-// partitions the deterministic LPT assignment gives it, exchanging
-// trunk packets and sync records over shared-memory rings (one
-// fame::Transport per peer, from fame::groupTransport).  Results are bit-identical to the seq/par
+// The leader (rank 0) maps the group segment and forks N-1 child ranks
+// before anything is built; every rank then builds the full model like
+// any run, and the leader drives the group through outer windows via
+// the shared control block.  Every rank runs only the partitions the
+// deterministic LPT assignment gives it, exchanging trunk packets and
+// sync records over shared-memory rings (one fame::Transport per peer,
+// from fame::groupTransport).  Results are bit-identical to the seq/par
 // engines: every child fills the same measured artifact sections as
 // any run and writes their ledger() down a pipe, and the leader adds
 // each ledger into its own before the per-run constants go in, so the
@@ -636,11 +639,14 @@ readAll(int fd, void *p, size_t n)
 /**
  * One process's side of a --processes group: the shared segment, the
  * ring transports to the other ranks and, on the leader, the child
- * ranks it spawned.  Inactive for single-process runs.
+ * ranks it forked.  Inactive for single-process runs.
  */
 class ProcessGroup {
   public:
     bool active() const { return ctl_ != nullptr; }
+
+    /** A forked child rank, not the leader. */
+    bool isChild() const { return rank_ != 0; }
 
     /** Some rank saw a local interrupt. */
     bool
@@ -650,10 +656,16 @@ class ProcessGroup {
     }
 
     /**
-     * Leader: clamp the process count to the partitions there are to
-     * split (recording it in @p opts), create the segment and spawn
-     * the child ranks.  Returns a non-zero exit code when the request
-     * cannot be honored.
+     * Clamp the process count to the partitions there are to split
+     * (recording it in @p opts), map the group segment and fork the
+     * child ranks.  Returns a non-zero exit code when the request
+     * cannot be honored.  launch returns in every rank: a child carries
+     * on with the Config, fault plan and options it inherited, and
+     * isChild() tells it apart.
+     *
+     * fork copies only the calling thread, so launch must run before
+     * anything starts one (the engine's worker pool, the watchdog):
+     * a child would lack the thread and might inherit its locks held.
      */
     int
     launch(RunOpts &opts, size_t nparts)
@@ -679,28 +691,38 @@ class ProcessGroup {
             "/tmp/diablo_mp_" + std::to_string(getpid()) + ".shm";
         ::unlink(shm_path.c_str()); // clear debris a crashed run left
         seg_ = ShmSegment::create(shm_path, layout_.totalBytes());
+        // Every rank inherits the mapping, so the name goes before any
+        // rank exists: a killed group leaves no file behind.
+        seg_.unlinkFile();
         fame::initGroupSegment(seg_.data(), layout_);
         ctl_ = fame::groupControl(seg_.data(), layout_);
+        // Buffered output would otherwise be written once per process.
+        std::fflush(nullptr);
         for (uint32_t r = 1; r < nprocs_; ++r) {
-            spawn(opts, r, shm_path);
+            int pfd[2];
+            if (pipe(pfd) != 0) {
+                fatal("pipe: %s", std::strerror(errno));
+            }
+            const pid_t pid = fork();
+            if (pid < 0) {
+                fatal("fork: %s", std::strerror(errno));
+            }
+            if (pid == 0) {
+                // Keep only this rank's write end: the read ends of the
+                // earlier siblings' pipes came along with the fork.
+                for (const Child &k : kids_) {
+                    close(k.fd);
+                }
+                kids_.clear();
+                close(pfd[0]);
+                rank_ = r;
+                result_fd_ = pfd[1];
+                return 0;
+            }
+            close(pfd[1]);
+            kids_.push_back(Child{pid, pfd[0], r});
         }
         return 0;
-    }
-
-    /** Child rank: map the leader's segment. */
-    void
-    attach(const RunOpts &opts)
-    {
-        rank_ = opts.proc_rank;
-        nprocs_ = opts.proc_nprocs;
-        result_fd_ = opts.proc_result_fd;
-        layout_.nprocs = nprocs_;
-        seg_ = ShmSegment::attach(opts.proc_shm);
-        if (seg_.size() < layout_.totalBytes()) {
-            fatal("rank %u: group segment %s is %zu bytes, need %zu",
-                  rank_, opts.proc_shm, seg_.size(), layout_.totalBytes());
-        }
-        ctl_ = fame::groupControl(seg_.data(), layout_);
     }
 
     /** Couple @p cluster's engine to every other rank. */
@@ -732,9 +754,6 @@ class ProcessGroup {
             abandoned_ = true;
             return false;
         }
-        // Every rank answered the first barrier, so the segment is
-        // mapped everywhere; nothing leaks on a crash from here on.
-        unlinkOnce();
         return true;
     }
 
@@ -778,18 +797,6 @@ class ProcessGroup {
         uint32_t rank;
     };
 
-    void spawn(const RunOpts &opts, uint32_t rank,
-               const std::string &shm_path);
-
-    void
-    unlinkOnce()
-    {
-        if (!unlinked_) {
-            seg_.unlinkFile();
-            unlinked_ = true;
-        }
-    }
-
     uint32_t rank_ = 0;
     uint32_t nprocs_ = 1;
     int result_fd_ = -1;
@@ -798,62 +805,9 @@ class ProcessGroup {
     fame::ShmGroupControl *ctl_ = nullptr;
     std::vector<std::unique_ptr<fame::Transport>> transports_;
     std::vector<Child> kids_;
-    bool unlinked_ = false;
     SimTime reached_;        ///< the leader's last window end
     bool abandoned_ = false; ///< a leader step found the run abandoned
 };
-
-void
-ProcessGroup::spawn(const RunOpts &opts, uint32_t rank,
-                    const std::string &shm_path)
-{
-    int pfd[2];
-    if (pipe(pfd) != 0) {
-        fatal("pipe: %s", std::strerror(errno));
-    }
-    // Only the write end crosses the exec; read ends of earlier
-    // children must not leak into later ones.
-    fcntl(pfd[0], F_SETFD, FD_CLOEXEC);
-    const pid_t pid = fork();
-    if (pid < 0) {
-        fatal("fork: %s", std::strerror(errno));
-    }
-    if (pid == 0) {
-        close(pfd[0]);
-        // Re-exec this binary as the child rank: same scenario
-        // arguments, minus the leader-only --json/--processes, plus
-        // the child-rank identity.
-        std::vector<std::string> args;
-        args.push_back(opts.argv[0]);
-        args.push_back("incast");
-        FlagReader f(opts.argc, opts.argv, 2);
-        while (f.more()) {
-            if (f.value("--json") == nullptr &&
-                f.value("--processes") == nullptr) {
-                args.push_back(f.next());
-            }
-        }
-        args.push_back("--proc-rank");
-        args.push_back(std::to_string(rank));
-        args.push_back("--proc-nprocs");
-        args.push_back(std::to_string(nprocs_));
-        args.push_back("--proc-shm");
-        args.push_back(shm_path);
-        args.push_back("--proc-result-fd");
-        args.push_back(std::to_string(pfd[1]));
-        std::vector<char *> cargv;
-        cargv.reserve(args.size() + 1);
-        for (std::string &s : args) {
-            cargv.push_back(const_cast<char *>(s.c_str()));
-        }
-        cargv.push_back(nullptr);
-        execv("/proc/self/exe", cargv.data());
-        std::fprintf(stderr, "execv: %s\n", std::strerror(errno));
-        _exit(127);
-    }
-    close(pfd[1]);
-    kids_.push_back(Child{pid, pfd[0], rank});
-}
 
 bool
 ProcessGroup::follow(fame::PartitionSet &ps)
@@ -916,7 +870,6 @@ ProcessGroup::finish(bool interrupted, analysis::RunArtifact &a)
     ctl_->publish(interrupted ? fame::ShmGroupControl::kStopInterrupted
                               : fame::ShmGroupControl::kStop,
                   reached_.toPs());
-    unlinkOnce();
 
     const size_t words = a.ledger().size();
     bool failed = false;
@@ -1113,10 +1066,19 @@ int
 runWorkload(const Config &cfg, const sim::FaultPlan &plan, RunOpts opts)
 {
     const typename W::Params p = W::Params::fromConfig(cfg);
+    // Every reader has run (main read the fault plan and the observer
+    // keys), so a key left unread is one nothing reads.  Rejected
+    // before the fork, or the children would wait out the leader.
+    const std::vector<std::string> unread = cfg.unread("");
+    for (const std::string &k : unread) {
+        std::fprintf(stderr, "unknown key '%s' (a %s run does not "
+                     "read it)\n", k.c_str(), W::kName);
+    }
+    if (!unread.empty()) {
+        return 2;
+    }
     ProcessGroup group;
-    if (opts.isChildRank()) {
-        group.attach(opts);
-    } else if (opts.eng.processes > 1) {
+    if (opts.eng.processes > 1) {
         const int rc =
             group.launch(opts, sim::Cluster::partitionsRequired(p.cluster));
         if (rc != 0) {
@@ -1144,15 +1106,15 @@ runWorkload(const Config &cfg, const sim::FaultPlan &plan, RunOpts opts)
     // engine ranks install the plan without printing it and run no
     // watchdog: they follow the leader's.
     if (!plan.empty()) {
-        if (!opts.isChildRank()) {
+        if (!group.isChild()) {
             std::printf("%s", plan.str().c_str());
         }
         e.fc = std::make_unique<sim::FaultController>(cluster, plan);
         e.fc->install();
     }
-    e.probe = makeProbe(cfg, cluster, opts);
-    if (!opts.isChildRank()) {
-        e.wd = makeWatchdog(cfg);
+    e.probe = makeProbe(cluster, opts);
+    if (!group.isChild()) {
+        e.wd = makeWatchdog(opts);
     }
     if (e.probe != nullptr) {
         W::setSampler(*e.probe, *exp, p);
@@ -1162,7 +1124,7 @@ runWorkload(const Config &cfg, const sim::FaultPlan &plan, RunOpts opts)
         group.couple(cluster, *e.ps);
     }
 
-    if (opts.isChildRank()) {
+    if (group.isChild()) {
         // A child prints nothing; the leader owns the report.
         const bool interrupted = group.follow(*e.ps);
         analysis::RunArtifact a;
@@ -1231,8 +1193,6 @@ main(int argc, char **argv)
     }
     Config cfg;
     RunOpts opts;
-    opts.argc = argc;
-    opts.argv = argv;
     EngineOpts &eng = opts.eng;
     uint64_t n = 0;
     FlagReader f(argc, argv, 2);
@@ -1262,24 +1222,6 @@ main(int argc, char **argv)
             eng.processes = static_cast<size_t>(n);
             continue;
         }
-        // Internal child-rank identity flags, set by the launcher's
-        // re-exec; never given by hand.
-        if (f.value("--proc-rank", &n)) {
-            opts.proc_rank = static_cast<uint32_t>(n);
-            continue;
-        }
-        if (f.value("--proc-nprocs", &n)) {
-            opts.proc_nprocs = static_cast<uint32_t>(n);
-            continue;
-        }
-        if (const char *v = f.value("--proc-shm")) {
-            opts.proc_shm = v;
-            continue;
-        }
-        if (f.value("--proc-result-fd", &n)) {
-            opts.proc_result_fd = static_cast<int>(n);
-            continue;
-        }
         if (f.take("--no-pin")) {
             eng.pin = false;
             continue;
@@ -1295,7 +1237,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    const bool mp = eng.processes > 1 || opts.isChildRank();
+    opts.readObserverKeys(cfg);
+    const bool mp = eng.processes > 1;
     if (mp && std::strcmp(argv[1], "incast") != 0) {
         // memcached attaches request descriptors (AppData) to packets,
         // which cannot cross a process boundary.
@@ -1303,20 +1246,11 @@ main(int argc, char **argv)
                      "--processes supports only the incast workload\n");
         return 2;
     }
-    if (mp && cfg.getDouble("telemetry.period", 0.0) > 0.0) {
+    if (mp && opts.telemetry_period_us > 0.0) {
         std::fprintf(stderr, "--processes does not support telemetry "
                              "streaming (samplers read only the "
                              "leader's partitions)\n");
         return 2;
-    }
-    if (opts.isChildRank()) {
-        if (opts.proc_rank == 0 || opts.proc_nprocs < 2 ||
-            opts.proc_rank >= opts.proc_nprocs ||
-            opts.proc_result_fd < 0) {
-            std::fprintf(stderr, "malformed --proc-* child identity\n");
-            return 2;
-        }
-        eng.processes = opts.proc_nprocs;
     }
     const sim::FaultPlan plan = makeFaultPlan(cfg, opts.plan_file);
     // Install before any simulation work so even an immediate SIGTERM

@@ -26,7 +26,7 @@
  * unknown one is an error.  `sweep.jobs` (a positive integer; --jobs
  * overrides) caps concurrent jobs; `sweep.name` names the run
  * directory's report.  Every other key is passed through as a model
- * override.
+ * override, and a job whose key nothing reads exits 2 (diablo_run).
  *
  * Unattended operation: the sweep is built to survive wedged, killed,
  * and flaky grid points without torching the campaign.
@@ -73,7 +73,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -114,24 +113,44 @@ struct Spec {
  */
 constexpr uint64_t kMaxRetries = 63;
 
-const char *const kControls[] = {"sweep.jobs",    "sweep.name",
-                                 "sweep.timeout", "sweep.grace",
-                                 "sweep.retries", "sweep.backoff"};
-
 Spec
 parseSpec(const std::string &path)
 {
     std::vector<std::string> order;
     const Config cfg = Config::fromFile(path, &order);
     Spec spec;
+    auto seconds = [&](const char *key, double def) {
+        const double s = cfg.getDouble(key, def);
+        if (!(std::isfinite(s) && s >= 0.0)) {
+            fatal("diablo_sweep: %s: %s = %s is not a finite number >= 0",
+                  path.c_str(), key, cfg.getString(key, "").c_str());
+        }
+        return s;
+    };
+    spec.jobs = cfg.getUint("sweep.jobs", spec.jobs);
+    if (spec.jobs == 0) {
+        fatal("diablo_sweep: %s: sweep.jobs must be at least 1",
+              path.c_str());
+    }
+    spec.name = cfg.getString("sweep.name", spec.name);
+    spec.timeout_s = seconds("sweep.timeout", spec.timeout_s);
+    spec.grace_s = seconds("sweep.grace", spec.grace_s);
+    spec.backoff_s = seconds("sweep.backoff", spec.backoff_s);
+    spec.retries = cfg.getUint("sweep.retries", spec.retries);
+    if (spec.retries > kMaxRetries) {
+        fatal("diablo_sweep: %s: sweep.retries = %zu is above %llu "
+              "(retry k waits sweep.backoff x 2^(k-1))",
+              path.c_str(), spec.retries,
+              static_cast<unsigned long long>(kMaxRetries));
+    }
+    // The controls above are every sweep.* key there is.
+    for (const std::string &key : cfg.unread("sweep.")) {
+        fatal("diablo_sweep: %s: unknown key '%s'", path.c_str(),
+              key.c_str());
+    }
     for (const std::string &key : order) {
         const std::string value = cfg.getString(key, "");
         if (key.rfind("sweep.", 0) == 0) {
-            if (std::find(std::begin(kControls), std::end(kControls),
-                          key) == std::end(kControls)) {
-                fatal("diablo_sweep: %s: unknown key '%s'", path.c_str(),
-                      key.c_str());
-            }
             if (value.find(',') != std::string::npos) {
                 fatal("diablo_sweep: %s: %s takes one value, got '%s'",
                       path.c_str(), key.c_str(), value.c_str());
@@ -160,30 +179,6 @@ parseSpec(const std::string &path)
     if (!cfg.has("workload")) {
         fatal("diablo_sweep: spec '%s' does not set 'workload'",
               path.c_str());
-    }
-    auto seconds = [&](const char *key, double def) {
-        const double s = cfg.getDouble(key, def);
-        if (!(std::isfinite(s) && s >= 0.0)) {
-            fatal("diablo_sweep: %s: %s = %s is not a finite number >= 0",
-                  path.c_str(), key, cfg.getString(key, "").c_str());
-        }
-        return s;
-    };
-    spec.jobs = cfg.getUint("sweep.jobs", spec.jobs);
-    if (spec.jobs == 0) {
-        fatal("diablo_sweep: %s: sweep.jobs must be at least 1",
-              path.c_str());
-    }
-    spec.name = cfg.getString("sweep.name", spec.name);
-    spec.timeout_s = seconds("sweep.timeout", spec.timeout_s);
-    spec.grace_s = seconds("sweep.grace", spec.grace_s);
-    spec.backoff_s = seconds("sweep.backoff", spec.backoff_s);
-    spec.retries = cfg.getUint("sweep.retries", spec.retries);
-    if (spec.retries > kMaxRetries) {
-        fatal("diablo_sweep: %s: sweep.retries = %zu is above %llu "
-              "(retry k waits sweep.backoff x 2^(k-1))",
-              path.c_str(), spec.retries,
-              static_cast<unsigned long long>(kMaxRetries));
     }
     return spec;
 }
