@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 
 #include "bench/bench_json.hh"
@@ -59,8 +60,8 @@ void
 BM_EventCancelHeavy(benchmark::State &state)
 {
     // Cancellation-heavy churn: schedule a batch, cancel every other
-    // event, run the rest.  Exercises the tombstone path (cancel is
-    // O(1); the heap prunes lazily at pop time).
+    // event, run the rest.  Exercises cancel's heap removal, with the
+    // cancelled half spread through a 4,096-entry heap.
     const int depth = static_cast<int>(state.range(0));
     std::vector<EventId> ids;
     ids.reserve(static_cast<size_t>(depth));
@@ -81,6 +82,61 @@ BM_EventCancelHeavy(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * depth);
 }
 BENCHMARK(BM_EventCancelHeavy)->Arg(4096);
+
+/**
+ * The RTO shape behind most of a TCP incast's cancels: 64 timers 200 ms
+ * out, one of them re-armed (cancelled, then scheduled 200 ms out
+ * again) by a pacing event every 1 us, so no timer ever expires.  A
+ * queue that left cancelled entries in its heap would carry 200,000 of
+ * them here; this one holds the 64 timers and the pacer.  One item is
+ * one pacing event: a pop, a cancel and two schedules.
+ */
+struct TimerRearm {
+    static constexpr size_t kTimers = 64;
+
+    TimerRearm()
+    {
+        for (EventId &t : timers) {
+            t = arm();
+        }
+        drive();
+    }
+
+    EventId
+    arm()
+    {
+        return sim.schedule(200_ms, [this] { ++expired; },
+                            event_prio::kTimer);
+    }
+
+    void
+    drive()
+    {
+        sim.schedule(1_us, [this] {
+            EventId &t = timers[next++ % kTimers];
+            sim.cancel(t);
+            t = arm();
+            drive();
+        });
+    }
+
+    Simulator sim;
+    std::array<EventId, kTimers> timers;
+    size_t next = 0;
+    int64_t expired = 0;
+};
+
+void
+BM_EventTimerRearm(benchmark::State &state)
+{
+    TimerRearm r;
+    for (auto _ : state) {
+        r.sim.executeNext();
+    }
+    benchmark::DoNotOptimize(r.expired);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventTimerRearm);
 
 Task<>
 sleeperLoop(Simulator &sim, int rounds)

@@ -10,8 +10,8 @@ namespace diablo {
 uint32_t
 EventQueue::growSlots()
 {
-    // Payload encoding gives slots 31 bits (see HeapEntry).
-    if (slot_count_ >= (uint32_t{1} << 31)) {
+    // An EventId's slot is 32 bits, one value reserved as invalid.
+    if (slot_count_ == EventId::kInvalidSlot) {
         panic("EventQueue: slot pool overflow");
     }
     if ((slot_count_ & kSlotChunkMask) == 0) {
@@ -26,7 +26,7 @@ EventQueue::growSlots()
 void
 EventQueue::popEmptyPanic()
 {
-    panic("EventQueue::popNextInto on empty queue");
+    panic("EventQueue::pop on empty queue");
 }
 
 } // namespace diablo

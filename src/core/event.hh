@@ -18,13 +18,19 @@
  *    in the queue's slot pool; only oversized captures fall back to the
  *    heap (and such call sites should be fixed, not tolerated).
  *  - Timestamps/ordering keys live in a 4-ary implicit heap of 24-byte
- *    POD entries (memcpy-relocated, cache-friendlier than a binary heap
- *    because sift-down touches 4 children per cache line-ish level).
- *  - Cancellation is O(1) and tombstone-based: an EventId names a slot in
- *    a freelist-managed pool plus the slot's generation at schedule time.
- *    cancel() destroys the callback and bumps the generation; the heap
- *    entry remains and is recognized as a tombstone (generation mismatch)
- *    when it reaches the top.  No side-table, no hashing.
+ *    POD entries (cache-friendlier than a binary heap because sift-down
+ *    touches 4 children per cache line-ish level).
+ *  - The heap is indexed and holds only pending events: an EventId
+ *    names a slot in a freelist-managed pool plus the slot's generation
+ *    at schedule time, and a queued slot records its entry's heap
+ *    index, which every sift step that moves the entry rewrites.
+ *    cancel() checks the generation, removes the entry in O(log n) by
+ *    moving the last entry into its place, and frees the slot, so a
+ *    cancelled event costs no heap space and no pop.  No side-table,
+ *    no hashing.
+ *  - A callback runs where it lies: Simulator::executeNext pops the
+ *    entry, invokes the callable in its slot, and only then destroys
+ *    it and frees the slot; the callable is never moved out.
  *  - The slot pool is chunked out of a queue-owned SlabArena: slots never
  *    relocate (growth allocates a fresh chunk instead of moving every
  *    live callback the way vector growth did), and the queue's hot state
@@ -285,14 +291,25 @@ inline constexpr int8_t kWakeup = 10;    ///< coroutine resumptions
 } // namespace event_prio
 
 /**
- * Min-heap of timestamped callbacks with O(1) lazy cancellation.
+ * Indexed min-heap of timestamped callbacks with O(log n) cancellation.
  *
- * schedule/popNextInto are allocation-free after warmup: heap entries and
+ * schedule/pop are allocation-free after warmup: heap entries and
  * callback slots are recycled through freelists and geometric vector
  * growth.  See the file comment for the layout.
  */
 class EventQueue {
   public:
+    /**
+     * The event pop() took off the heap: a coroutine wakeup, or a
+     * callback whose slot stays reserved, neither free nor queued,
+     * until the caller runs it with runCallback().
+     */
+    struct Popped {
+        SimTime when;
+        void *coro;    ///< wakeup frame address; null for a callback
+        uint32_t slot; ///< the callback's slot when coro is null
+    };
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -313,10 +330,8 @@ class EventQueue {
         const uint32_t slot = allocSlot();
         Slot &s = slotRef(slot);
         s.fn = std::move(fn);
-        const uint64_t seq = next_seq_++;
-        ++live_;
-        heapPush(HeapEntry{when, packOrder(prio, seq),
-                           callbackPayload(slot, s.gen)});
+        heapPush(HeapEntry{when, packOrder(prio, next_seq_++),
+                           callbackPayload(slot)});
         return EventId{slot, s.gen};
     }
 
@@ -336,10 +351,8 @@ class EventQueue {
         const uint32_t slot = allocSlot();
         Slot &s = slotRef(slot);
         s.fn.emplace(std::forward<F>(f));
-        const uint64_t seq = next_seq_++;
-        ++live_;
-        heapPush(HeapEntry{when, packOrder(prio, seq),
-                           callbackPayload(slot, s.gen)});
+        heapPush(HeapEntry{when, packOrder(prio, next_seq_++),
+                           callbackPayload(slot)});
         return EventId{slot, s.gen};
     }
 
@@ -354,16 +367,15 @@ class EventQueue {
     scheduleWakeup(SimTime when, std::coroutine_handle<> h,
                    int8_t prio = event_prio::kWakeup)
     {
-        const uint64_t seq = next_seq_++;
-        ++live_;
-        heapPush(HeapEntry{when, packOrder(prio, seq),
+        heapPush(HeapEntry{when, packOrder(prio, next_seq_++),
                            wakeupPayload(h.address())});
         return EventId{};
     }
 
     /**
-     * Cancel a previously scheduled event.  Safe to call for events that
-     * have already fired or been cancelled (no effect).
+     * Cancel a previously scheduled event: its heap entry is removed
+     * and its slot freed.  Safe to call for events that have already
+     * fired, are running, or have been cancelled (no effect).
      */
     void
     cancel(EventId id)
@@ -373,57 +385,66 @@ class EventQueue {
         }
         Slot &s = slotRef(id.slot);
         if (s.gen != id.gen) {
-            return; // already fired or cancelled
+            return; // already fired, running or cancelled
         }
+        // A matching generation means the slot is queued, so heap_pos
+        // is live.
+        const size_t pos = s.heap_pos;
         s.fn.reset();
-        ++s.gen; // heap entry becomes a tombstone
+        ++s.gen;
         freeSlot(id.slot);
-        --live_;
+        heapRemove(pos);
     }
 
-    /** True when no *live* (non-cancelled) events remain. */
-    bool empty() const { return live_ == 0; }
-    size_t size() const { return live_; }
+    /** True when no events are pending. */
+    bool empty() const { return heap_.empty(); }
+    size_t size() const { return heap_.size(); }
 
-    /** Timestamp of the next live event; SimTime::max() when empty. */
+    /** Timestamp of the next pending event; SimTime::max() when empty. */
     SimTime
-    nextTime()
+    nextTime() const
     {
-        prune();
-        if (heap_.empty()) {
-            return SimTime::max();
-        }
-        return heap_[0].when;
+        return heap_.empty() ? SimTime::max() : heap_[0].when;
     }
 
     /**
-     * Pop the next live event.  Caller must check !empty().  Exactly one
-     * of the two out-params is set: @p fn (callback event, moved out
-     * once) or @p coro (wakeup, resumed directly by the caller).  The
-     * event is executed by the caller (the Simulator), not the queue, so
-     * partitioned engines can interpose.
+     * Take the next event off the heap.  Caller must check !empty().  A
+     * callback's generation is bumped here, before it runs, so a
+     * cancel() of the running event's own id is a no-op; its slot is
+     * neither free nor queued until runCallback() returns, so nothing
+     * scheduled while it runs can take the slot.  The event is executed by the
+     * caller (the Simulator), not the queue, so partitioned engines can
+     * interpose.
      */
-    SimTime
-    popNextInto(EventFn &fn, std::coroutine_handle<> &coro)
+    Popped
+    pop()
     {
-        prune();
         if (heap_.empty()) {
             popEmptyPanic();
         }
         const HeapEntry top = heap_[0];
-        heapPopTop();
-        --live_;
+        heapRemove(0);
         if (isWakeup(top.payload)) {
-            coro = std::coroutine_handle<>::from_address(
-                wakeupAddr(top.payload));
-            return top.when;
+            return Popped{top.when, wakeupAddr(top.payload), 0};
         }
         const uint32_t slot = payloadSlot(top.payload);
+        ++slotRef(slot).gen;
+        return Popped{top.when, nullptr, slot};
+    }
+
+    /**
+     * Run the callback pop() reserved in @p slot where it lies, then
+     * destroy it and free the slot.  Slot chunks never move, so the
+     * callable stays put while it runs, even when it schedules enough
+     * events to grow the pool.
+     */
+    void
+    runCallback(uint32_t slot)
+    {
         Slot &s = slotRef(slot);
-        fn = std::move(s.fn);
-        ++s.gen; // late cancel() of this id is now a no-op
+        s.fn();
+        s.fn.reset();
         freeSlot(slot);
-        return top.when;
     }
 
     /**
@@ -433,13 +454,13 @@ class EventQueue {
      * outstanding EventId is inert.  Wakeup entries are dropped with the
      * heap; their coroutine frames are owned elsewhere (Simulator
      * tasks_, kernel processes_) and reclaimed by their owners.
-     * Teardown-only: not meant for mid-run use.
+     * Teardown-only, and never from inside a callback: it would free
+     * the running callback's slot under it.
      */
     void
     clear()
     {
         heap_.clear();
-        live_ = 0;
         free_head_ = EventId::kInvalidSlot;
         for (uint32_t i = 0; i < slot_count_; ++i) {
             Slot &s = slotRef(i);
@@ -452,16 +473,15 @@ class EventQueue {
 
   private:
     /**
-     * POD heap entry (24 bytes): relocated by plain assignment during
-     * sifts, so the heap never touches the (heavier) callback slots.
-     * `order` packs (priority biased to unsigned, insertion sequence)
-     * into one compare.
+     * POD heap entry (24 bytes), moved by plain assignment during
+     * sifts.  `order` packs (priority biased to unsigned, insertion
+     * sequence) into one compare.
      *
      * `payload` is either a coroutine frame address (wakeup fast path)
-     * or a callback pool reference.  Coroutine frames are at least
-     * 8-byte aligned, so bit 0 is free to tag the variants:
+     * or a callback slot.  Coroutine frames are at least 8-byte
+     * aligned, so bit 0 is free to tag the variants:
      *   bit 0 == 1:  payload - 1 is the coroutine frame address
-     *   bit 0 == 0:  payload = gen << 32 | slot << 1   (slot < 2^31)
+     *   bit 0 == 0:  payload = slot << 1
      */
     struct HeapEntry {
         SimTime when;
@@ -470,10 +490,9 @@ class EventQueue {
     };
 
     static uint64_t
-    callbackPayload(uint32_t slot, uint32_t gen)
+    callbackPayload(uint32_t slot)
     {
-        return (static_cast<uint64_t>(gen) << 32) |
-               (static_cast<uint64_t>(slot) << 1);
+        return static_cast<uint64_t>(slot) << 1;
     }
 
     static uint64_t
@@ -494,19 +513,21 @@ class EventQueue {
     static uint32_t
     payloadSlot(uint64_t payload)
     {
-        return static_cast<uint32_t>((payload >> 1) & 0x7fffffffu);
+        return static_cast<uint32_t>(payload >> 1);
     }
 
-    static uint32_t
-    payloadGen(uint64_t payload)
-    {
-        return static_cast<uint32_t>(payload >> 32);
-    }
-
+    /**
+     * A callback slot is free (on the freelist), queued (its entry is
+     * in the heap), or running (popped, inside runCallback()).  One
+     * word serves the first two states.
+     */
     struct Slot {
         EventFn fn;
         uint32_t gen = 0;
-        uint32_t next_free = EventId::kInvalidSlot;
+        union {
+            uint32_t next_free = EventId::kInvalidSlot; ///< while free
+            uint32_t heap_pos; ///< while queued: its entry's heap index
+        };
     };
     static_assert(sizeof(Slot) == 64,
                   "a callback slot is exactly one cache line");
@@ -553,14 +574,6 @@ class EventQueue {
         return a.order < b.order;
     }
 
-    bool
-    isTombstone(const HeapEntry &e) const
-    {
-        // Wakeup entries are never cancelled.
-        return !isWakeup(e.payload) &&
-               slotRef(payloadSlot(e.payload)).gen != payloadGen(e.payload);
-    }
-
     uint32_t
     allocSlot()
     {
@@ -580,37 +593,39 @@ class EventQueue {
     }
 
     /**
-     * Hole-based sift-up: one assignment per level instead of a swap.
+     * Store @p e at heap index @p i.  A callback entry's slot learns its
+     * new index; a wakeup entry has no slot.
      */
     void
-    heapPush(HeapEntry e)
+    place(size_t i, HeapEntry e)
     {
-        size_t i = heap_.size();
-        const size_t leaf = i;
-        heap_.push_back(e);
+        heap_[i] = e;
+        if (!isWakeup(e.payload)) {
+            slotRef(payloadSlot(e.payload)).heap_pos =
+                static_cast<uint32_t>(i);
+        }
+    }
+
+    /** Hole-based sift-up of @p e from index @p i: one move per level. */
+    void
+    siftUp(size_t i, HeapEntry e)
+    {
         while (i > 0) {
             const size_t parent = (i - 1) >> 2;
             if (!before(e, heap_[parent])) {
                 break;
             }
-            heap_[i] = heap_[parent];
+            place(i, heap_[parent]);
             i = parent;
         }
-        if (i != leaf) {
-            heap_[i] = e;
-        }
+        place(i, e);
     }
 
+    /** Hole-based sift-down of @p e from index @p i. */
     void
-    heapPopTop()
+    siftDown(size_t i, HeapEntry e)
     {
-        const HeapEntry last = heap_.back();
-        heap_.pop_back();
         const size_t n = heap_.size();
-        if (n == 0) {
-            return;
-        }
-        size_t i = 0;
         for (;;) {
             const size_t first = 4 * i + 1;
             if (first >= n) {
@@ -623,21 +638,39 @@ class EventQueue {
                     best = c;
                 }
             }
-            if (!before(heap_[best], last)) {
+            if (!before(heap_[best], e)) {
                 break;
             }
-            heap_[i] = heap_[best];
+            place(i, heap_[best]);
             i = best;
         }
-        heap_[i] = last;
+        place(i, e);
     }
 
-    /** Drop cancelled entries from the top of the heap. */
     void
-    prune()
+    heapPush(HeapEntry e)
     {
-        while (!heap_.empty() && isTombstone(heap_[0])) {
-            heapPopTop();
+        heap_.push_back(e);
+        siftUp(heap_.size() - 1, e);
+    }
+
+    /**
+     * Remove the entry at @p i: the last entry fills the hole and sifts
+     * up (it may be earlier than the hole's parent when the hole is not
+     * on its path) or down.
+     */
+    void
+    heapRemove(size_t i)
+    {
+        const HeapEntry last = heap_.back();
+        heap_.pop_back();
+        if (i == heap_.size()) {
+            return; // the last entry itself
+        }
+        if (i > 0 && before(last, heap_[(i - 1) >> 2])) {
+            siftUp(i, last);
+        } else {
+            siftDown(i, last);
         }
     }
 
@@ -650,7 +683,6 @@ class EventQueue {
     uint32_t slot_count_ = 0;        ///< constructed slots
     uint32_t free_head_ = EventId::kInvalidSlot;
     uint64_t next_seq_ = 0;
-    size_t live_ = 0;
     SlabArena slot_arena_; ///< owns the chunk storage (stable addresses)
 };
 

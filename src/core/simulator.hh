@@ -140,28 +140,31 @@ class Simulator {
     // --- stepping interface for the FAME partition runner ---
 
     /** Timestamp of the next pending event; SimTime::max() when idle. */
-    SimTime nextEventTime() { return queue_.nextTime(); }
+    SimTime nextEventTime() const { return queue_.nextTime(); }
 
-    /** Execute exactly one event (caller checked one is pending). */
+    /**
+     * Execute exactly one event (caller checked one is pending).  A
+     * callback runs in its queue slot and is destroyed only after it
+     * returns; see EventQueue::pop() for why the running slot is safe
+     * from the schedules and cancels it makes.
+     */
     void
     executeNext()
     {
-        EventFn fn;
-        std::coroutine_handle<> coro{};
-        const SimTime when = queue_.popNextInto(fn, coro);
-        if (when < now_) {
-            timeWentBackwards(when);
+        const EventQueue::Popped ev = queue_.pop();
+        if (ev.when < now_) {
+            timeWentBackwards(ev.when);
         }
-        now_ = when;
+        now_ = ev.when;
         ++executed_;
-        if (coro) {
-            coro.resume();
-        } else {
-            fn();
+        if (ev.coro) {
+            std::coroutine_handle<>::from_address(ev.coro).resume();
+            return;
         }
+        queue_.runCallback(ev.slot);
     }
 
-    bool idle() { return queue_.empty(); }
+    bool idle() const { return queue_.empty(); }
 
     uint64_t executedEvents() const { return executed_; }
 
@@ -183,11 +186,12 @@ class Simulator {
     }
 
     /**
-     * Drop every pending event (callbacks are destroyed, never run) and
-     * all cancellation state.  Teardown-only — fame::PartitionSet uses
-     * it to drain every partition's queue before any Simulator is
-     * destroyed, since a queued cross-partition delivery may own a
-     * packet whose recycling pool lives on another partition.
+     * Drop every pending event (callbacks are destroyed, never run).
+     * Teardown-only, and never from inside a callback: its one caller
+     * is ~fame::PartitionSet, which drains every partition's queue
+     * before any Simulator is destroyed, since a queued cross-partition
+     * delivery may own a packet whose recycling pool lives on another
+     * partition.
      */
     void discardPendingEvents() { queue_.clear(); }
 

@@ -493,8 +493,8 @@ class PartitionSet {
      * every partition; SimTime::max() when nothing is pending anywhere.
      * A full scan, meant for between runs (a windowed drive loop
      * telling "idle for now" from "deadlocked") and as the engine
-     * tests' reference.  Logically const, but it prunes cancelled
-     * entries from every partition's queue: call it only from the
+     * tests' reference.  It reads every partition's queue and channel
+     * buffers, which workers write during a run: call it only from the
      * driving thread, never while a run is in progress.
      */
     SimTime nextPendingTime() const;

@@ -645,8 +645,8 @@ Kernel::txRingSpace()
     qdiscPump();
 }
 
-EventId
-Kernel::addTimer(SimTime delay, EventFn fn)
+SimTime
+Kernel::timerExpiry(SimTime delay) const
 {
     // Classic kernel timers fire on the next jiffy boundary at or after
     // the requested expiry — RTO quantization at HZ granularity.  Each
@@ -665,28 +665,18 @@ Kernel::addTimer(SimTime delay, EventFn fn)
     if (quantized < fire_ps) {
         quantized += tick.toPs();
     }
-    return sim_.scheduleAt(SimTime::fromPs(quantized),
-                           [this, fn = std::move(fn)] {
-        fn();
-        // Timer handlers (e.g. RTO retransmits) run in interrupt
-        // context; charge any stack work they generated as softirq.
-        uint64_t charge = drainTxCharge();
-        if (charge) {
-            cpu_->submit(SchedClass::SoftIrq, charge, 0, {});
-        }
-    }, event_prio::kTimer);
+    return SimTime::fromPs(quantized);
 }
 
-EventId
-Kernel::addHrTimer(SimTime delay, EventFn fn)
+void
+Kernel::chargeTimerWork()
 {
-    return sim_.schedule(delay, [this, fn = std::move(fn)] {
-        fn();
-        uint64_t charge = drainTxCharge();
-        if (charge) {
-            cpu_->submit(SchedClass::SoftIrq, charge, 0, {});
-        }
-    }, event_prio::kTimer);
+    // Timer handlers (e.g. RTO retransmits) run in interrupt context;
+    // charge any stack work they generated as softirq.
+    uint64_t charge = drainTxCharge();
+    if (charge) {
+        cpu_->submit(SchedClass::SoftIrq, charge, 0, {});
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -191,11 +191,25 @@ class Kernel {
     uint64_t drainTxCharge();
 
     /** Kernel timer: fires rounded UP to the next kernel tick. */
-    EventId addTimer(SimTime delay, EventFn fn);
+    template <typename F>
+    EventId
+    addTimer(SimTime delay, F &&fn)
+    {
+        return sim_.scheduleAt(timerExpiry(delay),
+                               timerHandler(std::forward<F>(fn)),
+                               event_prio::kTimer);
+    }
+
     void cancelTimer(EventId id) { sim_.cancel(id); }
 
     /** Fine-grained (non-tick) kernel timer, e.g. delayed ACK. */
-    EventId addHrTimer(SimTime delay, EventFn fn);
+    template <typename F>
+    EventId
+    addHrTimer(SimTime delay, F &&fn)
+    {
+        return sim_.schedule(delay, timerHandler(std::forward<F>(fn)),
+                             event_prio::kTimer);
+    }
 
     /** NIC RX interrupt entry point (called by the NIC model). */
     void rxInterrupt();
@@ -275,6 +289,33 @@ class Kernel {
     Socket *socketFor(int fd);
 
   private:
+    /**
+     * The event a kernel timer schedules: @p fn, then the softirq
+     * charge for the stack work it generated.  It adds only `this` to
+     * the caller's capture, so every timer rides the EventFn inline
+     * buffer (RTO and delayed-ACK re-arms run hundreds of thousands of
+     * times a run).
+     */
+    template <typename F>
+    auto
+    timerHandler(F &&fn)
+    {
+        auto handler = [this, fn = std::forward<F>(fn)]() mutable {
+            fn();
+            chargeTimerWork();
+        };
+        static_assert(EventFn::inlineable<decltype(handler)>(),
+                      "kernel timer handler outgrew the EventFn inline "
+                      "buffer (per-timer heap allocation)");
+        return handler;
+    }
+
+    /** Expiry of a timer @p delay from now, rounded up to a jiffy. */
+    SimTime timerExpiry(SimTime delay) const;
+
+    /** Charge a timer handler's TX stack work as softirq. */
+    void chargeTimerWork();
+
     friend class TcpConnection;
 
     Task<long> chargeSyscall(Thread &t, uint64_t body_cycles);

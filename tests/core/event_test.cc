@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "core/simulator.hh"
@@ -145,7 +149,7 @@ TEST(Simulator, CancelledEventsDontBlockNextTime)
 TEST(EventQueue, ScheduleCancelStress)
 {
     // Interleaved schedule / cancel / cancel-after-fire churn across the
-    // slot pool, the freelist, and the tombstoned heap: 12k events at
+    // slot pool, the freelist, and the heap's remove path: 12k events at
     // colliding timestamps, a third cancelled before the run, a fifth
     // cancelled from inside the run, stale ids re-cancelled afterwards.
     Simulator sim;
@@ -228,6 +232,259 @@ TEST(EventQueue, ScheduleCancelStress)
     }
     sim.run(); // no-op
     EXPECT_EQ(fired.size(), expected);
+}
+
+/**
+ * The queue's key, kept by hand: every event is logged in schedule
+ * order with its time and priority, and the queue must fire exactly the
+ * events never cancelled, sorted by (time, priority, schedule order).
+ * That holds because every event scheduled during the run lies at
+ * least 1 us after the event that schedules it.
+ */
+struct ReferenceOrder {
+    static constexpr size_t kTimers = 64;
+    static constexpr size_t kNone = ~size_t{0};
+    static constexpr SimTime kStop = SimTime::ms(2);
+
+    struct Rec {
+        SimTime when;
+        int8_t prio;
+        EventId id; ///< invalid for wakeups and task starts
+        bool cancelled = false;
+    };
+
+    /** Pending records, earliest key first: begin() is the heap root. */
+    struct KeyLess {
+        const std::vector<Rec> *recs;
+        bool
+        operator()(size_t a, size_t b) const
+        {
+            const Rec &x = (*recs)[a];
+            const Rec &y = (*recs)[b];
+            if (x.when != y.when) {
+                return x.when < y.when;
+            }
+            if (x.prio != y.prio) {
+                return x.prio < y.prio;
+            }
+            return a < b;
+        }
+    };
+
+    Simulator sim;
+    std::vector<Rec> recs;
+    std::set<size_t, KeyLess> pending{KeyLess{&recs}};
+    std::vector<size_t> fired;
+    std::vector<size_t> armed = std::vector<size_t>(kTimers, kNone);
+    std::vector<size_t> one_shots;
+    uint64_t lcg = 0x9E3779B97F4A7C15ull;
+    size_t root_cancels = 0;
+    size_t last_cancels = 0;
+    size_t middle_cancels = 0;
+
+    uint32_t
+    draw(uint32_t n)
+    {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<uint32_t>(lcg >> 33) % n;
+    }
+
+    /** Log the schedule about to be made; its index is its order. */
+    size_t
+    log(SimTime when, int8_t prio)
+    {
+        recs.push_back(Rec{when, prio, EventId{}});
+        pending.insert(recs.size() - 1);
+        return recs.size() - 1;
+    }
+
+    void
+    fire(size_t r)
+    {
+        fired.push_back(r);
+        pending.erase(r);
+    }
+
+    /** A logged callback @p delay from now that runs @p body. */
+    template <typename F>
+    size_t
+    at(SimTime delay, int8_t prio, F body)
+    {
+        const size_t r = log(sim.now() + delay, prio);
+        recs[r].id = sim.schedule(delay, [this, r, body] {
+            fire(r);
+            body();
+        }, prio);
+        return r;
+    }
+
+    void
+    cancel(size_t r)
+    {
+        sim.cancel(recs[r].id);
+        recs[r].cancelled = true;
+        pending.erase(r);
+    }
+
+    void
+    armTimer(size_t k, SimTime delay)
+    {
+        armed[k] = at(delay, event_prio::kTimer, [this, k] {
+            armed[k] = kNone;
+            if (sim.now() < kStop) {
+                armTimer(k, SimTime::us(150 + draw(100)));
+            }
+        });
+    }
+
+    /** The pacer: one RTO-style re-arm and assorted cancels per us. */
+    void
+    step()
+    {
+        ASSERT_EQ(sim.nextEventTime(), recs[*pending.begin()].when);
+        const size_t k = draw(kTimers);
+        if (armed[k] != kNone) {
+            cancel(armed[k]);
+        }
+        armTimer(k, SimTime::us(200 + draw(5)));
+
+        constexpr int8_t kPrios[] = {event_prio::kTimer,
+                                     event_prio::kDefault,
+                                     event_prio::kWakeup};
+        one_shots.push_back(
+            at(SimTime::us(1 + draw(300)), kPrios[draw(3)], [] {}));
+        if (draw(4) == 0) {
+            const size_t victim = one_shots[draw(
+                static_cast<uint32_t>(one_shots.size()))];
+            if (pending.count(victim) != 0) {
+                cancel(victim);
+                ++middle_cancels;
+            }
+        }
+        if (draw(4) == 0) {
+            // The earliest pending event is the heap's root.
+            const size_t root = *pending.begin();
+            if (recs[root].id.valid()) {
+                cancel(root);
+                ++root_cancels;
+            }
+        }
+        if (draw(5) == 0) {
+            // Later than anything pending: its push leaves it last.
+            cancel(at(SimTime::ms(50), event_prio::kDefault, [] {}));
+            ++last_cancels;
+        }
+        // A stale id is inert.
+        const size_t old = draw(static_cast<uint32_t>(recs.size()));
+        if (pending.count(old) == 0) {
+            sim.cancel(recs[old].id);
+        }
+        if (sim.now() < kStop) {
+            at(1_us, event_prio::kDefault, [this] { step(); });
+        }
+    }
+
+    static Task<>
+    sleeper(ReferenceOrder &h, size_t start)
+    {
+        h.fire(start);
+        while (h.sim.now() < kStop) {
+            const SimTime d = SimTime::us(1 + h.draw(20));
+            const size_t r = h.log(h.sim.now() + d, event_prio::kWakeup);
+            co_await h.sim.sleep(d);
+            h.fire(r);
+        }
+    }
+
+    std::vector<size_t>
+    expected() const
+    {
+        std::vector<size_t> out;
+        for (size_t r = 0; r < recs.size(); ++r) {
+            if (!recs[r].cancelled) {
+                out.push_back(r);
+            }
+        }
+        std::sort(out.begin(), out.end(), KeyLess{&recs});
+        return out;
+    }
+};
+
+TEST(EventQueue, CancelAnywhereKeepsReferenceOrder)
+{
+    // Timers re-armed from inside callbacks (cancel, then a later
+    // schedule: the RTO shape), coroutine sleeps (slotless wakeup
+    // entries) and one-shot events at all three priorities, on a 1 us
+    // grid so they share instants.  Cancels hit the heap's root, its
+    // last entry and entries in between.
+    ReferenceOrder h;
+    for (size_t k = 0; k < ReferenceOrder::kTimers; ++k) {
+        h.armTimer(k, SimTime::us(1 + h.draw(200)));
+    }
+    for (int i = 0; i < 6; ++i) {
+        // Simulator::spawn schedules the task's start event.
+        const size_t start = h.log(SimTime(), event_prio::kWakeup);
+        h.sim.spawn(ReferenceOrder::sleeper(h, start));
+    }
+    h.at(1_us, event_prio::kDefault, [&h] { h.step(); });
+    h.sim.run();
+
+    EXPECT_TRUE(h.sim.idle());
+    EXPECT_TRUE(h.pending.empty());
+    EXPECT_GT(h.root_cancels, 100u);
+    EXPECT_GT(h.last_cancels, 100u);
+    EXPECT_GT(h.middle_cancels, 100u);
+    const std::vector<size_t> want = h.expected();
+    ASSERT_EQ(h.fired.size(), want.size());
+    EXPECT_TRUE(h.fired == want);
+}
+
+TEST(Simulator, CallbackRunsInItsSlot)
+{
+    // One callback schedules 600 events, growing the slot pool past two
+    // 256-slot chunks while it runs, cancels its own id and a pending
+    // event, and only then reads its captured state.  A callable moved
+    // out, destroyed early or overwritten by a new schedule reads freed
+    // or foreign memory here.
+    struct Ctx {
+        Simulator sim;
+        std::vector<int> fired;
+        EventId self;
+        EventId victim;
+        bool checked = false;
+    } ctx;
+    ctx.victim = ctx.sim.schedule(5_ns, [&ctx] { ctx.fired.push_back(-1); });
+    auto state = std::make_unique<std::array<uint64_t, 4>>();
+    state->fill(0x5EED5EED5EED5EEDull);
+    auto grow = [&ctx, state = std::move(state)] {
+        for (int i = 0; i < 600; ++i) {
+            ctx.sim.schedule(SimTime::ns(1 + (i * 7) % 13), [&ctx, i] {
+                ctx.fired.push_back(i);
+            });
+        }
+        ctx.sim.cancel(ctx.self);
+        ctx.sim.cancel(ctx.victim);
+        for (uint64_t v : *state) {
+            EXPECT_EQ(v, 0x5EED5EED5EED5EEDull);
+        }
+        ctx.checked = true;
+    };
+    static_assert(EventFn::inlineable<decltype(grow)>(),
+                  "the callable must live in its slot");
+    ctx.self = ctx.sim.schedule(1_ns, std::move(grow));
+    ctx.sim.run();
+
+    EXPECT_TRUE(ctx.checked);
+    EXPECT_TRUE(ctx.sim.idle());
+    // Survivors fire once each, by (time, schedule order).
+    std::vector<int> want(600);
+    for (int i = 0; i < 600; ++i) {
+        want[static_cast<size_t>(i)] = i;
+    }
+    std::stable_sort(want.begin(), want.end(), [](int a, int b) {
+        return (a * 7) % 13 < (b * 7) % 13;
+    });
+    EXPECT_EQ(ctx.fired, want);
 }
 
 } // namespace

@@ -740,8 +740,8 @@ TEST(PartitionSet, SchedulingBetweenRunsRebuildsCalendars)
  * alive at once, so almost every partition is idle in any quantum.
  * Deliveries use the record path, so the same model also runs as a
  * coupled pair.  Every arrival schedules a decoy in its partition and
- * cancels it at once: once the token moves on, that partition holds
- * only a tombstone.
+ * cancels it at once, so the cancel path runs wherever a token goes,
+ * and once the token moves on that partition's queue is empty again.
  */
 struct SparseWorkload {
     static constexpr size_t kParts = 256;

@@ -4,18 +4,22 @@
  * or 3 incast must produce a byte-identical fingerprint to the
  * in-process sequential run (with and without a fault plan), SIGTERM to
  * the leader must forward to the engine children and finalize an
- * interrupted partial artifact with the interrupted exit code, and the
- * mode's argument validation must reject the unsupported combinations
- * loudly instead of silently degrading.
+ * interrupted partial artifact with the interrupted exit code, a child
+ * rank must die with a killed leader, and the mode's argument
+ * validation must reject the unsupported combinations loudly instead
+ * of silently degrading.
  */
 
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -186,6 +190,66 @@ TEST(MultiprocessRun, SigtermForwardsToEngineChildren)
     EXPECT_FALSE(v.ok);
     EXPECT_EQ(v.status, "interrupted");
     std::remove(json.c_str());
+    std::remove(log.c_str());
+}
+
+/** The first child pid listed for @p pid's main thread; 0 if none. */
+pid_t
+firstChildOf(pid_t pid)
+{
+    std::ifstream in("/proc/" + std::to_string(pid) + "/task/" +
+                     std::to_string(pid) + "/children");
+    long child = 0;
+    return in >> child ? static_cast<pid_t>(child) : 0;
+}
+
+// SIGKILL to the leader, which can forward nothing, takes its child
+// rank down at once instead of leaving it to wait out the coupled-wait
+// budget.  This test process is a subreaper for the run, so the
+// orphaned rank is reparented here and can be reaped.
+TEST(MultiprocessRun, ChildRankDiesWithItsLeader)
+{
+    ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+    struct ClearSubreaper {
+        ~ClearSubreaper() { prctl(PR_SET_CHILD_SUBREAPER, 0); }
+    } clear_subreaper;
+
+    const std::string log = tmpPath("pdeath.log");
+    const pid_t leader = spawnRun(
+        " incast incast.servers=96 incast.racks=12 incast.iterations=100"
+        " incast.block_bytes=262144 --processes 2",
+        log);
+    ASSERT_GT(leader, 0);
+    pid_t child = 0;
+    for (int i = 0; i < 100 && child == 0; ++i) {
+        std::this_thread::sleep_for(50ms);
+        child = firstChildOf(leader);
+    }
+    if (child == 0) {
+        kill(leader, SIGKILL);
+        waitExit(leader);
+        FAIL() << "the leader forked no rank";
+    }
+    std::this_thread::sleep_for(500ms); // let the ranks couple and run
+    ASSERT_EQ(kill(leader, SIGKILL), 0);
+    EXPECT_EQ(waitExit(leader), 128 + SIGKILL);
+
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    int status = 0;
+    pid_t reaped = 0;
+    while (reaped == 0 && std::chrono::steady_clock::now() < deadline) {
+        reaped = waitpid(child, &status, WNOHANG);
+        if (reaped == 0) {
+            std::this_thread::sleep_for(20ms);
+        }
+    }
+    if (reaped != child) {
+        ADD_FAILURE() << "rank " << child << " outlived its leader by 5 s";
+        kill(child, SIGKILL);
+        waitpid(child, &status, 0);
+    } else {
+        EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+    }
     std::remove(log.c_str());
 }
 

@@ -67,6 +67,7 @@
  */
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -698,6 +699,7 @@ class ProcessGroup {
         ctl_ = fame::groupControl(seg_.data(), layout_);
         // Buffered output would otherwise be written once per process.
         std::fflush(nullptr);
+        const pid_t leader = getpid();
         for (uint32_t r = 1; r < nprocs_; ++r) {
             int pfd[2];
             if (pipe(pfd) != 0) {
@@ -708,6 +710,14 @@ class ProcessGroup {
                 fatal("fork: %s", std::strerror(errno));
             }
             if (pid == 0) {
+                // A rank dies with its leader instead of waiting out
+                // the coupled-wait budget alone.  A leader that died
+                // before the prctl took hold has already reparented
+                // this rank, so check the parent once it is armed.
+                if (prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 ||
+                    getppid() != leader) {
+                    _exit(1);
+                }
                 // Keep only this rank's write end: the read ends of the
                 // earlier siblings' pipes came along with the fork.
                 for (const Child &k : kids_) {
