@@ -41,9 +41,6 @@ void
 forEachLedgerField(Artifact &a, Fn fn)
 {
     fn(a.executed_events);
-    fn(a.materialized_nodes);
-    fn(a.arena_bytes_used);
-    fn(a.arena_bytes_reserved);
     for (auto &p : a.partition_rows) {
         fn(p.events);
         fn(p.pool_makes);

@@ -156,10 +156,11 @@ struct RunArtifact {
      * The measured fields one engine process contributes to a
      * multiprocess run, flattened: a shape word (hash of the group
      * names, counter names and partition-row count), then executed
-     * events, materialized nodes, arena bytes used and reserved, every
-     * partition row, and every group counter in order.  Everything else
-     * — results, latencies, engine identity, quanta, config — is one
-     * value per run and is never part of a ledger.
+     * events, every partition row, and every group counter in order.
+     * Everything else — results, latencies, engine identity, quanta,
+     * config — is one value per run and is never part of a ledger, and
+     * so is mem: every rank builds the full model, so mem describes
+     * the leader's own process, as peak_rss_mb does.
      */
     std::vector<uint64_t> ledger() const;
 

@@ -15,23 +15,6 @@ namespace diablo {
 
 namespace {
 
-const char *
-parseInt(const std::string &text, int64_t *out)
-{
-    const char *s = text.c_str();
-    char *end = nullptr;
-    errno = 0;
-    const int64_t v = std::strtoll(s, &end, 0);
-    if (end == s || end != s + text.size()) {
-        return "is not an integer";
-    }
-    if (errno == ERANGE) {
-        return "is out of int64 range";
-    }
-    *out = v;
-    return nullptr;
-}
-
 std::string
 trimmed(const std::string &s)
 {
@@ -216,12 +199,6 @@ Config::getString(const std::string &key, const std::string &def) const
 {
     const std::string *v = lookup(key);
     return v == nullptr ? def : *v;
-}
-
-int64_t
-Config::getInt(const std::string &key, int64_t def) const
-{
-    return typedValue(lookup(key), key, def, parseInt);
 }
 
 uint64_t

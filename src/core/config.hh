@@ -71,7 +71,6 @@ class Config {
      */
     std::string getString(const std::string &key,
                           const std::string &def) const;
-    int64_t getInt(const std::string &key, int64_t def) const;
     uint64_t getUint(const std::string &key, uint64_t def) const;
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;

@@ -21,15 +21,14 @@ namespace diablo {
 
 /**
  * CPU ids in the calling thread's affinity mask, ascending.  Never
- * empty: where the mask cannot be read (or on non-Linux builds) it is
- * CPUs 0..hardware_concurrency()-1.
+ * empty: where the mask cannot be read it is CPUs
+ * 0..hardware_concurrency()-1.
  */
 std::vector<int> allowedCpus();
 
 /**
  * Pin the calling thread to one CPU.  Returns false (and leaves the
- * affinity unchanged) when the kernel refuses or pinning is
- * unsupported on this platform.
+ * affinity unchanged) when the kernel refuses.
  */
 bool pinCurrentThreadToCpu(int cpu);
 

@@ -7,25 +7,18 @@
 
 #include "core/log.hh"
 
-#if defined(__linux__)
 #include <fcntl.h>
 #include <linux/futex.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
-#else
-#include <chrono>
-#include <thread>
-#endif
 
 namespace diablo {
 
 // ---------------------------------------------------------------------
 // Cross-process futex
 // ---------------------------------------------------------------------
-
-#if defined(__linux__)
 
 namespace {
 
@@ -54,40 +47,22 @@ sharedFutexWait(std::atomic<uint32_t> *word, uint32_t expected,
 }
 
 void
-sharedFutexWake(std::atomic<uint32_t> *word, bool all)
+sharedFutexWake(std::atomic<uint32_t> *word)
 {
-    sysFutex(word, FUTEX_WAKE, all ? INT32_MAX : 1, nullptr);
-}
-
-#else // !__linux__
-
-void
-sharedFutexWait(std::atomic<uint32_t> *word, uint32_t expected,
-                int64_t timeout_ns)
-{
-    // Portable degradation: bounded sleep instead of a kernel park.
-    // Correctness only needs "returns eventually"; callers loop.
-    (void)expected;
-    int64_t ns = timeout_ns > 0 ? std::min<int64_t>(timeout_ns, 1000000)
-                                : 1000000;
-    (void)word;
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+    sysFutex(word, FUTEX_WAKE, INT32_MAX, nullptr);
 }
 
 void
-sharedFutexWake(std::atomic<uint32_t> *word, bool all)
+wakeParked(std::atomic<uint32_t> &word, std::atomic<uint32_t> &parked)
 {
-    (void)word;
-    (void)all;
+    if (parked.load(std::memory_order_seq_cst) != 0) {
+        sharedFutexWake(&word);
+    }
 }
-
-#endif
 
 // ---------------------------------------------------------------------
 // ShmSegment
 // ---------------------------------------------------------------------
-
-#if defined(__linux__)
 
 ShmSegment::~ShmSegment()
 {
@@ -158,68 +133,9 @@ ShmSegment::unlinkFile()
     }
 }
 
-#else // !__linux__
-
-ShmSegment::~ShmSegment() { delete[] static_cast<uint8_t *>(mem_); }
-
-ShmSegment::ShmSegment(ShmSegment &&o) noexcept
-    : mem_(o.mem_), bytes_(o.bytes_), path_(std::move(o.path_))
-{
-    o.mem_ = nullptr;
-    o.bytes_ = 0;
-}
-
-ShmSegment &
-ShmSegment::operator=(ShmSegment &&o) noexcept
-{
-    if (this != &o) {
-        delete[] static_cast<uint8_t *>(mem_);
-        mem_ = o.mem_;
-        bytes_ = o.bytes_;
-        path_ = std::move(o.path_);
-        o.mem_ = nullptr;
-        o.bytes_ = 0;
-    }
-    return *this;
-}
-
-ShmSegment
-ShmSegment::create(const std::string &path, size_t bytes)
-{
-    // No mmap on this platform: the "segment" is process-private, which
-    // still serves the single-process transports and tests.
-    ShmSegment seg;
-    seg.mem_ = new uint8_t[bytes]();
-    seg.bytes_ = bytes;
-    seg.path_ = path;
-    return seg;
-}
-
-void
-ShmSegment::unlinkFile()
-{
-    path_.clear();
-}
-
-#endif
-
 // ---------------------------------------------------------------------
 // SpscRecordRing
 // ---------------------------------------------------------------------
-
-namespace {
-
-void
-ringRelax() noexcept
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield" ::: "memory");
-#endif
-}
-
-} // namespace
 
 size_t
 SpscRecordRing::footprint(uint32_t capacity)
@@ -304,14 +220,8 @@ SpscRecordRing::tryPush(const void *p, uint32_t n)
     }
     copyIn(tail, &n, 4);
     copyIn(tail + 4, p, n);
-    // seq_cst publish, then seq_cst flag read: either the consumer's
-    // parked store is ordered before this store (we see the flag and
-    // wake), or our publish is ordered before its re-check (it sees
-    // the data and never sleeps).
     tail_.store(tail + 4 + n, std::memory_order_seq_cst);
-    if (consumer_parked_.load(std::memory_order_seq_cst) != 0) {
-        sharedFutexWake(&tail_, true);
-    }
+    wakeParked(tail_, consumer_parked_);
     return true;
 }
 
@@ -332,9 +242,7 @@ SpscRecordRing::tryPop(void *out, uint32_t cap)
     }
     copyOut(head + 4, out, n);
     head_.store(head + 4 + n, std::memory_order_seq_cst);
-    if (producer_parked_.load(std::memory_order_seq_cst) != 0) {
-        sharedFutexWake(&head_, true);
-    }
+    wakeParked(head_, producer_parked_);
     return n;
 }
 
@@ -342,20 +250,13 @@ bool
 SpscRecordRing::waitForData(uint32_t spin_budget, int64_t timeout_ns)
 {
     const uint32_t head = head_.load(std::memory_order_relaxed);
-    for (uint32_t i = 0; i < spin_budget; ++i) {
-        if (tail_.load(std::memory_order_acquire) != head) {
-            return true;
-        }
-        ringRelax();
-    }
-    consumer_parked_.store(1, std::memory_order_seq_cst);
-    const uint32_t tail = tail_.load(std::memory_order_seq_cst);
-    if (tail != head || aborted()) {
-        consumer_parked_.store(0, std::memory_order_relaxed);
-        return tail != head;
-    }
-    sharedFutexWait(&tail_, tail, timeout_ns);
-    consumer_parked_.store(0, std::memory_order_relaxed);
+    parkUntil(
+        tail_,
+        [&](uint32_t tail) {
+            return tail != head ||
+                   aborted_.load(std::memory_order_seq_cst) != 0;
+        },
+        consumer_parked_, spin_budget, timeout_ns);
     return tail_.load(std::memory_order_acquire) != head;
 }
 
@@ -368,20 +269,13 @@ SpscRecordRing::waitForSpace(uint32_t bytes, uint32_t spin_budget,
     auto spaceFor = [&](uint32_t head) {
         return capacity_ - (tail - head) >= need;
     };
-    for (uint32_t i = 0; i < spin_budget; ++i) {
-        if (spaceFor(head_.load(std::memory_order_acquire))) {
-            return true;
-        }
-        ringRelax();
-    }
-    producer_parked_.store(1, std::memory_order_seq_cst);
-    const uint32_t head = head_.load(std::memory_order_seq_cst);
-    if (spaceFor(head) || aborted()) {
-        producer_parked_.store(0, std::memory_order_relaxed);
-        return spaceFor(head);
-    }
-    sharedFutexWait(&head_, head, timeout_ns);
-    producer_parked_.store(0, std::memory_order_relaxed);
+    parkUntil(
+        head_,
+        [&](uint32_t head) {
+            return spaceFor(head) ||
+                   aborted_.load(std::memory_order_seq_cst) != 0;
+        },
+        producer_parked_, spin_budget, timeout_ns);
     return spaceFor(head_.load(std::memory_order_acquire));
 }
 
@@ -389,8 +283,8 @@ void
 SpscRecordRing::setAborted()
 {
     aborted_.store(1, std::memory_order_seq_cst);
-    sharedFutexWake(&tail_, true);
-    sharedFutexWake(&head_, true);
+    wakeParked(tail_, consumer_parked_);
+    wakeParked(head_, producer_parked_);
 }
 
 } // namespace diablo

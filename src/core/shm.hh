@@ -14,13 +14,16 @@
  *  - sharedFutexWait/Wake: park/wake on a 32-bit word that lives in
  *    shared memory.  std::atomic::wait cannot be used across processes
  *    (libstdc++ parks on process-private futexes / proxy tables), so
- *    these call futex(2) without FUTEX_PRIVATE_FLAG; non-Linux builds
- *    degrade to a bounded sleep, which only costs latency.
+ *    these call futex(2) without FUTEX_PRIVATE_FLAG.
+ *  - parkUntil/wakeParked: the one way the engine blocks.  A waiter
+ *    spins briefly, then counts itself parked and futex-parks; a waker
+ *    makes the wake syscall only when that count says someone sleeps.
+ *    The window barrier, the worker pool, the group epoch and the rings
+ *    all wait through it, within a process or across processes alike.
  *  - SpscRecordRing: a cacheline-padded single-producer single-consumer
  *    byte ring carrying length-prefixed records; a fame::Transport is
  *    one pair of them.  Producer and consumer may be in different
- *    processes; each side spins briefly and then parks on the ring's
- *    head/tail word.
+ *    processes; each side parks on the other side's position word.
  *
  * Everything here is position-independent: the ring object is its own
  * shared-memory header (placement-initialized into the segment), and
@@ -37,13 +40,75 @@ namespace diablo {
  * Park the calling thread until the value at @p word changes from
  * @p expected, another process calls sharedFutexWake on it, or
  * @p timeout_ns elapses (<= 0 waits indefinitely).  Spurious returns
- * are allowed; callers re-check their condition in a loop.
+ * are allowed.  parkUntil is its one caller.
  */
 void sharedFutexWait(std::atomic<uint32_t> *word, uint32_t expected,
                      int64_t timeout_ns);
 
-/** Wake one (or all) waiters parked on @p word, across processes. */
-void sharedFutexWake(std::atomic<uint32_t> *word, bool all);
+/** Wake every waiter parked on @p word, across processes. */
+void sharedFutexWake(std::atomic<uint32_t> *word);
+
+/** One spin-wait pause: a hint to the core, not a yield to the OS. */
+inline void
+cpuRelax() noexcept
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#endif
+}
+
+/**
+ * Wait until @p done(value of @p word) holds: re-read @p word for up to
+ * @p spins pauses, then count the caller in @p parked, re-read, and
+ * futex-park on @p word.  A @p timeout_ns > 0 bounds the wait to one
+ * park and returns false if @p done still fails after it; <= 0 parks
+ * until @p done holds.  @p done may read other state too, but only a
+ * change of @p word is sure to end a park at once: a change elsewhere
+ * that races the park is seen after the timeout.
+ *
+ * Missed wakeups are impossible by a Dekker pairing.  The waker stores
+ * to @p word (seq_cst) and then reads @p parked (seq_cst, wakeParked);
+ * the waiter increments @p parked (seq_cst) and then re-reads @p word
+ * (seq_cst).  In the single total order one of the two reads comes
+ * last: either the waker sees the count and wakes, or the waiter sees
+ * the new value and never sleeps (and a store that lands between the
+ * re-read and the park makes futex(2) return at once, because the word
+ * no longer holds the value the waiter saw).
+ */
+template <typename Done>
+bool
+parkUntil(std::atomic<uint32_t> &word, Done &&done,
+          std::atomic<uint32_t> &parked, uint32_t spins, int64_t timeout_ns)
+{
+    for (uint32_t i = 0; i < spins; ++i) {
+        if (done(word.load(std::memory_order_acquire))) {
+            return true;
+        }
+        cpuRelax();
+    }
+    parked.fetch_add(1, std::memory_order_seq_cst);
+    uint32_t seen = word.load(std::memory_order_seq_cst);
+    bool ok = done(seen);
+    while (!ok) {
+        sharedFutexWait(&word, seen, timeout_ns);
+        seen = word.load(std::memory_order_seq_cst);
+        ok = done(seen);
+        if (timeout_ns > 0) {
+            break; // one bounded park; the caller loops
+        }
+    }
+    parked.fetch_sub(1, std::memory_order_relaxed);
+    return ok;
+}
+
+/**
+ * The waker's half of parkUntil: after a seq_cst store to @p word, wake
+ * its waiters if @p parked counts any.  The common case, nobody asleep,
+ * costs one load and no syscall.
+ */
+void wakeParked(std::atomic<uint32_t> &word, std::atomic<uint32_t> &parked);
 
 /**
  * A file-backed shared mapping.  The launcher create()s it sized for
@@ -87,9 +152,8 @@ class ShmSegment {
  * of two well below 4 GiB, so wraparound arithmetic is exact), and a
  * record may wrap the data area byte-wise; push/pop copy through the
  * modulo helpers.  Producer and consumer each own one position word
- * and park on the *other* side's word when they must wait, with a
- * parked flag the opposite side checks after publishing (the seq_cst
- * store/load pairing makes missed wakeups impossible).
+ * and park on the *other* side's word through parkUntil when they must
+ * wait; each side's parked count sits beside the word it parks on.
  */
 class SpscRecordRing {
   public:
@@ -138,8 +202,8 @@ class SpscRecordRing {
     /**
      * Consumer-side park: spin up to @p spin_budget relaxations, then
      * futex-park on the tail word for at most @p timeout_ns.  Returns
-     * true when data is available.  Callers loop, re-checking abort
-     * and interrupt conditions between calls.
+     * true when data is available; an abort ends the wait too.  Callers
+     * loop, re-checking abort and interrupt conditions between calls.
      */
     bool waitForData(uint32_t spin_budget, int64_t timeout_ns);
 
@@ -175,10 +239,10 @@ class SpscRecordRing {
 
     static constexpr uint32_t kMagic = 0x44424C52; // "DBLR"
 
-    // Line 0: consumer-owned position (producer reads it).
+    // Line 0: consumer-owned position (producer reads and parks on it).
     alignas(64) std::atomic<uint32_t> head_{0};
     std::atomic<uint32_t> producer_parked_{0};
-    // Line 1: producer-owned position (consumer reads it).
+    // Line 1: producer-owned position (consumer reads and parks on it).
     alignas(64) std::atomic<uint32_t> tail_{0};
     std::atomic<uint32_t> consumer_parked_{0};
     // Line 2: shared, rarely written.

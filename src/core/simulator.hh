@@ -212,63 +212,6 @@ class Simulator {
     std::vector<Task<>> tasks_;
 };
 
-/**
- * One-shot, single-waiter synchronization cell.
- *
- * Kernel and device models complete a simulated-blocking operation by
- * calling fulfill(); the waiting coroutine resumes through the event
- * queue at the current time (never inline), preserving deterministic
- * event ordering.  fulfill() is idempotent: the first call wins, which
- * makes completion-vs-timeout races trivial to express.
- */
-template <typename T>
-class OneShot {
-  public:
-    explicit OneShot(Simulator &sim) : sim_(sim) {}
-
-    OneShot(const OneShot &) = delete;
-    OneShot &operator=(const OneShot &) = delete;
-
-    bool fulfilled() const { return value_.has_value(); }
-
-    /** Complete the operation with @p v; only the first call has effect. */
-    void
-    fulfill(T v)
-    {
-        if (value_.has_value()) {
-            return;
-        }
-        value_.emplace(std::move(v));
-        if (waiter_) {
-            auto h = waiter_;
-            waiter_ = nullptr;
-            sim_.scheduleWakeup(SimTime(), h);
-        }
-    }
-
-    bool await_ready() const noexcept { return value_.has_value(); }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        if (waiter_) {
-            panic("OneShot: second waiter");
-        }
-        waiter_ = h;
-    }
-
-    T
-    await_resume()
-    {
-        return std::move(*value_);
-    }
-
-  private:
-    Simulator &sim_;
-    std::coroutine_handle<> waiter_;
-    std::optional<T> value_;
-};
-
 } // namespace diablo
 
 #endif // DIABLO_CORE_SIMULATOR_HH_

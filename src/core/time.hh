@@ -84,8 +84,6 @@ class SimTime {
 
     constexpr int64_t toPs() const { return ps_; }
     constexpr int64_t toNs() const { return ps_ / 1000; }
-    constexpr int64_t toUs() const { return ps_ / 1000000; }
-    constexpr int64_t toMs() const { return ps_ / 1000000000LL; }
 
     constexpr double asSeconds() const { return ps_ * 1e-12; }
     constexpr double asMillis() const { return ps_ * 1e-9; }

@@ -6,6 +6,7 @@
 #include "core/cpu_topology.hh"
 #include "core/interrupt.hh"
 #include "core/log.hh"
+#include "core/shm.hh"
 
 namespace diablo {
 namespace fame {
@@ -116,11 +117,10 @@ PartitionSet::ensureLanes(size_t workers)
 
 PartitionSet::~PartitionSet()
 {
-    {
-        std::lock_guard<std::mutex> lk(pool_mu_);
-        pool_shutdown_ = true;
-    }
-    pool_work_cv_.notify_all();
+    // Like a run's parameters, the flag is written before the bump.
+    pool_shutdown_ = true;
+    pool_generation_.fetch_add(1, std::memory_order_seq_cst);
+    wakeParked(pool_generation_, pool_parked_);
     for (auto &w : pool_) {
         w.join();
     }
@@ -454,18 +454,6 @@ namespace {
  */
 constexpr uint32_t kWindowSpinBudget = 4096;
 
-void
-cpuRelax() noexcept
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield" ::: "memory");
-#else
-    std::this_thread::yield();
-#endif
-}
-
 /** True once a slot count @p seen covers @p n (wraps at 2^32). */
 bool
 reached(uint32_t seen, uint32_t n)
@@ -490,13 +478,9 @@ PartitionSet::publish(WorkerLane &lane, uint32_t n, SimTime lane_min) const
     slot.earliest[p] = std::min(lane_min, lane.posted_min);
     slot.dirty_count[p] = lane.dirty_count;
     if (par_workers_ > 1) {
-        // seq_cst against awaitWindow's park: either this load sees the
-        // parked count and wakes the sleeper, or its re-check sees n.
         // A lone worker has nobody to tell, and skips the fence.
         slot.published.store(n, std::memory_order_seq_cst);
-        if (slot.parked.load(std::memory_order_seq_cst) != 0) {
-            slot.published.notify_all();
-        }
+        wakeParked(slot.published, slot.parked);
     }
     // Open the next window on the other parity.  Siblings drained its
     // buffers at the end of the previous window, before publishing this
@@ -508,24 +492,9 @@ PartitionSet::publish(WorkerLane &lane, uint32_t n, SimTime lane_min) const
 void
 PartitionSet::awaitWindow(WindowSlot &slot, uint32_t n) const
 {
-    uint32_t spent = 0;
-    while (!reached(slot.published.load(std::memory_order_acquire), n)) {
-        if (spent >= spin_budget_) {
-            slot.parked.fetch_add(1, std::memory_order_seq_cst);
-            for (;;) {
-                const uint32_t seen =
-                    slot.published.load(std::memory_order_seq_cst);
-                if (reached(seen, n)) {
-                    break;
-                }
-                slot.published.wait(seen, std::memory_order_seq_cst);
-            }
-            slot.parked.fetch_sub(1, std::memory_order_relaxed);
-            return;
-        }
-        cpuRelax();
-        ++spent;
-    }
+    parkUntil(
+        slot.published, [n](uint32_t seen) { return reached(seen, n); },
+        slot.parked, spin_budget_, 0);
 }
 
 bool
@@ -587,60 +556,55 @@ void
 PartitionSet::ensureWorkerPool(size_t pool_threads)
 {
     // Grow on demand, never shrink: an idle pooled worker costs one
-    // parked thread, re-spawning costs a clone() per run.
+    // parked thread, re-spawning costs a clone() per run.  A new thread
+    // joins the run whose generation bump precedes its spawn.
+    const uint32_t seen =
+        pool_generation_.load(std::memory_order_relaxed) - 1;
     while (pool_.size() < pool_threads) {
         const size_t worker_id = pool_.size() + 1; // caller is worker 0
-        pool_.emplace_back([this, worker_id] { workerLoop(worker_id); });
+        pool_.emplace_back(
+            [this, worker_id, seen] { workerLoop(worker_id, seen); });
     }
 }
 
 void
-PartitionSet::workerLoop(size_t worker_id)
+PartitionSet::workerLoop(size_t worker_id, uint32_t seen)
 {
     // The thread's inherited mask — the caller's, unpinned (see
     // runWindows) — is home base: runs whose placement pins this
     // worker narrow it, runs that don't restore it.
     const SavedAffinity home = saveCurrentThreadAffinity();
     bool pinned = false;
-    uint64_t seen_generation = 0;
     for (;;) {
-        bool participate;
-        int cpu = -1;
-        {
-            std::unique_lock<std::mutex> lk(pool_mu_);
-            pool_work_cv_.wait(lk, [&] {
-                return pool_shutdown_ ||
-                       pool_generation_ != seen_generation;
-            });
-            if (pool_shutdown_) {
-                return;
-            }
-            seen_generation = pool_generation_;
-            // A run fusing fewer workers than the pool holds leaves the
-            // extra threads parked; they are not counted in
-            // workers_running_ and never touch a lane.
-            participate = worker_id < par_workers_;
-            if (participate) {
-                cpu = lanes_[worker_id].cpu;
-            }
+        // Idle between runs for as long as the caller likes: park at
+        // once.  The pool writes a run's parameters (and the shutdown
+        // flag) before the generation bump, and this thread reads them
+        // only after it sees the bump.
+        parkUntil(
+            pool_generation_, [seen](uint32_t g) { return g != seen; },
+            pool_parked_, 0, 0);
+        seen = pool_generation_.load(std::memory_order_acquire);
+        if (pool_shutdown_) {
+            return;
         }
-        if (!participate) {
-            continue;
-        }
-        if (cpu >= 0) {
-            pinned = pinCurrentThreadToCpu(cpu);
-        } else if (pinned) {
-            restoreCurrentThreadAffinity(home);
-            pinned = false;
-        }
-        // The run's window parameters were published under pool_mu_;
-        // from there each worker derives every window itself.
-        workerBody(worker_id);
-        {
-            std::lock_guard<std::mutex> lk(pool_mu_);
-            if (--workers_running_ == 0) {
-                pool_idle_cv_.notify_all();
+        // A run fusing fewer workers than the pool holds leaves the
+        // extra threads out of the window loop; they still check in
+        // below, so no thread lags into the next run's parameters.
+        if (worker_id < par_workers_) {
+            const int cpu = lanes_[worker_id].cpu;
+            if (cpu >= 0) {
+                pinned = pinCurrentThreadToCpu(cpu);
+            } else if (pinned) {
+                restoreCurrentThreadAffinity(home);
+                pinned = false;
             }
+            workerBody(worker_id);
+        }
+        // The last thread's decrement (acq_rel, and seq_cst for
+        // wakeParked's pairing) releases the run's writes to the caller
+        // that reads zero.
+        if (workers_running_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+            wakeParked(workers_running_, caller_parked_);
         }
     }
 }
@@ -723,16 +687,18 @@ PartitionSet::runWindows(SimTime until, size_t workers, const char *entry)
 
     if (run_t_ < until) {
         if (workers > 1) {
-            {
-                std::lock_guard<std::mutex> lk(pool_mu_);
-                ++pool_generation_;
-                workers_running_ = workers - 1;
-            }
-            pool_work_cv_.notify_all();
+            // Every parameter of the run is written above, before the
+            // bump; a pool thread reads them only after it sees it.
+            // Every pool thread, spawned below or not, checks in once.
+            workers_running_.store(
+                static_cast<uint32_t>(std::max(pool_.size(), workers - 1)),
+                std::memory_order_relaxed);
+            pool_generation_.fetch_add(1, std::memory_order_seq_cst);
+            wakeParked(pool_generation_, pool_parked_);
             // Spawn missing pool threads only after the generation and
-            // running count are published (a new thread starts with
-            // seen_generation 0 and participates immediately), and
-            // before worker 0 pins, so each inherits the caller's mask.
+            // running count are published (a new thread joins this
+            // run at once), and before worker 0 pins, so each inherits
+            // the caller's mask.
             ensureWorkerPool(workers - 1);
         }
         // The caller doubles as worker 0: borrow its affinity for the
@@ -746,8 +712,11 @@ PartitionSet::runWindows(SimTime until, size_t workers, const char *entry)
         }
         workerBody(0);
         if (workers > 1) {
-            std::unique_lock<std::mutex> lk(pool_mu_);
-            pool_idle_cv_.wait(lk, [&] { return workers_running_ == 0; });
+            // The pool ends the run's last window with worker 0, so the
+            // check-in is a window barrier's wait.
+            parkUntil(
+                workers_running_, [](uint32_t n) { return n == 0; },
+                caller_parked_, spin_budget_, 0);
         }
         if (pinned0) {
             restoreCurrentThreadAffinity(home);

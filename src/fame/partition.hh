@@ -56,11 +56,12 @@
  *     into the same next window, and delivers — in channel order —
  *     only the messages bound for partitions it owns.  Waiters spin
  *     (quanta are ~µs; a futex round trip costs more than most quanta)
- *     and park only after a budget — which drops to zero when workers
- *     outnumber the run's CPUs, because spinning on a timeshared core
- *     just burns the scheduler quantum the other worker needs.  Channel
- *     buffers, dirty lists and slot fields are double-buffered by
- *     window parity, so a worker already posting in window k+1 never
+ *     and park (parkUntil) only after a budget — which drops to zero
+ *     when workers outnumber the run's CPUs, because spinning on a
+ *     timeshared core just burns the scheduler quantum the other
+ *     worker needs.  Channel buffers, dirty lists and slot fields are
+ *     double-buffered by window parity, so a worker already posting in
+ *     window k+1 never
  *     touches what a slower sibling still drains from window k; one
  *     window is as far as any worker can run ahead.
  *  3. **Workers on the CPUs the caller may use.**  A run's CPU set is
@@ -123,7 +124,6 @@
  */
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -688,7 +688,8 @@ class PartitionSet {
     void growLaneDirty(WorkerLane &lane);
 
     void ensureWorkerPool(size_t pool_threads);
-    void workerLoop(size_t worker_id);
+    /** Pool thread @p worker_id, spawned after generation @p seen. */
+    void workerLoop(size_t worker_id, uint32_t seen);
 
     // --- coupled engine internals ---
 
@@ -779,19 +780,22 @@ class PartitionSet {
 
     // Worker pool: min(P, parallelism()) - 1 pool threads (the caller
     // is worker 0), created on first use, grown on demand, reused for
-    // every subsequent run and joined in the destructor.  generation_
-    // hands work to the pool; workers_running_ counts them back in.
+    // every subsequent run and joined in the destructor.  A bump of
+    // pool_generation_ hands a run (or the shutdown) to every pool
+    // thread, and workers_running_ counts them back in; both hand off
+    // through parkUntil, with the parked counts beside them.
+    // pool_mu_ guards only run_active_ and the setters (lockIdle).
     std::vector<std::thread> pool_;
     std::mutex pool_mu_;
-    std::condition_variable pool_work_cv_;
-    std::condition_variable pool_idle_cv_;
-    uint64_t pool_generation_ = 0;
-    size_t workers_running_ = 0;
+    std::atomic<uint32_t> pool_generation_{0};
+    std::atomic<uint32_t> pool_parked_{0};
+    std::atomic<uint32_t> workers_running_{0};
+    std::atomic<uint32_t> caller_parked_{0};
     bool pool_shutdown_ = false;
     bool run_active_ = false;
 
     // Fusion state of the in-flight run.  Written before workers are
-    // released (mutex handoff) and only read during the run, except
+    // released (the generation bump) and only read during the run, except
     // the WorkerLanes, which each worker writes for itself; siblings
     // read a lane's slot after acquiring its window count.
     std::vector<std::vector<size_t>> worker_parts_; ///< worker -> fused set

@@ -58,20 +58,16 @@ ShmGroupControl::publish(Command cmd, int64_t until)
     until_ps.store(until, std::memory_order_seq_cst);
     command.store(cmd, std::memory_order_seq_cst);
     epoch.fetch_add(1, std::memory_order_seq_cst);
-    sharedFutexWake(&epoch, /*all=*/true);
+    wakeParked(epoch, parked);
 }
 
 uint32_t
 ShmGroupControl::waitEpoch(uint32_t last_epoch, int64_t timeout_ns)
 {
-    uint32_t e = epoch.load(std::memory_order_seq_cst);
-    for (uint32_t spin = 0; e == last_epoch && spin < 4096; ++spin)
-        e = epoch.load(std::memory_order_seq_cst);
-    if (e == last_epoch) {
-        sharedFutexWait(&epoch, last_epoch, timeout_ns);
-        e = epoch.load(std::memory_order_seq_cst);
-    }
-    return e;
+    parkUntil(
+        epoch, [last_epoch](uint32_t e) { return e != last_epoch; }, parked,
+        kEpochSpins, timeout_ns);
+    return epoch.load(std::memory_order_seq_cst);
 }
 
 void

@@ -200,18 +200,24 @@ struct alignas(64) ShmGroupControl {
         kStopInterrupted = 3,
     };
 
+    /** Pauses a follower spins on the epoch before it parks. */
+    static constexpr uint32_t kEpochSpins = 4096;
+
     std::atomic<uint32_t> epoch{0};
     std::atomic<uint32_t> command{kRun};
     std::atomic<int64_t> until_ps{0};
     std::atomic<uint32_t> interrupted_mask{0};
+    /** Followers parked on epoch (parkUntil's count). */
+    std::atomic<uint32_t> parked{0};
 
     /** Leader: publish the next command and wake every follower. */
     void publish(Command cmd, int64_t until);
 
     /**
-     * Follower: wait (bounded spin + futex) until epoch != last_epoch.
-     * Returns the new epoch.  Callers re-check interrupt flags between
-     * the bounded waits, which this loops internally with timeout_ns.
+     * Follower: wait (parkUntil: spin, then at most one park of
+     * @p timeout_ns) until epoch != last_epoch.  Returns the epoch,
+     * still last_epoch after a timeout; callers re-check interrupt
+     * flags between the bounded waits.
      */
     uint32_t waitEpoch(uint32_t last_epoch, int64_t timeout_ns);
 

@@ -103,7 +103,6 @@ class Kernel {
     net::NodeId node() const { return node_; }
     Cpu &cpu() { return *cpu_; }
     const KernelProfile &profile() const { return profile_; }
-    const TcpParams &tcpParams() const { return tcp_params_; }
     void setTcpParams(const TcpParams &p) { tcp_params_ = p; }
 
     /** Attach the network device (required before any traffic). */

@@ -54,105 +54,8 @@ faultKindName(FaultKind k)
 }
 
 // ---------------------------------------------------------------------
-// FaultPlan builders
+// FaultPlan
 // ---------------------------------------------------------------------
-
-FaultPlan &
-FaultPlan::trunkDown(SimTime at, uint32_t rack, uint32_t plane)
-{
-    FaultEvent e;
-    e.at = at;
-    e.kind = FaultKind::TrunkDown;
-    e.rack = rack;
-    e.plane = plane;
-    events_.push_back(e);
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::trunkUp(SimTime at, uint32_t rack, uint32_t plane)
-{
-    FaultEvent e;
-    e.at = at;
-    e.kind = FaultKind::TrunkUp;
-    e.rack = rack;
-    e.plane = plane;
-    events_.push_back(e);
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::trunkBrownout(SimTime at, uint32_t rack, uint32_t plane,
-                         double loss_prob, SimTime extra_latency)
-{
-    FaultEvent e;
-    e.at = at;
-    e.kind = FaultKind::TrunkBrownout;
-    e.rack = rack;
-    e.plane = plane;
-    e.loss_prob = loss_prob;
-    e.extra_latency = extra_latency;
-    events_.push_back(e);
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::trunkRepair(SimTime at, uint32_t rack, uint32_t plane)
-{
-    FaultEvent e;
-    e.at = at;
-    e.kind = FaultKind::TrunkRepair;
-    e.rack = rack;
-    e.plane = plane;
-    events_.push_back(e);
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::switchCrash(SimTime at, uint32_t array, uint32_t plane)
-{
-    FaultEvent e;
-    e.at = at;
-    e.kind = FaultKind::SwitchCrash;
-    e.array = array;
-    e.plane = plane;
-    events_.push_back(e);
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::switchRestart(SimTime at, uint32_t array, uint32_t plane)
-{
-    FaultEvent e;
-    e.at = at;
-    e.kind = FaultKind::SwitchRestart;
-    e.array = array;
-    e.plane = plane;
-    events_.push_back(e);
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::serverCrash(SimTime at, net::NodeId node)
-{
-    FaultEvent e;
-    e.at = at;
-    e.kind = FaultKind::ServerCrash;
-    e.node = node;
-    events_.push_back(e);
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::serverReboot(SimTime at, net::NodeId node)
-{
-    FaultEvent e;
-    e.at = at;
-    e.kind = FaultKind::ServerReboot;
-    e.node = node;
-    events_.push_back(e);
-    return *this;
-}
 
 FaultPlan &
 FaultPlan::merge(const FaultPlan &other, bool take_seed)
@@ -216,7 +119,7 @@ FaultPlan::fromConfig(const Config &cfg)
                 static_cast<net::NodeId>(cfg.getUint(p + "node", 0));
             break;
         }
-        plan.events_.push_back(e);
+        plan.add(e);
     }
     // Every fault.* key must have been read above.
     const std::vector<std::string> unread = cfg.unread("fault.");

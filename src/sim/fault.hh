@@ -45,22 +45,25 @@ enum class FaultKind {
 
 const char *faultKindName(FaultKind k);
 
-/** One timeline entry; which fields matter depends on kind. */
+/**
+ * One timeline entry; which fields matter depends on kind.  Built with
+ * designated initializers, so every member has an initializer.
+ */
 struct FaultEvent {
-    SimTime at;
+    SimTime at{};
     FaultKind kind = FaultKind::TrunkDown;
     uint32_t rack = 0;      ///< trunk faults
     uint32_t plane = 0;     ///< trunk and switch faults
     uint32_t array = 0;     ///< switch faults
     net::NodeId node = 0;   ///< server faults
     double loss_prob = 0.0; ///< brownout loss probability
-    SimTime extra_latency;  ///< brownout added one-way latency
+    SimTime extra_latency{}; ///< brownout added one-way latency
 };
 
 /**
  * A deterministic, seed-stamped fault timeline.
  *
- * Build programmatically with the fluent adders, from a Config
+ * Build programmatically with add(), from a Config
  * (fault.0.kind=trunk_down fault.0.at_us=... ...), or from a plan file
  * of key=value lines.  The seed feeds brownout loss processes; two runs
  * of the same plan draw identical loss sequences.
@@ -72,15 +75,8 @@ class FaultPlan {
 
     uint64_t seed() const { return seed_; }
 
-    FaultPlan &trunkDown(SimTime at, uint32_t rack, uint32_t plane);
-    FaultPlan &trunkUp(SimTime at, uint32_t rack, uint32_t plane);
-    FaultPlan &trunkBrownout(SimTime at, uint32_t rack, uint32_t plane,
-                             double loss_prob, SimTime extra_latency);
-    FaultPlan &trunkRepair(SimTime at, uint32_t rack, uint32_t plane);
-    FaultPlan &switchCrash(SimTime at, uint32_t array, uint32_t plane);
-    FaultPlan &switchRestart(SimTime at, uint32_t array, uint32_t plane);
-    FaultPlan &serverCrash(SimTime at, net::NodeId node);
-    FaultPlan &serverReboot(SimTime at, net::NodeId node);
+    /** Append @p e to the timeline (the scheduler orders by time). */
+    void add(const FaultEvent &e) { events_.push_back(e); }
 
     const std::vector<FaultEvent> &events() const { return events_; }
     bool empty() const { return events_.empty(); }

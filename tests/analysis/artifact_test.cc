@@ -196,7 +196,9 @@ TEST(RunArtifactLedger, AddLedgerSumsTwoRanksExactly)
         EXPECT_EQ(sum[i], la[i] + lb[i]) << "ledger word " << i;
     }
     EXPECT_EQ(a.executed_events, 1100u);
-    EXPECT_EQ(a.arena_bytes_reserved, 1106u);
+    // Every rank builds the whole model: mem stays the leader's own.
+    EXPECT_EQ(a.materialized_nodes, 101u);
+    EXPECT_EQ(a.arena_bytes_reserved, 103u);
     EXPECT_EQ(a.partition_rows[0].events, 1108u);
     EXPECT_EQ(a.partition_rows[0].pool_high_water, 1118u);
     EXPECT_EQ(a.partition_rows[1].pool_returns, 1120u);

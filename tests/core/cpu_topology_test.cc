@@ -16,7 +16,6 @@ namespace {
 
 TEST(CpuTopologyTest, PinSaveRestoreRoundTrip)
 {
-#ifdef __linux__
     const diablo::SavedAffinity home = diablo::saveCurrentThreadAffinity();
     ASSERT_TRUE(home.valid);
     const int cpu = diablo::allowedCpus().front();
@@ -28,14 +27,10 @@ TEST(CpuTopologyTest, PinSaveRestoreRoundTrip)
     EXPECT_EQ(again.mask, home.mask);
     // Pinning to an absurd cpu id fails without changing the mask.
     EXPECT_FALSE(diablo::pinCurrentThreadToCpu(-1));
-#else
-    GTEST_SKIP() << "affinity control is Linux-only";
-#endif
 }
 
 TEST(CpuTopologyTest, AllowedCpusFollowsTheThreadMask)
 {
-#ifdef __linux__
     const std::vector<int> all = diablo::allowedCpus();
     ASSERT_FALSE(all.empty());
     EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
@@ -44,9 +39,6 @@ TEST(CpuTopologyTest, AllowedCpusFollowsTheThreadMask)
     EXPECT_EQ(diablo::allowedCpus(), (std::vector<int>{all.back()}));
     diablo::restoreCurrentThreadAffinity(home);
     EXPECT_EQ(diablo::allowedCpus(), all);
-#else
-    GTEST_SKIP() << "affinity control is Linux-only";
-#endif
 }
 
 } // namespace

@@ -106,47 +106,6 @@ TEST(Task, SequentialSleepsAccumulate)
 }
 
 Task<>
-waiterTask(OneShot<int> &gate, int &out)
-{
-    out = co_await gate;
-}
-
-TEST(Task, OneShotFulfillAfterWait)
-{
-    Simulator sim;
-    OneShot<int> gate(sim);
-    int out = 0;
-    sim.spawn(waiterTask(gate, out));
-    sim.schedule(50_ns, [&] { gate.fulfill(7); });
-    sim.run();
-    EXPECT_EQ(out, 7);
-    EXPECT_EQ(sim.now(), 50_ns);
-}
-
-TEST(Task, OneShotFulfillBeforeWait)
-{
-    Simulator sim;
-    OneShot<int> gate(sim);
-    gate.fulfill(9);
-    int out = 0;
-    sim.spawn(waiterTask(gate, out));
-    sim.run();
-    EXPECT_EQ(out, 9);
-}
-
-TEST(Task, OneShotFirstFulfillWins)
-{
-    Simulator sim;
-    OneShot<int> gate(sim);
-    int out = 0;
-    sim.spawn(waiterTask(gate, out));
-    sim.schedule(10_ns, [&] { gate.fulfill(1); });
-    sim.schedule(20_ns, [&] { gate.fulfill(2); });
-    sim.run();
-    EXPECT_EQ(out, 1);
-}
-
-Task<>
 spawnerTask(Simulator &sim, std::vector<int> &log)
 {
     log.push_back(1);

@@ -75,10 +75,24 @@ runShardedIncast(switchm::SwitchModelKind model, bool parallel,
     std::unique_ptr<FaultController> fc;
     if (with_faults) {
         FaultPlan plan(params.seed);
-        plan.trunkDown(2_ms, /*rack=*/1, /*plane=*/0);
-        plan.trunkBrownout(3_ms, /*rack=*/2, 0, /*loss=*/0.1, 2_us);
-        plan.trunkUp(300_ms, 1, 0);
-        plan.trunkRepair(300_ms, 2, 0);
+        plan.add({.at = 2_ms,
+                  .kind = FaultKind::TrunkDown,
+                  .rack = 1,
+                  .plane = 0});
+        plan.add({.at = 3_ms,
+                  .kind = FaultKind::TrunkBrownout,
+                  .rack = 2,
+                  .plane = 0,
+                  .loss_prob = 0.1,
+                  .extra_latency = 2_us});
+        plan.add({.at = 300_ms,
+                  .kind = FaultKind::TrunkUp,
+                  .rack = 1,
+                  .plane = 0});
+        plan.add({.at = 300_ms,
+                  .kind = FaultKind::TrunkRepair,
+                  .rack = 2,
+                  .plane = 0});
         fc = std::make_unique<FaultController>(cluster, plan);
         fc->install();
     }

@@ -70,13 +70,13 @@ runTrial(const StressTrial &t, bool parallel, size_t threads)
     apps::IncastApp app(cluster, ip, /*client=*/0, servers);
     app.install();
 
-    FaultController fc(cluster,
-                       t.faults
-                           ? FaultPlan(params.seed)
-                                 .trunkDown(t.fault_at, /*rack=*/0, 0)
-                                 .trunkUp(t.fault_at + SimTime::ms(300),
-                                          0, 0)
-                           : FaultPlan());
+    FaultPlan plan(params.seed);
+    if (t.faults) { // rack 0's plane-0 trunk, down for 300 ms
+        plan.add({.at = t.fault_at, .kind = FaultKind::TrunkDown});
+        plan.add({.at = t.fault_at + SimTime::ms(300),
+                  .kind = FaultKind::TrunkUp});
+    }
+    FaultController fc(cluster, plan);
     if (t.faults) {
         fc.install();
     }

@@ -134,12 +134,34 @@ runFaultedIncast(bool parallel, size_t threads = 0)
     topo::ClosNetwork &net = cluster.network();
     const uint32_t victim = busiestPlane(net, servers);
     FaultPlan plan(params.seed);
-    plan.trunkDown(2_ms, /*rack=*/0, victim);
-    plan.trunkBrownout(3_ms, /*rack=*/1, 0, /*loss=*/0.2, 2_us);
-    plan.trunkBrownout(3_ms, /*rack=*/1, 1, /*loss=*/0.2, 2_us);
-    plan.trunkUp(SimTime::ms(400), 0, victim);
-    plan.trunkRepair(SimTime::ms(400), 1, 0);
-    plan.trunkRepair(SimTime::ms(400), 1, 1);
+    plan.add({.at = 2_ms,
+              .kind = FaultKind::TrunkDown,
+              .rack = 0,
+              .plane = victim});
+    plan.add({.at = 3_ms,
+              .kind = FaultKind::TrunkBrownout,
+              .rack = 1,
+              .plane = 0,
+              .loss_prob = 0.2,
+              .extra_latency = 2_us});
+    plan.add({.at = 3_ms,
+              .kind = FaultKind::TrunkBrownout,
+              .rack = 1,
+              .plane = 1,
+              .loss_prob = 0.2,
+              .extra_latency = 2_us});
+    plan.add({.at = SimTime::ms(400),
+              .kind = FaultKind::TrunkUp,
+              .rack = 0,
+              .plane = victim});
+    plan.add({.at = SimTime::ms(400),
+              .kind = FaultKind::TrunkRepair,
+              .rack = 1,
+              .plane = 0});
+    plan.add({.at = SimTime::ms(400),
+              .kind = FaultKind::TrunkRepair,
+              .rack = 1,
+              .plane = 1});
     FaultController fc(cluster, plan);
     fc.install();
     EXPECT_TRUE(fc.installed());
@@ -233,8 +255,14 @@ runTrunkOutage(bool parallel)
     topo::ClosNetwork &net = cluster.network();
     const uint32_t victim = busiestPlane(net, servers);
     FaultPlan plan(params.seed);
-    plan.trunkDown(kPhaseEdges[1], /*rack=*/0, victim);
-    plan.trunkUp(kPhaseEdges[2], /*rack=*/0, victim);
+    plan.add({.at = kPhaseEdges[1],
+              .kind = FaultKind::TrunkDown,
+              .rack = 0,
+              .plane = victim});
+    plan.add({.at = kPhaseEdges[2],
+              .kind = FaultKind::TrunkUp,
+              .rack = 0,
+              .plane = victim});
     FaultController fc(cluster, plan);
     fc.install();
 
@@ -355,8 +383,8 @@ TEST(FaultInjection, ServerCrashAbortsPeersInsteadOfHangingThem)
     cluster.kernel(1).spawnProcess(sinkServer(cluster.kernel(1)));
     cluster.kernel(0).spawnProcess(bulkSender(&cluster, &r));
 
-    FaultPlan plan;
-    plan.serverCrash(500_us, /*node=*/1); // mid-transfer, no reboot
+    FaultPlan plan; // a crash mid-transfer, with no reboot
+    plan.add({.at = 500_us, .kind = FaultKind::ServerCrash, .node = 1});
     FaultController fc(cluster, plan);
     fc.install();
     sim.run();
@@ -386,8 +414,8 @@ TEST(FaultInjection, RebootedServerResetsStaleConnections)
     cluster.kernel(0).spawnProcess(bulkSender(&cluster, &r));
 
     FaultPlan plan;
-    plan.serverCrash(500_us, 1);
-    plan.serverReboot(5_ms, 1);
+    plan.add({.at = 500_us, .kind = FaultKind::ServerCrash, .node = 1});
+    plan.add({.at = 5_ms, .kind = FaultKind::ServerReboot, .node = 1});
     FaultController fc(cluster, plan);
     fc.install();
     sim.run();
@@ -577,12 +605,15 @@ TEST(FaultControllerDeathTest, ValidatesAgainstTopology)
     Cluster cluster(sim, params);
 
     FaultPlan trunk;
-    trunk.trunkDown(1_ms, 0, 0);
+    trunk.add({.at = 1_ms,
+               .kind = FaultKind::TrunkDown,
+               .rack = 0,
+               .plane = 0});
     FaultController fc1(cluster, trunk);
     EXPECT_DEATH(fc1.install(), "single-rack topology");
 
     FaultPlan node;
-    node.serverCrash(1_ms, /*node=*/99);
+    node.add({.at = 1_ms, .kind = FaultKind::ServerCrash, .node = 99});
     FaultController fc2(cluster, node);
     EXPECT_DEATH(fc2.install(), "out of range");
 }

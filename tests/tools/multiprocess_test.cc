@@ -5,9 +5,10 @@
  * in-process sequential run (with and without a fault plan), SIGTERM to
  * the leader must forward to the engine children and finalize an
  * interrupted partial artifact with the interrupted exit code, a child
- * rank must die with a killed leader, and the mode's argument
- * validation must reject the unsupported combinations loudly instead
- * of silently degrading.
+ * rank must die with a killed leader, a leader must stop within seconds
+ * of a killed child rank, and the mode's argument validation must
+ * reject the unsupported combinations loudly instead of silently
+ * degrading.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "analysis/artifact.hh"
 #include "core/interrupt.hh"
@@ -120,6 +122,14 @@ expectCrossProcessFingerprintMatch(const std::string &tag,
     const std::string seq_fp = fingerprintOf(seq_doc);
     ASSERT_FALSE(seq_fp.empty());
     EXPECT_EQ(seq_fp, fingerprintOf(mp_doc));
+    // Every rank builds the full model, so mem is the leader's alone
+    // and reads as the one-process run's.
+    for (const char *key : {"materialized_nodes", "arena_bytes_reserved"}) {
+        EXPECT_GT(groupCounter(seq_doc, "mem", key), 0) << key;
+        EXPECT_EQ(groupCounter(seq_doc, "mem", key),
+                  groupCounter(mp_doc, "mem", key))
+            << key;
+    }
     if (!extra.empty()) {
         EXPECT_EQ(groupCounter(seq_doc, "faults", "plan_events"), 2);
         EXPECT_GT(groupCounter(seq_doc, "faults", "link_down_drops"), 0);
@@ -203,6 +213,46 @@ firstChildOf(pid_t pid)
     return in >> child ? static_cast<pid_t>(child) : 0;
 }
 
+/**
+ * Spawn the 12-rack --processes 2 incast (writing @p json unless it is
+ * empty) and return the leader and its child rank once it has forked
+ * one; the child is 0, and the leader already killed, if it never does.
+ */
+std::pair<pid_t, pid_t>
+spawnGroup(const std::string &log, const std::string &json = "")
+{
+    const pid_t leader = spawnRun(
+        " incast incast.servers=96 incast.racks=12 incast.iterations=100"
+        " incast.block_bytes=262144 --processes 2" +
+            (json.empty() ? std::string() : " --json " + json),
+        log);
+    pid_t child = 0;
+    for (int i = 0; leader > 0 && i < 100 && child == 0; ++i) {
+        std::this_thread::sleep_for(50ms);
+        child = firstChildOf(leader);
+    }
+    if (leader > 0 && child == 0) {
+        kill(leader, SIGKILL);
+        waitExit(leader);
+    }
+    return {leader, child};
+}
+
+/** Reap @p pid within 5 s into @p status; false if it still runs. */
+bool
+reapWithin5s(pid_t pid, int *status)
+{
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    pid_t reaped = 0;
+    while (reaped == 0 && std::chrono::steady_clock::now() < deadline) {
+        reaped = waitpid(pid, status, WNOHANG);
+        if (reaped == 0) {
+            std::this_thread::sleep_for(20ms);
+        }
+    }
+    return reaped == pid;
+}
+
 // SIGKILL to the leader, which can forward nothing, takes its child
 // rank down at once instead of leaving it to wait out the coupled-wait
 // budget.  This test process is a subreaper for the run, so the
@@ -215,41 +265,55 @@ TEST(MultiprocessRun, ChildRankDiesWithItsLeader)
     } clear_subreaper;
 
     const std::string log = tmpPath("pdeath.log");
-    const pid_t leader = spawnRun(
-        " incast incast.servers=96 incast.racks=12 incast.iterations=100"
-        " incast.block_bytes=262144 --processes 2",
-        log);
+    const auto [leader, child] = spawnGroup(log);
     ASSERT_GT(leader, 0);
-    pid_t child = 0;
-    for (int i = 0; i < 100 && child == 0; ++i) {
-        std::this_thread::sleep_for(50ms);
-        child = firstChildOf(leader);
-    }
-    if (child == 0) {
-        kill(leader, SIGKILL);
-        waitExit(leader);
-        FAIL() << "the leader forked no rank";
-    }
+    ASSERT_GT(child, 0) << "the leader forked no rank";
     std::this_thread::sleep_for(500ms); // let the ranks couple and run
     ASSERT_EQ(kill(leader, SIGKILL), 0);
     EXPECT_EQ(waitExit(leader), 128 + SIGKILL);
 
-    const auto deadline = std::chrono::steady_clock::now() + 5s;
     int status = 0;
-    pid_t reaped = 0;
-    while (reaped == 0 && std::chrono::steady_clock::now() < deadline) {
-        reaped = waitpid(child, &status, WNOHANG);
-        if (reaped == 0) {
-            std::this_thread::sleep_for(20ms);
-        }
-    }
-    if (reaped != child) {
+    if (!reapWithin5s(child, &status)) {
         ADD_FAILURE() << "rank " << child << " outlived its leader by 5 s";
         kill(child, SIGKILL);
         waitpid(child, &status, 0);
     } else {
         EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
     }
+    std::remove(log.c_str());
+}
+
+// SIGKILL to the child rank, which can report nothing, stops the
+// leader within seconds instead of after the 60 s coupled-wait budget:
+// the leader's SIGCHLD handler requests the cooperative stop, its
+// coupled wait gives up within the interrupted budget, and it
+// finalizes a partial artifact.
+TEST(MultiprocessRun, LeaderNoticesDeadRank)
+{
+    const std::string json = tmpPath("deadrank.json");
+    const std::string log = tmpPath("deadrank.log");
+    std::remove(json.c_str());
+    const auto [leader, child] = spawnGroup(log, json);
+    ASSERT_GT(leader, 0);
+    ASSERT_GT(child, 0) << "the leader forked no rank";
+    std::this_thread::sleep_for(500ms); // let the ranks couple and run
+    ASSERT_EQ(kill(child, SIGKILL), 0);
+
+    int status = 0;
+    if (!reapWithin5s(leader, &status)) {
+        kill(leader, SIGKILL);
+        waitExit(leader);
+        FAIL() << "the leader outlived its dead rank by 5 s";
+    }
+    EXPECT_TRUE(WIFEXITED(status) &&
+                WEXITSTATUS(status) == diablo::core::kExitInterrupted)
+        << "status " << status;
+    const auto v = diablo::analysis::RunArtifact::validate(json);
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.status, "interrupted");
+    EXPECT_NE(slurp(json).find("\"interrupt_cause\": \"peer-interrupt\""),
+              std::string::npos);
+    std::remove(json.c_str());
     std::remove(log.c_str());
 }
 

@@ -457,7 +457,9 @@ finalizeInterrupted(analysis::RunArtifact &a, const RunOpts &opts,
  * network, datapath and fault counter groups, the memory ledger and,
  * coupled, the transport counters.  Every run builds them here; a
  * multiprocess leader then adds each child rank's ledger() of the same
- * sections, which sums the ranks' shares into the one-process totals.
+ * sections but the memory ledger, which sums the ranks' shares into the
+ * one-process totals.  Every rank builds the full model, so the memory
+ * ledger stays the leader's own.
  */
 void
 fillMeasured(analysis::RunArtifact &a, sim::Cluster &cluster,
@@ -638,6 +640,29 @@ readAll(int fd, void *p, size_t n)
 }
 
 /**
+ * The control block of the group whose ranks this leader forked; set
+ * before onRankExit is installed and never changed after.
+ */
+fame::ShmGroupControl *g_forked_group = nullptr;
+
+/**
+ * The leader's SIGCHLD handler.  A rank that exits while the group
+ * still runs has died, so ask for the cooperative stop: the coupled
+ * wait then gives up on the silent rank within its interrupted budget,
+ * and the run finalizes a partial artifact.  A rank that exits after
+ * the stop was published raises nothing.  One atomic load and
+ * requestInterrupt's CAS, so it is async-signal-safe.
+ */
+extern "C" void
+onRankExit(int)
+{
+    if (g_forked_group->command.load(std::memory_order_seq_cst) ==
+        fame::ShmGroupControl::kRun) {
+        core::requestInterrupt(core::kCausePeer);
+    }
+}
+
+/**
  * One process's side of a --processes group: the shared segment, the
  * ring transports to the other ranks and, on the leader, the child
  * ranks it forked.  Inactive for single-process runs.
@@ -699,6 +724,14 @@ class ProcessGroup {
         ctl_ = fame::groupControl(seg_.data(), layout_);
         // Buffered output would otherwise be written once per process.
         std::fflush(nullptr);
+        // SIGCHLD waits, blocked, until onRankExit is installed, so a
+        // rank that dies at once still raises it.  Each rank restores
+        // the mask it was forked with.
+        sigset_t chld;
+        sigset_t mask;
+        sigemptyset(&chld);
+        sigaddset(&chld, SIGCHLD);
+        sigprocmask(SIG_BLOCK, &chld, &mask);
         const pid_t leader = getpid();
         for (uint32_t r = 1; r < nprocs_; ++r) {
             int pfd[2];
@@ -710,6 +743,7 @@ class ProcessGroup {
                 fatal("fork: %s", std::strerror(errno));
             }
             if (pid == 0) {
+                sigprocmask(SIG_SETMASK, &mask, nullptr);
                 // A rank dies with its leader instead of waiting out
                 // the coupled-wait budget alone.  A leader that died
                 // before the prctl took hold has already reparented
@@ -732,6 +766,13 @@ class ProcessGroup {
             close(pfd[1]);
             kids_.push_back(Child{pid, pfd[0], r});
         }
+        g_forked_group = ctl_;
+        struct sigaction sa = {};
+        sa.sa_handler = onRankExit;
+        sigemptyset(&sa.sa_mask);
+        sa.sa_flags = SA_RESTART | SA_NOCLDSTOP;
+        sigaction(SIGCHLD, &sa, nullptr);
+        sigprocmask(SIG_SETMASK, &mask, nullptr);
         return 0;
     }
 
