@@ -9,9 +9,9 @@
  *    file-backed shared-memory ring pair (one ping-pong per iteration,
  *    so real_ns_per_iter IS the RTT), echo peer on a second thread.
  *  - BM_CoupledSyncRate: two coupled PartitionSets exchanging nothing
- *    but window SYNC records (skipping off, empty partitions) — the
- *    pure synchronization cost of the coupled barrier; items/s = sync
- *    messages per second observed by the leader side.
+ *    but window-end publications (skipping off, empty partitions) — the
+ *    pure synchronization cost of the coupled barrier; items/s = the
+ *    leader side's publications sent and folded per second.
  *  - BM_CoupledIncastSeq / BM_CoupledIncastPair: the 4-rack incast
  *    model run whole on one engine vs split across two coupled copies
  *    on two threads.  items/s = simulated events per second (summed
@@ -101,7 +101,7 @@ void
 BM_CoupledSyncRate(benchmark::State &state)
 {
     // 1 ms quantum over a 1 s horizon with empty partitions and
-    // skipping off: 1000 barriers of pure SYNC exchange per run.
+    // skipping off: 1000 barriers of pure slot exchange per run.
     uint64_t syncs = 0;
     for (auto _ : state) {
         state.PauseTiming();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include <sched.h>
+
 #include "core/cpu_topology.hh"
 #include "core/interrupt.hh"
 #include "core/log.hh"
@@ -321,13 +323,13 @@ PartitionSet::drain(size_t w, uint32_t p)
 {
     // One merged drain for every engine: the parity-p channels any lane
     // posted to worker w's partitions (whole pending_ buffers) and,
-    // coupled, each peer's front batch (individual wire records), in
-    // (channel, peer, record) order.  Channel order makes each
-    // destination queue's insertion sequence — and so same-timestamp
-    // tie-breaking — independent of the fusion and of which process a
-    // message came from.  A channel is local-dirty xor inbound (its
-    // source is owned xor foreign), so the two entry kinds never
-    // interleave within one channel.
+    // coupled, each peer's batch of the exchange that just ended
+    // (individual wire records), in (channel, peer, record) order.
+    // Channel order makes each destination queue's insertion sequence —
+    // and so same-timestamp tie-breaking — independent of the fusion and
+    // of which process a message came from.  A channel is local-dirty
+    // xor inbound (its source is owned xor foreign), so the two entry
+    // kinds never interleave within one channel.
     std::vector<DrainEntry> &entries = lanes_[w].drain_scratch;
     entries.clear();
     for (size_t v = 0; v < par_workers_; ++v) {
@@ -340,7 +342,7 @@ PartitionSet::drain(size_t w, uint32_t p)
         }
     }
     for (size_t pi = 0; pi < peers_.size(); ++pi) {
-        const std::vector<uint8_t> &data = peers_[pi].batches.front().data;
+        const std::vector<uint8_t> &data = endedBatch(peers_[pi]);
         for (size_t off = 0; off < data.size();) {
             const WireMsgHdr hdr = msgHeader(data.data() + off);
             entries.push_back(
@@ -365,8 +367,7 @@ PartitionSet::drain(size_t w, uint32_t p)
                   "channel %s, whose destination it owns itself",
                   peers_[e.peer].rank, ch.name_.c_str());
         }
-        const uint8_t *rec =
-            peers_[e.peer].batches.front().data.data() + e.off;
+        const uint8_t *rec = endedBatch(peers_[e.peer]).data() + e.off;
         const WireMsgHdr hdr = msgHeader(rec);
         const SimTime when = SimTime::ps(hdr.when_ps);
         deliver(ch, when,
@@ -374,7 +375,7 @@ PartitionSet::drain(size_t w, uint32_t p)
                             hdr.len));
     }
     for (auto &ps : peers_) {
-        ps.batches.pop_front();
+        endedBatch(ps).clear(); // keeps capacity
     }
 }
 
@@ -506,7 +507,7 @@ PartitionSet::windowEnd(size_t w, uint32_t n, SimTime lane_min,
     // posted this window — and each lane publishes the minimum of both
     // for its share, so folding the publications replaces any scan.
     // Every worker folds the same values into the same next window.  A
-    // coupled group folds across processes in its SYNC exchange.
+    // coupled group folds across processes in its slot exchange.
     WorkerLane &lane = lanes_[w];
     const uint32_t p = lane.parity;
     publish(lane, n, lane_min);
@@ -673,7 +674,7 @@ PartitionSet::runWindows(SimTime until, size_t workers, const char *entry)
     // Entry step: the earliest pending time anywhere in the model, so
     // every call rediscovers the same window sequence from t = 0.  The
     // calendars and held channel posts give this process's share; a
-    // coupled group folds the shares in an entry SYNC exchange.
+    // coupled group folds the shares in an entry slot exchange.
     SimTime earliest = enterRun();
     if (coupled_) {
         run_ok_ = coupledEntry(&earliest);
@@ -759,12 +760,9 @@ constexpr int64_t kCoupledWaitBudgetNs = 60LL * 1000 * 1000 * 1000;
 constexpr int64_t kCoupledInterruptedBudgetNs = 2LL * 1000 * 1000 * 1000;
 
 /**
- * One ring wait: spin this many relaxations (a ring wait spans a peer
- * process's whole window, so it spins far less than a window wait
- * between workers), then futex-park for one slice; waits loop with
+ * One coupled wait parks for at most this slice; waits loop with
  * liveness checks between slices until the budget above runs out.
  */
-constexpr uint32_t kCoupledSpinBudget = 512;
 constexpr int64_t kCoupledWaitSliceNs = 20 * 1000 * 1000;
 
 int64_t
@@ -772,6 +770,22 @@ coupledWaitBudgetNs()
 {
     return core::interruptRequested() ? kCoupledInterruptedBudgetNs
                                       : kCoupledWaitBudgetNs;
+}
+
+/**
+ * Relaxations a coupled wait on @p peer spins before it parks: a window
+ * wait's budget while the peer last published from another CPU, none
+ * when it shares this one — spinning there only burns the time slice
+ * the peer needs to publish.  A peer's wake-to-run latency can exceed a
+ * short spin, and a spin it outlasts makes both ranks park on every
+ * window from then on.
+ */
+uint32_t
+coupledSpins(const RankSlot &peer)
+{
+    return peer.cpu.load(std::memory_order_relaxed) == sched_getcpu()
+               ? 0
+               : kWindowSpinBudget;
 }
 
 uint64_t
@@ -813,6 +827,7 @@ PartitionSet::postRecord(Channel &ch, SimTime when, const void *bytes,
         WireMsgHdr hdr;
         hdr.channel = ch.index_;
         hdr.len = len;
+        hdr.window = static_cast<uint32_t>(sync_seq_);
         hdr.when_ps = when.toPs();
         const size_t off = ch.out_pending_.size();
         ch.out_pending_.resize(off + sizeof(hdr) + len);
@@ -869,6 +884,12 @@ PartitionSet::enableCoupled(const CoupledOptions &opts)
         ps.tr = tr;
         peers_.push_back(std::move(ps));
     }
+    if (peers_.empty()) {
+        fatal("PartitionSet: enableCoupled: rank %u has no peer transport",
+              opts.self_rank);
+    }
+    // Every transport of a rank publishes through the rank's one slot.
+    self_slot_ = &peers_.front().tr->selfSlot();
     owner_of_ = opts.owner_of;
     self_rank_ = opts.self_rank;
 
@@ -927,12 +948,7 @@ void
 PartitionSet::pollPeer(size_t pi)
 {
     PeerState &ps = peers_[pi];
-    auto openBatch = [&ps]() -> PeerState::Batch & {
-        if (ps.batches.empty() || ps.batches.back().complete) {
-            ps.batches.emplace_back();
-        }
-        return ps.batches.back();
-    };
+    const auto window = static_cast<uint32_t>(sync_seq_);
     for (;;) {
         const uint32_t n = ps.tr->tryRecv(
             recv_scratch_.data(),
@@ -973,27 +989,16 @@ PartitionSet::pollPeer(size_t pi)
                       "%u (channel %u, len %u, record %u)",
                       ps.rank, hdr.channel, hdr.len, n);
             }
+            if (hdr.window != window && hdr.window != window + 1) {
+                panic("PartitionSet: coupled protocol error: rank %u "
+                      "sent a record of window %u during exchange %u",
+                      ps.rank, hdr.window, window);
+            }
             // Staged as it arrived: drain() decodes this same layout.
-            std::vector<uint8_t> &data = openBatch().data;
+            std::vector<uint8_t> &data = ps.batch[hdr.window & 1];
             data.insert(data.end(), recv_scratch_.data(),
                         recv_scratch_.data() + n);
             ++coupled_stats_.msgs_recv;
-            break;
-        }
-        case kWireSync: {
-            WireSync s;
-            if (n != sizeof(s)) {
-                panic("PartitionSet: coupled: SYNC of %u bytes from "
-                      "rank %u (want %zu)",
-                      n, ps.rank, sizeof(s));
-            }
-            std::memcpy(&s, recv_scratch_.data(), sizeof(s));
-            PeerState::Batch &b = openBatch();
-            b.seq = s.seq;
-            b.bound_ps = s.bound_ps;
-            b.contrib_ps = s.contrib_ps;
-            b.complete = true;
-            ++coupled_stats_.sync_recv;
             break;
         }
         default:
@@ -1026,7 +1031,10 @@ PartitionSet::coupledSend(size_t pi, const void *bytes, uint32_t n)
         if (ps.tr->peerAborted()) {
             return false;
         }
-        if (!ps.tr->waitForSpace(n, kCoupledSpinBudget,
+        // The peer may be parked on this rank's doorbell, waiting for a
+        // publication that cannot come until it drains the ring.
+        self_slot_->ring();
+        if (!ps.tr->waitForSpace(n, coupledSpins(ps.tr->peerSlot()),
                                  kCoupledWaitSliceNs)) {
             waited_ns += kCoupledWaitSliceNs;
             if (waited_ns >= coupledWaitBudgetNs()) {
@@ -1073,15 +1081,24 @@ bool
 PartitionSet::awaitPeer(PeerState &ps, const std::function<bool()> &ready,
                         const char *what)
 {
+    RankSlot &slot = ps.tr->peerSlot();
     int64_t waited_ns = 0;
     while (!ready()) {
         if (ps.tr->peerAborted()) {
             return false;
         }
-        const bool got =
-            ps.tr->waitForData(kCoupledSpinBudget, kCoupledWaitSliceNs);
+        // Records on the peer's ring end the wait too: a peer stalled on
+        // a full ring rings its doorbell and cannot publish until this
+        // rank drains it.
+        const bool woke = parkUntil(
+            slot.doorbell,
+            [&](uint32_t) {
+                return ready() || ps.tr->peerAborted() ||
+                       ps.tr->inboundPending();
+            },
+            slot.parked, coupledSpins(slot), kCoupledWaitSliceNs);
         pollAllPeers();
-        if (!got && !ready()) {
+        if (!woke && !ready()) {
             waited_ns += kCoupledWaitSliceNs;
             if (waited_ns >= coupledWaitBudgetNs()) {
                 log::warn("PartitionSet: coupled: rank %u silent awaiting "
@@ -1096,67 +1113,50 @@ PartitionSet::awaitPeer(PeerState &ps, const std::function<bool()> &ready,
 }
 
 bool
-PartitionSet::awaitBatch(size_t pi, uint64_t seq)
-{
-    PeerState &ps = peers_[pi];
-    auto ready = [&ps] {
-        return !ps.batches.empty() && ps.batches.front().complete;
-    };
-    pollAllPeers();
-    if (ready()) {
-        // Free-run: the peer already published this window, so the
-        // "wait" costs one ring drain and no synchronization at all.
-        ++coupled_stats_.waits_elided;
-    } else {
-        ++coupled_stats_.waits_blocked;
-        if (!awaitPeer(ps, ready, "a barrier")) {
-            return false;
-        }
-    }
-    const PeerState::Batch &b = ps.batches.front();
-    if (b.seq != seq) {
-        panic("PartitionSet: coupled protocol error: rank %u delivered "
-              "barrier %llu while %llu was expected",
-              ps.rank, static_cast<unsigned long long>(b.seq),
-              static_cast<unsigned long long>(seq));
-    }
-    return true;
-}
-
-bool
 PartitionSet::coupledExchange(SimTime bound, SimTime contrib,
                               SimTime *global)
 {
+    // A window's records go on the rings before its publication, so a
+    // peer that sees the publication (acquire) sees all of them.
     if (!flushOutgoing()) {
         return false;
     }
-    WireSync sync;
-    sync.seq = sync_seq_;
-    sync.bound_ps = bound.toPs();
-    sync.contrib_ps = contrib.toPs();
-    for (size_t pi = 0; pi < peers_.size(); ++pi) {
-        if (!coupledSend(pi, &sync, sizeof(sync))) {
-            return false;
-        }
-        ++coupled_stats_.sync_sent;
-    }
+    const auto window = static_cast<uint32_t>(sync_seq_);
+    self_slot_->publish(window, bound.toPs(), contrib.toPs(),
+                        sched_getcpu());
+    coupled_stats_.sync_sent += peers_.size();
     SimTime g = contrib;
     for (size_t pi = 0; pi < peers_.size(); ++pi) {
-        if (!awaitBatch(pi, sync_seq_)) {
-            return false;
+        PeerState &ps = peers_[pi];
+        const RankSlot &slot = ps.tr->peerSlot();
+        if (slot.covers(window)) {
+            // Free-run: the peer already published this window, so the
+            // "wait" costs one load and no synchronization at all.
+            ++coupled_stats_.waits_elided;
+        } else {
+            ++coupled_stats_.waits_blocked;
+            if (!awaitPeer(
+                    ps, [&slot, window] { return slot.covers(window); },
+                    "a barrier")) {
+                return false;
+            }
         }
-        const PeerState::Batch &b = peers_[pi].batches.front();
-        if (b.bound_ps != sync.bound_ps) {
+        ++coupled_stats_.sync_recv;
+        const int64_t peer_bound = slot.bound_ps[window & 1];
+        if (peer_bound != bound.toPs()) {
             // Both sides computed this window bound from the same
             // global fold; divergence means the lockstep (and with it
             // the determinism contract) is broken — stop loudly.
             panic("PartitionSet: coupled window divergence at exchange "
                   "%llu: rank %u bound %lld ps, local bound %lld ps",
-                  static_cast<unsigned long long>(sync_seq_),
-                  peers_[pi].rank, static_cast<long long>(b.bound_ps),
-                  static_cast<long long>(sync.bound_ps));
+                  static_cast<unsigned long long>(sync_seq_), ps.rank,
+                  static_cast<long long>(peer_bound),
+                  static_cast<long long>(bound.toPs()));
         }
-        g = std::min(g, SimTime::ps(b.contrib_ps));
+        g = std::min(g, SimTime::ps(slot.contrib_ps[window & 1]));
+        // Stage the window's records; those of the peer's next window,
+        // if it already ran ahead, stay staged for the next exchange.
+        pollPeer(pi);
     }
     ++sync_seq_;
     *global = g;
@@ -1178,6 +1178,8 @@ PartitionSet::exchangeHello()
             return false;
         }
     }
+    // A peer parked on this rank's doorbell waits for the HELLO too.
+    self_slot_->ring();
     for (size_t pi = 0; pi < peers_.size(); ++pi) {
         PeerState &ps = peers_[pi];
         if (!awaitPeer(ps, [&ps] { return ps.hello_seen; }, "HELLO")) {

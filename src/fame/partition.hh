@@ -113,19 +113,19 @@
  * in-process tests).  Every process builds the full deterministic
  * model but advances only the partitions it owns; cross-process
  * channels carry opaque byte records (the wiring layer installs a
- * RecordDecoder per channel), and each window ends in one SYNC
- * exchange carrying every process's earliest-pending contribution —
- * the same fold the other engines compute locally, so the window
- * sequence, the drain order (global channel index), and therefore
- * every simulated result are bit-identical to runSequential and
- * runParallel.  A process whose peers have already published their
- * SYNC free-runs straight through the exchange (wait elision); it
- * parks on the ring futex only when a peer is genuinely behind.
+ * RecordDecoder per channel), and each window ends in one exchange:
+ * every process publishes its earliest-pending contribution in its
+ * shared-memory RankSlot and folds its peers' — the same fold the
+ * other engines compute locally, so the window sequence, the drain
+ * order (global channel index), and therefore every simulated result
+ * are bit-identical to runSequential and runParallel.  A process whose
+ * peers have already published the window free-runs straight through
+ * the exchange (wait elision); it parks on a peer's doorbell only when
+ * that peer is genuinely behind.
  */
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -428,12 +428,13 @@ class PartitionSet {
      * Advance the owned partitions to @p until in lockstep with every
      * peer process.  The window sequence — and every simulated result —
      * is bit-identical to runSequential over the whole model: each
-     * window end exchanges SYNC records whose contributions reconstruct
-     * the exact global earliest-pending fold the sequential engine
-     * scans for, and drains local + inbound messages in global channel
-     * order.  Like runSequential, each call rediscovers the window
-     * sequence from t=0 (an entry SYNC exchange replaces the entry
-     * full scan), so interleaved drive loops stay aligned.
+     * window end publishes a slot whose contributions, folded across
+     * the group, reconstruct the exact global earliest-pending time
+     * the sequential engine scans for, and drains local + inbound
+     * messages in global channel order.  Like runSequential, each call
+     * rediscovers the window sequence from t=0 (an entry exchange
+     * replaces the entry full scan), so interleaved drive loops stay
+     * aligned.
      *
      * Returns false when the run was abandoned — a peer died or
      * aborted, or an interrupt arrived while a peer stayed silent —
@@ -445,15 +446,18 @@ class PartitionSet {
 
     /** Transport-side counters of all runCoupled calls so far. */
     struct CoupledStats {
+        /** Window ends published, one per peer. */
         uint64_t sync_sent = 0;
+        /** Peer window ends folded in, one per peer. */
         uint64_t sync_recv = 0;
         uint64_t msgs_sent = 0;
         uint64_t msgs_recv = 0;
+        /** Ring bytes: HELLO and MSG records. */
         uint64_t bytes_sent = 0;
         uint64_t bytes_recv = 0;
-        /** Barriers where the peer's batch had already arrived. */
+        /** Window ends where the peer had already published. */
         uint64_t waits_elided = 0;
-        /** Barriers that had to spin/park for a peer. */
+        /** Window ends that had to spin/park for a peer. */
         uint64_t waits_blocked = 0;
     };
 
@@ -548,7 +552,7 @@ class PartitionSet {
     struct DrainEntry {
         uint32_t channel;
         uint32_t peer; ///< index in peers_; kLocalDrain = pending_
-        size_t off;    ///< record offset in the peer's front batch
+        size_t off;    ///< record offset in the peer's ended batch
 
         bool
         operator<(const DrainEntry &o) const
@@ -602,7 +606,7 @@ class PartitionSet {
     /**
      * Worker @p w's share of the window end: deliver, in (channel,
      * peer, record) order, the parity-@p p messages every lane posted
-     * to @p w's partitions and, coupled, every peer's front batch.
+     * to @p w's partitions and, coupled, every peer's endedBatch.
      */
     void drain(size_t w, uint32_t p);
 
@@ -653,7 +657,7 @@ class PartitionSet {
      * Worker @p w's end of the run's @p n-th window (n = 0: the coupled
      * entry step, whose lone worker publishes nothing to wait on):
      * publish @p lane_min with its posts, fold every worker's
-     * publication (coupled: the SYNC exchange) into @p earliest, and
+     * publication (coupled: the slot exchange) into @p earliest, and
      * drain.  False when a coupled exchange gave up.
      */
     bool windowEnd(size_t w, uint32_t n, SimTime lane_min, SimTime bound,
@@ -701,29 +705,19 @@ class PartitionSet {
         WireHello hello;
 
         /**
-         * One window's worth of inbound records.  Peers free-run
-         * ahead, so polling while waiting for window j may consume
-         * records that belong to j+1; batches stage them in arrival
-         * order — messages accumulate into the open (back) batch, the
-         * peer's SYNC closes it — and the window end drains and pops
-         * exactly the front completed batch.
+         * Inbound MSG records by the parity of the exchange they are
+         * stamped with, back to back as each crossed the ring
+         * (WireMsgHdr + payload), for drain() to decode in place.  A
+         * peer runs at most one window ahead, so polling during
+         * exchange n stages records of n and n + 1 only; the window
+         * end drains and clears exactly exchange n's batch (capacity
+         * kept).
          */
-        struct Batch {
-            uint64_t seq = 0;
-            int64_t bound_ps = 0;
-            int64_t contrib_ps = 0;
-            bool complete = false;
-            /**
-             * MSG records back to back, each as it crossed the ring
-             * (WireMsgHdr + payload), for drain() to decode in place.
-             */
-            std::vector<uint8_t> data;
-        };
-        std::deque<Batch> batches;
+        std::vector<uint8_t> batch[2];
     };
 
     /**
-     * Coupled entry step: HELLO once, then a window 0 end whose SYNC
+     * Coupled entry step: HELLO once, then a window 0 end whose
      * exchange folds the group's earliest pending time into @p global
      * and whose drain delivers the posts held since the last run.
      */
@@ -736,32 +730,42 @@ class PartitionSet {
      */
     SimTime coupledContrib(SimTime local) const;
 
-    /** Drain one peer's ring until empty, staging records into batches. */
+    /** Drain one peer's ring until empty, staging records by window. */
     void pollPeer(size_t pi);
     void pollAllPeers();
 
-    /** Push one wire record to peer @p pi, draining inbound on stall. */
+    /**
+     * Push one wire record to peer @p pi; on a full ring, drain inbound
+     * and ring this rank's doorbell, so a peer parked on it drains the
+     * ring at once.
+     */
     bool coupledSend(size_t pi, const void *bytes, uint32_t n);
 
     /** Serialize and send every out-dirty channel's buffered records. */
     bool flushOutgoing();
 
     /**
-     * Wait until @p ready holds, draining inbound rings; false when
-     * @p ps aborted or stayed silent past the wait budget.
+     * Wait until @p ready holds, parked on @p ps's doorbell and
+     * draining inbound rings whenever the peer's ring holds records;
+     * false when @p ps aborted or stayed silent past the wait budget.
      */
     bool awaitPeer(PeerState &ps, const std::function<bool()> &ready,
                    const char *what);
 
-    /** Block until peer @p pi's batch for exchange @p seq is complete. */
-    bool awaitBatch(size_t pi, uint64_t seq);
-
     /**
-     * One window's SYNC exchange: flush outbound, SYNC all peers, await
-     * their batches (drain() delivers and pops them).  @p global
-     * receives the group-wide earliest-pending fold.
+     * One window's exchange: flush outbound, publish this rank's slot,
+     * wait for every peer's publication of the same exchange, fold its
+     * contribution and stage its records (drain() delivers them).
+     * @p global receives the group-wide earliest-pending fold.
      */
     bool coupledExchange(SimTime bound, SimTime contrib, SimTime *global);
+
+    /** Peer @p ps's records of the exchange that just ended. */
+    std::vector<uint8_t> &
+    endedBatch(PeerState &ps) const
+    {
+        return ps.batch[(sync_seq_ - 1) & 1];
+    }
 
     bool exchangeHello();
     void abandonCoupled();
@@ -829,7 +833,8 @@ class PartitionSet {
     std::vector<uint32_t> owner_of_;   ///< partition -> owning rank
     std::vector<PeerState> peers_;     ///< rank order, deterministic
     std::vector<uint32_t> peer_of_rank_; ///< rank -> index in peers_
-    uint64_t sync_seq_ = 0;
+    RankSlot *self_slot_ = nullptr;    ///< this rank's publication slot
+    uint64_t sync_seq_ = 0;            ///< exchanges completed
     std::vector<uint32_t> out_dirty_;  ///< Out channels with buffered records
     std::vector<uint8_t> recv_scratch_;
     CoupledStats coupled_stats_;

@@ -1,32 +1,68 @@
 #include "fame/transport.hh"
 
 #include <cstdlib>
+#include <new>
 
 #include "core/log.hh"
 
 namespace diablo {
 namespace fame {
 
+void
+RankSlot::publish(uint32_t window, int64_t bound, int64_t contrib,
+                  int32_t on_cpu)
+{
+    bound_ps[window & 1] = bound;
+    contrib_ps[window & 1] = contrib;
+    cpu.store(on_cpu, std::memory_order_relaxed);
+    published.store(window + 1, std::memory_order_release);
+    ring();
+}
+
+void
+RankSlot::ring()
+{
+    doorbell.fetch_add(1, std::memory_order_seq_cst);
+    wakeParked(doorbell, parked);
+}
+
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
 makeInProcTransportPair(uint32_t ring_capacity)
 {
-    // Both rings in one heap block that the two endpoints share, so it
-    // outlives whichever is destroyed first.  Ring footprints are
-    // 64-byte multiples, so the second ring starts cacheline-aligned.
+    // Both slots and both rings in one heap block that the two
+    // endpoints share, so it outlives whichever is destroyed first.
+    // Slots and ring footprints are 64-byte multiples, so every piece
+    // starts cacheline-aligned.
     const size_t footprint = SpscRecordRing::footprint(ring_capacity);
-    std::shared_ptr<void> mem(std::aligned_alloc(64, 2 * footprint),
-                              std::free);
+    const size_t slots = 2 * sizeof(RankSlot);
+    std::shared_ptr<void> mem(
+        std::aligned_alloc(64, slots + 2 * footprint), std::free);
     if (!mem)
         panic("makeInProcTransportPair: allocation of two %zu-byte rings "
               "failed",
               footprint);
     auto *base = static_cast<uint8_t *>(mem.get());
-    SpscRecordRing *a_to_b = SpscRecordRing::init(base, ring_capacity);
+    auto *slot_a = new (base) RankSlot();
+    auto *slot_b = new (base + sizeof(RankSlot)) RankSlot();
+    SpscRecordRing *a_to_b = SpscRecordRing::init(base + slots,
+                                                  ring_capacity);
     SpscRecordRing *b_to_a =
-        SpscRecordRing::init(base + footprint, ring_capacity);
-    auto a = std::make_unique<Transport>(a_to_b, b_to_a, mem);
-    auto b = std::make_unique<Transport>(b_to_a, a_to_b, std::move(mem));
+        SpscRecordRing::init(base + slots + footprint, ring_capacity);
+    auto a = std::make_unique<Transport>(a_to_b, b_to_a, slot_a, slot_b,
+                                         mem);
+    auto b = std::make_unique<Transport>(b_to_a, a_to_b, slot_b, slot_a,
+                                         std::move(mem));
     return {std::move(a), std::move(b)};
+}
+
+size_t
+ShmGroupLayout::slotOffset(uint32_t rank) const
+{
+    if (rank >= nprocs)
+        panic("ShmGroupLayout: slot of rank %u out of range for %u "
+              "processes",
+              rank, nprocs);
+    return sizeof(ShmGroupControl) + (size_t)rank * sizeof(RankSlot);
 }
 
 size_t
@@ -36,10 +72,10 @@ ShmGroupLayout::ringOffset(uint32_t from, uint32_t to) const
         panic("ShmGroupLayout: ring (%u -> %u) out of range for %u "
               "processes",
               from, to, nprocs);
-    // Control block first; ring footprints are 64-byte multiples
-    // (header 192 + power-of-two capacity >= 4 KiB), so every ring
-    // header lands cacheline-aligned without extra padding.
-    return sizeof(ShmGroupControl) +
+    // Control block and slots first; ring footprints are 64-byte
+    // multiples (header 192 + power-of-two capacity >= 4 KiB), so every
+    // ring header lands cacheline-aligned without extra padding.
+    return sizeof(ShmGroupControl) + (size_t)nprocs * sizeof(RankSlot) +
            ((size_t)from * nprocs + to) *
                SpscRecordRing::footprint(ring_capacity);
 }
@@ -47,7 +83,7 @@ ShmGroupLayout::ringOffset(uint32_t from, uint32_t to) const
 size_t
 ShmGroupLayout::totalBytes() const
 {
-    return sizeof(ShmGroupControl) +
+    return sizeof(ShmGroupControl) + (size_t)nprocs * sizeof(RankSlot) +
            (size_t)nprocs * nprocs *
                SpscRecordRing::footprint(ring_capacity);
 }
@@ -78,6 +114,9 @@ initGroupSegment(void *mem, const ShmGroupLayout &layout)
               layout.nprocs, ShmGroupLayout::kMaxProcs);
     auto *base = static_cast<uint8_t *>(mem);
     new (base + layout.controlOffset()) ShmGroupControl();
+    for (uint32_t r = 0; r < layout.nprocs; ++r) {
+        new (base + layout.slotOffset(r)) RankSlot();
+    }
     for (uint32_t from = 0; from < layout.nprocs; ++from) {
         for (uint32_t to = 0; to < layout.nprocs; ++to) {
             if (from == to)
@@ -107,7 +146,9 @@ groupTransport(void *mem, const ShmGroupLayout &layout, uint32_t self,
         SpscRecordRing::attach(base + layout.ringOffset(self, peer));
     SpscRecordRing *rx =
         SpscRecordRing::attach(base + layout.ringOffset(peer, self));
-    return std::make_unique<Transport>(tx, rx);
+    return std::make_unique<Transport>(
+        tx, rx, reinterpret_cast<RankSlot *>(base + layout.slotOffset(self)),
+        reinterpret_cast<RankSlot *>(base + layout.slotOffset(peer)));
 }
 
 } // namespace fame

@@ -12,18 +12,22 @@
  * processes (or, for tests and benchmarks, between two PartitionSets
  * in one process):
  *
- *   MSG   a timestamped cross-partition channel message — the payload
- *         is an opaque byte record the wiring layer (net/sim) encodes
- *         and decodes (fame never learns what a packet is);
- *   SYNC  one per window barrier, carrying the sender's contribution
- *         to the global earliest-pending-time fold.
+ *   HELLO once per group, proving both sides built the same model;
+ *   MSG   a timestamped cross-partition channel message, stamped with
+ *         the window it belongs to — the payload is an opaque byte
+ *         record the wiring layer (net/sim) encodes and decodes (fame
+ *         never learns what a packet is).
  *
- * This is the SimBricks netif recipe (polled shared-memory queues with
- * periodic sync messages at the link latency) adapted to the
- * conservative quantum loop: a process free-runs through a window
- * while every peer's SYNC for the current barrier has already arrived
- * (`peer_horizon >= local_window_bound` realized as wait elision), and
- * parks on the ring's futex word only when a peer is behind.
+ * Window ends do not cross the rings.  Every rank owns one RankSlot,
+ * a cacheline in the same memory that only it writes: it pushes a
+ * window's MSG records, then publishes the window's bound and its
+ * contribution to the global earliest-pending-time fold in its slot.
+ * A peer that sees the publication (acquire) sees every record of the
+ * window too.  This keeps SimBricks' recipe (polled shared-memory
+ * queues, sync at the link latency) but moves the sync out of band: a
+ * process free-runs through a window end whose peers have already
+ * published (wait elision), and parks on a peer's doorbell only when
+ * that peer is behind.
  *
  * Wire framing: every ring record starts with a uint32 kind.  Records
  * are POD and carried verbatim — both sides of a transport are builds
@@ -31,6 +35,7 @@
  * cross-version concern beyond the HELLO handshake's layout hash.
  */
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -44,7 +49,6 @@ namespace fame {
 enum WireKind : uint32_t {
     kWireHello = 1,
     kWireMsg = 2,
-    kWireSync = 3,
 };
 
 /**
@@ -54,7 +58,7 @@ enum WireKind : uint32_t {
  */
 struct WireHello {
     uint32_t kind = kWireHello;
-    uint32_t version = 1;
+    uint32_t version = 2;
     uint64_t magic = 0x4449414254505254ULL; // "DIABTPRT"
     uint32_t self_rank = 0;
     uint32_t partitions = 0;
@@ -73,35 +77,77 @@ struct WireMsgHdr {
     uint32_t kind = kWireMsg;
     uint32_t channel = 0; ///< global channel index (drain order)
     uint32_t len = 0;     ///< payload bytes following this header
-    uint32_t pad = 0;
+    uint32_t window = 0;  ///< low 32 bits of the sender's exchange number
     int64_t when_ps = 0;  ///< absolute delivery time
 };
 
-/** Per-barrier synchronization record (closes one message batch). */
-struct WireSync {
-    uint32_t kind = kWireSync;
-    uint32_t pad = 0;
-    uint64_t seq = 0;       ///< barrier sequence number
-    int64_t bound_ps = 0;   ///< window bound the sender just finished
-    int64_t contrib_ps = 0; ///< sender's earliest-pending contribution
+/**
+ * One rank's window publication, in one cacheline that only its rank
+ * writes (peers bump `doorbell` and `parked` only to wake and sleep).
+ * Exchange n (the entry exchange of the first run is 0) publishes
+ * `published` = n + 1 after writing the parity-(n & 1) fields.  The
+ * fields are double-buffered by the argument of the in-process
+ * WindowSlot: a rank writes exchange n + 2's fields only after it has
+ * seen every peer publish n + 1, and each peer read the exchange-n
+ * fields before it published n + 1.
+ */
+struct alignas(64) RankSlot {
+    /** Window ends published so far (wraps at 2^32). */
+    std::atomic<uint32_t> published{0};
+    /**
+     * The word peers park on.  It rings on every publication, after a
+     * HELLO, when one of this rank's sends stalls on a full ring (the
+     * peer must drain it before this rank can publish), and on abort.
+     */
+    std::atomic<uint32_t> doorbell{0};
+    /** Peers parked on doorbell (parkUntil's count). */
+    std::atomic<uint32_t> parked{0};
+    /** CPU of the last publication, -1 before the first: a spin hint. */
+    std::atomic<int32_t> cpu{-1};
+    /** Window bound of exchange n, at parity n & 1. */
+    int64_t bound_ps[2] = {0, 0};
+    /** Earliest-pending contribution of exchange n, at parity n & 1. */
+    int64_t contrib_ps[2] = {0, 0};
+
+    /**
+     * Publish exchange @p window (low 32 bits) with its bound and
+     * contribution, made from CPU @p on_cpu, and ring the doorbell.
+     */
+    void publish(uint32_t window, int64_t bound, int64_t contrib,
+                 int32_t on_cpu);
+
+    /** True once exchange @p window is published (acquire). */
+    bool
+    covers(uint32_t window) const
+    {
+        return static_cast<int32_t>(
+                   published.load(std::memory_order_acquire) - window) > 0;
+    }
+
+    /** Bump the doorbell and wake the peers parked on it. */
+    void ring();
 };
 
+static_assert(sizeof(RankSlot) == 64,
+              "a rank slot is exactly one cacheline (shared layout)");
+
 /**
- * A bidirectional record pipe to one peer engine over a pair of
- * SpscRecordRings: tx carries self -> peer, rx peer -> self, and the
- * peer wraps the same two rings with the roles swapped.  The rings sit
- * in one of two places — a process group's ShmSegment
+ * A bidirectional link to one peer engine: a pair of SpscRecordRings
+ * (tx carries self -> peer, rx peer -> self) and the two ranks' slots.
+ * The peer wraps the same rings and slots with the roles swapped.
+ * They sit in one of two places — a process group's ShmSegment
  * (groupTransport) for real multi-process runs, or a heap block
  * (makeInProcTransportPair) that @p storage keeps alive for in-process
  * coupling.  Send/recv move one whole record (kind header + body);
- * ordering is FIFO per direction.  All methods are called from the
- * engine's single coupled thread.
+ * ordering is FIFO per direction.  All methods but abort() are called
+ * from the engine's single coupled thread; abort() is async-signal-safe.
  */
 class Transport {
   public:
-    Transport(SpscRecordRing *tx, SpscRecordRing *rx,
-              std::shared_ptr<void> storage = nullptr)
-        : tx_(tx), rx_(rx), storage_(std::move(storage))
+    Transport(SpscRecordRing *tx, SpscRecordRing *rx, RankSlot *self,
+              RankSlot *peer, std::shared_ptr<void> storage = nullptr)
+        : tx_(tx), rx_(rx), self_(self), peer_(peer),
+          storage_(std::move(storage))
     {
     }
 
@@ -118,6 +164,9 @@ class Transport {
     {
         return rx_->tryPop(out, cap);
     }
+
+    /** True while the peer's ring to this engine holds records. */
+    bool inboundPending() const { return !rx_->empty(); }
 
     /**
      * One bounded wait for inbound data: spin, then park for at most
@@ -137,16 +186,26 @@ class Transport {
         return tx_->waitForSpace(bytes, spin_budget, timeout_ns);
     }
 
+    /** This engine's publication slot (shared by all its transports). */
+    RankSlot &selfSlot() { return *self_; }
+
+    /** The peer's publication slot. */
+    RankSlot &peerSlot() { return *peer_; }
+
     /**
      * Tell the peer this engine is abandoning the run and wake it.  The
      * peer observes its rx (= our tx) ring's flag; our rx is flagged
-     * too so our own parked waits (if any remain) bail out.
+     * too so our own waits bail out.  Both doorbells ring, so a wait
+     * parked on either side's slot ends at once.  Only atomic stores
+     * and futex wakes: a signal handler may call it.
      */
     void
     abort()
     {
         tx_->setAborted();
         rx_->setAborted();
+        self_->ring();
+        peer_->ring();
     }
 
     /** True once the peer called abort() (sticky). */
@@ -155,25 +214,28 @@ class Transport {
   private:
     SpscRecordRing *tx_;
     SpscRecordRing *rx_;
-    std::shared_ptr<void> storage_; ///< heap rings' owner; null over shm
+    RankSlot *self_;
+    RankSlot *peer_;
+    std::shared_ptr<void> storage_; ///< heap block's owner; null over shm
 };
 
 /**
- * In-process transport pair over heap rings: endpoint A's tx is B's rx
- * and vice versa.  Exercises the exact coupled code path (framing,
- * parking, barrier elision) without fork/exec — the bit-identity tests
- * and the transport benchmark couple two PartitionSets on two threads
- * this way.  Both endpoints share ownership of the ring storage.
+ * In-process transport pair over heap rings and slots: endpoint A's tx
+ * is B's rx and vice versa.  Exercises the exact coupled code path
+ * (framing, parking, barrier elision) without fork/exec — the
+ * bit-identity tests and the transport benchmark couple two
+ * PartitionSets on two threads this way.  Both endpoints share
+ * ownership of the storage.
  */
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
 makeInProcTransportPair(uint32_t ring_capacity = 1u << 20);
 
 /**
- * Layout of one process group's shared segment: a control block
- * followed by an nprocs x nprocs matrix of rings (diagonal unused —
- * the waste is a few ring footprints, and the indexing stays trivial).
- * The launcher create()s and initGroupSegment()s it; every process
- * derives its transports with groupTransport().
+ * Layout of one process group's shared segment: a control block, one
+ * RankSlot per rank, then an nprocs x nprocs matrix of rings (diagonal
+ * unused — the waste is a few ring footprints, and the indexing stays
+ * trivial).  The launcher create()s and initGroupSegment()s it; every
+ * process derives its transports with groupTransport().
  */
 struct ShmGroupLayout {
     static constexpr uint32_t kMaxProcs = 32; // control-word mask width
@@ -182,6 +244,7 @@ struct ShmGroupLayout {
     uint32_t ring_capacity = 1u << 20;
 
     size_t controlOffset() const { return 0; }
+    size_t slotOffset(uint32_t rank) const;
     size_t ringOffset(uint32_t from, uint32_t to) const;
     size_t totalBytes() const;
 };
@@ -237,7 +300,7 @@ struct alignas(64) ShmGroupControl {
 static_assert(sizeof(ShmGroupControl) == 64,
               "control block must stay one cacheline (shared layout)");
 
-/** Placement-initialize the control block and every ring. */
+/** Placement-initialize the control block, every slot and ring. */
 void initGroupSegment(void *mem, const ShmGroupLayout &layout);
 
 /** The group's control block (segment already initialized). */

@@ -6,7 +6,8 @@
  * contract's teeth — a message timestamped inside the peer's sync
  * horizon must die loudly, naming the channel, on both the in-process
  * record path (post-time check) and the shm wire path (receiver-side
- * drain check against forged records).
+ * drain check against forged records), and a forged window bound must
+ * break the lockstep loudly too.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -147,11 +149,12 @@ TEST(Transport, GroupSegmentCarriesRecordsBetweenEndpoints)
 
 TEST(Transport, WireRecordLayoutIsStable)
 {
-    // The wire structs are copied byte-wise through shared rings; a
-    // size change is a protocol change and must be deliberate.
+    // The wire structs are copied byte-wise through shared rings, and
+    // the slots sit in the shared segment; a size change is a protocol
+    // change and must be deliberate.
     EXPECT_EQ(sizeof(WireHello), 48u);
     EXPECT_EQ(sizeof(WireMsgHdr), 24u);
-    EXPECT_EQ(sizeof(WireSync), 32u);
+    EXPECT_EQ(sizeof(RankSlot), 64u);
 }
 
 // --------------------------------------------- process placement (LPT)
@@ -254,12 +257,13 @@ struct CoupledOutcome {
 
 /** Sequential reference over the full model, record path included. */
 CoupledOutcome
-runRecordReference(size_t parts, const std::vector<SimTime> &untils)
+runRecordReference(size_t parts, const std::vector<SimTime> &untils,
+                   int ttl = 8)
 {
     PartitionSet ps(parts);
     RecordWorkload w(ps, 1_us);
     for (size_t i = 0; i < parts; ++i) {
-        w.inject(i, 1000 + i, 8);
+        w.inject(i, 1000 + i, ttl);
     }
     for (SimTime until : untils) {
         ps.runSequential(until);
@@ -278,23 +282,25 @@ runRecordReference(size_t parts, const std::vector<SimTime> &untils)
  * Two full copies of the model on two threads, coupled over an
  * in-process transport pair, each running only its owned partitions —
  * the per-partition results are read from the owner's copy, exactly as
- * the multiprocess launcher merges artifacts.
+ * the multiprocess launcher merges artifacts.  Each ring holds
+ * @p ring_capacity bytes.
  */
 CoupledOutcome
 runRecordCoupled(size_t parts, const std::vector<SimTime> &untils,
-                 bool *ok_out)
+                 bool *ok_out, int ttl = 8,
+                 uint32_t ring_capacity = 1u << 20)
 {
     const std::vector<uint32_t> owner =
         PartitionSet::lptAssign(std::vector<double>(parts, 1.0), 2);
-    auto pair = makeInProcTransportPair();
+    auto pair = makeInProcTransportPair(ring_capacity);
 
     PartitionSet set_a(parts);
     PartitionSet set_b(parts);
     RecordWorkload wa(set_a, 1_us);
     RecordWorkload wb(set_b, 1_us);
     for (size_t i = 0; i < parts; ++i) {
-        wa.inject(i, 1000 + i, 8);
-        wb.inject(i, 1000 + i, 8);
+        wa.inject(i, 1000 + i, ttl);
+        wb.inject(i, 1000 + i, ttl);
     }
 
     PartitionSet::CoupledOptions oa;
@@ -332,16 +338,15 @@ runRecordCoupled(size_t parts, const std::vector<SimTime> &untils,
               set_a.coupledStats().msgs_recv);
     EXPECT_EQ(set_a.coupledStats().bytes_sent,
               set_b.coupledStats().bytes_recv);
-    // Exact wire bytes: one HELLO, then every MSG as its header plus
-    // the payload, then the SYNCs — a second layout or an extra header
-    // on the wire breaks this.
+    // Exact ring bytes: one HELLO, then every MSG as its header plus
+    // the payload; window ends go through the slots, not the rings — a
+    // second layout or an extra record on the wire breaks this.
     for (const PartitionSet *ps : {&set_a, &set_b}) {
         const PartitionSet::CoupledStats &cs = ps->coupledStats();
         EXPECT_EQ(cs.bytes_sent,
                   sizeof(WireHello) +
                       cs.msgs_sent * (sizeof(WireMsgHdr) +
-                                      sizeof(RecordWorkload::TokenRec)) +
-                      cs.sync_sent * sizeof(WireSync));
+                                      sizeof(RecordWorkload::TokenRec)));
     }
     // Lockstep: both sides executed the identical window sequence.
     EXPECT_EQ(set_a.quantaExecuted(), set_b.quantaExecuted());
@@ -374,10 +379,27 @@ TEST(CoupledEngine, BitIdenticalToSequentialReference)
     EXPECT_EQ(ref.quanta, mp.quanta);
 }
 
+TEST(CoupledEngine, SmallRingsStayBitIdentical)
+{
+    // 131,068 tokens through 4 KiB rings: a window's records overflow
+    // the ring again and again, so a sender stalls before it can
+    // publish and its peer must drain the ring mid-wait.
+    const std::vector<SimTime> untils = {SimTime::ms(2)};
+    const CoupledOutcome ref = runRecordReference(4, untils, /*ttl=*/14);
+    bool ok = false;
+    const CoupledOutcome mp = runRecordCoupled(4, untils, &ok, /*ttl=*/14,
+                                               /*ring_capacity=*/4096);
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(ref.counters, mp.counters);
+    EXPECT_EQ(ref.checksums, mp.checksums);
+    EXPECT_EQ(ref.executed, mp.executed);
+    EXPECT_EQ(ref.quanta, mp.quanta);
+}
+
 TEST(CoupledEngine, DriveLoopWindowsStayAligned)
 {
     // The launcher drives runCoupled in outer windows; each call's
-    // entry SYNC exchange must rediscover the same global window
+    // entry exchange must rediscover the same global window
     // sequence the one-shot sequential run executes.
     const std::vector<SimTime> untils = {SimTime::us(300), SimTime::ms(1),
                                          SimTime::ms(2)};
@@ -470,14 +492,15 @@ TEST(CoupledEngineDeathTest, PostRecordOnForeignSourcePanics)
 }
 
 /**
- * Receiver-side horizon check: play rank 0 by hand over @p forger,
- * pre-loading a protocol-correct HELLO, the entry SYNC, then a MSG
- * timestamped *behind* the clock the victim's own event will have
- * established, closed by a window SYNC.  The victim's drain must die
- * naming the channel rather than deliver into its past.
+ * Play rank 0 by hand over @p forger against a victim rank 1 whose own
+ * event at 9 us advances its partition's clock: a protocol-correct
+ * HELLO on the ring and the entry publication (bound -1, the entry
+ * sentinel) in the forger's slot, then @p forge's window 1.  The
+ * victim runs into window 1, whose exchange or drain must die.
  */
 void
-runForgedWireScenario(Transport *victim_tr, Transport *forger)
+runForgedWireScenario(Transport *victim_tr, Transport *forger,
+                      const std::function<void(Transport &)> &forge)
 {
     PartitionSet ps(2);
     auto &ch = ps.makeChannel(0, 1, 10_us, "trunk.forged");
@@ -500,30 +523,33 @@ runForgedWireScenario(Transport *victim_tr, Transport *forger)
     const uint32_t owners[2] = {0, 1};
     hello.owner_hash = fnv1a(owners, sizeof(owners));
     ASSERT_TRUE(forger->trySend(&hello, sizeof(hello)));
+    forger->selfSlot().publish(/*window=*/0, /*bound=*/-1,
+                               /*contrib=*/0, /*on_cpu=*/-1);
+    forge(*forger);
 
-    WireSync entry;
-    entry.seq = 0;
-    entry.bound_ps = -1; // entry-barrier sentinel
-    entry.contrib_ps = 0;
-    ASSERT_TRUE(forger->trySend(&entry, sizeof(entry)));
+    ps.runCoupled(SimTime::us(10)); // dies ending window 1
+}
 
+/**
+ * Window 1 carries one MSG timestamped *behind* the victim's 9 us
+ * clock, then its publication: the victim's drain must die naming the
+ * channel rather than deliver into its past.
+ */
+void
+forgeMessageBehindClock(Transport &forger)
+{
     struct {
         WireMsgHdr hdr;
         uint64_t payload;
     } msg;
     msg.hdr.channel = 0;
     msg.hdr.len = sizeof(msg.payload);
+    msg.hdr.window = 1;
     msg.hdr.when_ps = SimTime::us(1).toPs(); // behind the 9 us clock
     msg.payload = 0xDEAD;
-    ASSERT_TRUE(forger->trySend(&msg, sizeof(msg)));
-
-    WireSync window;
-    window.seq = 1;
-    window.bound_ps = SimTime::us(10).toPs();
-    window.contrib_ps = SimTime::us(20).toPs();
-    ASSERT_TRUE(forger->trySend(&window, sizeof(window)));
-
-    ps.runCoupled(SimTime::us(10)); // dies draining window 1
+    ASSERT_TRUE(forger.trySend(&msg, sizeof(msg)));
+    forger.selfSlot().publish(/*window=*/1, SimTime::us(10).toPs(),
+                              SimTime::us(20).toPs(), /*on_cpu=*/-1);
 }
 
 TEST(CoupledEngineDeathTest, ForgedMessageBehindClockDiesInProc)
@@ -531,7 +557,8 @@ TEST(CoupledEngineDeathTest, ForgedMessageBehindClockDiesInProc)
     EXPECT_DEATH(
         {
             auto pair = makeInProcTransportPair();
-            runForgedWireScenario(pair.first.get(), pair.second.get());
+            runForgedWireScenario(pair.first.get(), pair.second.get(),
+                                  forgeMessageBehindClock);
         },
         "channel trunk.forged.*causality violation");
 }
@@ -555,9 +582,28 @@ TEST(CoupledEngineDeathTest, ForgedMessageBehindClockDiesOverShm)
             auto victim = groupTransport(seg.data(), layout, 1, 0);
             auto forger = groupTransport(seg.data(), layout, 0, 1);
             seg.unlinkFile();
-            runForgedWireScenario(victim.get(), forger.get());
+            runForgedWireScenario(victim.get(), forger.get(),
+                                  forgeMessageBehindClock);
         },
         "channel trunk.forged.*causality violation");
+}
+
+TEST(CoupledEngineDeathTest, DivergentWindowBoundDies)
+{
+    // A peer whose window 1 ends one quantum past the victim's has left
+    // the lockstep: the exchange must stop before folding its share.
+    EXPECT_DEATH(
+        {
+            auto pair = makeInProcTransportPair();
+            runForgedWireScenario(
+                pair.first.get(), pair.second.get(), [](Transport &forger) {
+                    forger.selfSlot().publish(
+                        /*window=*/1, SimTime::us(20).toPs(),
+                        SimTime::us(20).toPs(), /*on_cpu=*/-1);
+                });
+        },
+        "coupled window divergence at exchange 1: rank 0 bound 20000000 "
+        "ps, local bound 10000000 ps");
 }
 
 } // namespace

@@ -238,11 +238,11 @@ spawnGroup(const std::string &log, const std::string &json = "")
     return {leader, child};
 }
 
-/** Reap @p pid within 5 s into @p status; false if it still runs. */
+/** Reap @p pid within @p limit into @p status; false if it still runs. */
 bool
-reapWithin5s(pid_t pid, int *status)
+reapWithin(pid_t pid, int *status, std::chrono::milliseconds limit)
 {
-    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    const auto deadline = std::chrono::steady_clock::now() + limit;
     pid_t reaped = 0;
     while (reaped == 0 && std::chrono::steady_clock::now() < deadline) {
         reaped = waitpid(pid, status, WNOHANG);
@@ -273,7 +273,7 @@ TEST(MultiprocessRun, ChildRankDiesWithItsLeader)
     EXPECT_EQ(waitExit(leader), 128 + SIGKILL);
 
     int status = 0;
-    if (!reapWithin5s(child, &status)) {
+    if (!reapWithin(child, &status, 5s)) {
         ADD_FAILURE() << "rank " << child << " outlived its leader by 5 s";
         kill(child, SIGKILL);
         waitpid(child, &status, 0);
@@ -284,9 +284,9 @@ TEST(MultiprocessRun, ChildRankDiesWithItsLeader)
 }
 
 // SIGKILL to the child rank, which can report nothing, stops the
-// leader within seconds instead of after the 60 s coupled-wait budget:
-// the leader's SIGCHLD handler requests the cooperative stop, its
-// coupled wait gives up within the interrupted budget, and it
+// leader within a second instead of after the 60 s coupled-wait
+// budget: the leader's SIGCHLD handler requests the cooperative stop
+// and aborts its transports, so its coupled wait ends at once, and it
 // finalizes a partial artifact.
 TEST(MultiprocessRun, LeaderNoticesDeadRank)
 {
@@ -300,10 +300,10 @@ TEST(MultiprocessRun, LeaderNoticesDeadRank)
     ASSERT_EQ(kill(child, SIGKILL), 0);
 
     int status = 0;
-    if (!reapWithin5s(leader, &status)) {
+    if (!reapWithin(leader, &status, 1s)) {
         kill(leader, SIGKILL);
         waitExit(leader);
-        FAIL() << "the leader outlived its dead rank by 5 s";
+        FAIL() << "the leader outlived its dead rank by 1 s";
     }
     EXPECT_TRUE(WIFEXITED(status) &&
                 WEXITSTATUS(status) == diablo::core::kExitInterrupted)

@@ -54,8 +54,9 @@ entry must sustain --min-barrier-qps quanta per second (default 1e6).
 transport (--mode transport) — reads a BENCH_transport.json
 trajectory written by bench/microbench_transport and enforces the
 cross-process engine floors on the newest entry: shm ring round-trip
-time at most --max-rtt-ns (default 50us), coupled SYNC exchange rate at
-least --min-sync-per-sec (default 5e4), and the two-copy coupled incast
+time at most --max-rtt-ns (default 50us), coupled window-publication
+rate at least --min-sync-per-sec (default 5e4), and the two-copy coupled
+incast
 retaining at least --min-pair-ratio (default 0.5) of the sequential
 reference's event throughput.  The structural check — all four rows
 present — always runs, but the timing floors are only scored when the
@@ -435,7 +436,7 @@ def check_transport(path, max_rtt_ns, min_sync_per_sec, min_pair_ratio):
                f"SYNC-REGRESSION (< floor {min_sync_per_sec:.1e})")
     if sync_ps < min_sync_per_sec:
         failed = True
-    print(f"bench_guard: coupled sync msgs/s={sync_ps:.3e} "
+    print(f"bench_guard: coupled window publications/s={sync_ps:.3e} "
           f"(floor {min_sync_per_sec:.1e}) {verdict}")
 
     seq_eps = items_per_second(seq)
@@ -560,8 +561,9 @@ def main():
                          "time in ns (default 50us — catches cliffs, "
                          "not jitter)")
     ap.add_argument("--min-sync-per-sec", type=float, default=5e4,
-                    help="transport mode: minimum coupled SYNC "
-                         "messages per second (default 5e4)")
+                    help="transport mode: minimum coupled window "
+                         "publications sent and folded per second "
+                         "(default 5e4)")
     ap.add_argument("--min-pair-ratio", type=float, default=0.5,
                     help="transport mode: minimum two-copy coupled vs "
                          "sequential event-throughput ratio (default "

@@ -73,6 +73,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -590,14 +591,14 @@ fillCommonArtifact(analysis::RunArtifact &a,
 // before anything is built; every rank then builds the full model like
 // any run, and the leader drives the group through outer windows via
 // the shared control block.  Every rank runs only the partitions the
-// deterministic LPT assignment gives it, exchanging trunk packets and
-// sync records over shared-memory rings (one fame::Transport per peer,
-// from fame::groupTransport).  Results are bit-identical to the seq/par
-// engines: every child fills the same measured artifact sections as
-// any run and writes their ledger() down a pipe, and the leader adds
-// each ledger into its own before the per-run constants go in, so the
-// fingerprint folds the values a single-process run would have
-// produced.
+// deterministic LPT assignment gives it, exchanging trunk packets over
+// shared-memory rings and window ends through shared-memory slots (one
+// fame::Transport per peer, from fame::groupTransport).  Results are
+// bit-identical to the seq/par engines: every child fills the same
+// measured artifact sections as any run and writes their ledger() down
+// a pipe, and the leader adds each ledger into its own before the
+// per-run constants go in, so the fingerprint folds the values a
+// single-process run would have produced.
 // ====================================================================
 
 bool
@@ -646,20 +647,35 @@ readAll(int fd, void *p, size_t n)
 fame::ShmGroupControl *g_forked_group = nullptr;
 
 /**
+ * The leader's transports by peer rank, each published by couple()
+ * with a seq_cst store; null until then.
+ */
+std::atomic<fame::Transport *>
+    g_leader_transports[fame::ShmGroupLayout::kMaxProcs];
+
+/**
  * The leader's SIGCHLD handler.  A rank that exits while the group
- * still runs has died, so ask for the cooperative stop: the coupled
- * wait then gives up on the silent rank within its interrupted budget,
- * and the run finalizes a partial artifact.  A rank that exits after
- * the stop was published raises nothing.  One atomic load and
- * requestInterrupt's CAS, so it is async-signal-safe.
+ * still runs has died, so ask for the cooperative stop and abort every
+ * transport: the coupled wait sees the abort at once, and the run
+ * finalizes a partial artifact.  A rank that exits after the stop was
+ * published raises nothing.  Atomic loads and stores, requestInterrupt's
+ * CAS and futex wakes only, so it is async-signal-safe; the wakes'
+ * syscalls may set errno, which the interrupted code must not see.
  */
 extern "C" void
 onRankExit(int)
 {
+    const int saved_errno = errno;
     if (g_forked_group->command.load(std::memory_order_seq_cst) ==
         fame::ShmGroupControl::kRun) {
         core::requestInterrupt(core::kCausePeer);
+        for (auto &tr : g_leader_transports) {
+            if (fame::Transport *t = tr.load(std::memory_order_seq_cst)) {
+                t->abort();
+            }
+        }
     }
+    errno = saved_errno;
 }
 
 /**
@@ -790,6 +806,10 @@ class ProcessGroup {
                 transports_.push_back(
                     fame::groupTransport(seg_.data(), layout_, rank_, r));
                 copts.peers.emplace_back(r, transports_.back().get());
+                if (!isChild()) {
+                    g_leader_transports[r].store(transports_.back().get(),
+                                                 std::memory_order_seq_cst);
+                }
             }
         }
         cluster.enableProcessCoupling(copts);
